@@ -5,7 +5,16 @@
 #   3. sweep the LOS-ball geometry,
 #   4. run the analytic-vs-simulation coverage comparison gate.
 # Exit status of the compare step: 0 pass, 1 tolerance missed, 2 bad input.
+# Uses the installed `wearnet` command when there is one, else runs the
+# package from this checkout's src/ directory.
 set -e
+
+if ! command -v wearnet >/dev/null 2>&1; then
+    ROOT=$(cd "$(dirname "$0")/.." && pwd)
+    wearnet() {
+        PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m wearnet.cli "$@"
+    }
+fi
 
 OUT=demo_out/cli
 mkdir -p "$OUT"

@@ -10,7 +10,8 @@ from .geometry import (Deployment, blockage_probability, blocking_area,
                        sample_ppp_annulus, sample_ppp_disk)
 from .losball import (LosBallSummary, los_ball_radius, los_ball_radius_limit,
                       los_ball_summary, mean_los_interferers)
-from .quadrature import QuadratureNotConverged, adaptive_gauss_legendre
+from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
+                         integrate_batch)
 from .analytic import (CoverageCurve, CoverageParams, beta_tilde,
                        coverage_ccdf, coverage_curve, coverage_params,
                        ergodic_spectral_efficiency, laplace_term,

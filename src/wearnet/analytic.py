@@ -29,7 +29,7 @@ import numpy as np
 
 from .losball import los_ball_radius
 from .model import gain_pairs, validate
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # The alternating binomial sum below loses roughly one digit per doubling of
 # m; integrals are evaluated tighter than their 1e-10 contract so that the
@@ -132,27 +132,44 @@ def laplace_term(ell, bt, params):
     exp(-lambda pi p_t (R_LOS^2 - 2 sum_i q_i J_i)) with
     J_i = int_0^R_LOS (1 + ell mt bt rho G_i r^-aL)^-m r dr.  The unit-mean
     Gamma(m) interferer fading is already integrated out (its MGF cancels
-    the factor m in s).  Equals 1 when the PPP is empty or silent.
+    the factor m in s).  Equals 1 when the PPP is empty or silent, or at
+    bt = 0.
+
+    Broadcasts over ``ell`` and ``bt``: every radial integral of the
+    broadcast grid is one integrand of a single batched quadrature.  A
+    float for scalar inputs, else an array of the broadcast shape.
     """
     cfg = params.config
-    if cfg.density == 0.0 or cfg.tx_probability == 0.0 or bt == 0.0:
-        return 1.0
-    R = params.r_los
-    m = cfg.m_los
-    total = 0.0
-    for q_i, G_i in zip(params.gain_table.q, params.gain_table.G):
-        if q_i == 0.0:
-            continue
-        c = ell * params.m_tilde * bt * cfg.power_ratio * G_i
+    ell_b, bt_b = np.broadcast_arrays(np.asarray(ell, dtype=float),
+                                      np.asarray(bt, dtype=float))
+    out = np.ones(ell_b.shape)
+    live = bt_b != 0.0
+    if cfg.density != 0.0 and cfg.tx_probability != 0.0 and np.count_nonzero(live):
+        R = params.r_los
+        m = cfg.m_los
+        scale = ell_b[live] * params.m_tilde * bt_b[live] * cfg.power_ratio
+        pairs = [(q_i, G_i) for q_i, G_i in zip(params.gain_table.q, params.gain_table.G)
+                 if q_i != 0.0]
+        # one integrand per (gain pair, live point), gain pair outermost
+        c = np.concatenate([scale * G_i for _, G_i in pairs])
 
-        def integrand(r, c=c):
-            return (1.0 + c * r ** (-cfg.alpha_los)) ** (-m) * r
+        def integrand(index, r):
+            # (1 + c r^-aL)^-m r, in place to keep one temporary per level
+            v = r ** (-cfg.alpha_los)
+            v *= c[index]
+            v += 1.0
+            v **= -m
+            v *= r
+            return v
 
-        total += q_i * adaptive_gauss_legendre(
-            integrand, 0.0, R,
-            abs_tol=_LAPLACE_ABS_TOL, rel_tol=_LAPLACE_REL_TOL)
-    exponent = -cfg.density * math.pi * cfg.tx_probability * (R * R - 2.0 * total)
-    return math.exp(exponent)
+        radial = integrate_batch(integrand, c.size, 0.0, R,
+                                 abs_tol=_LAPLACE_ABS_TOL, rel_tol=_LAPLACE_REL_TOL)
+        total = np.zeros(scale.size)
+        for (q_i, _), J_i in zip(pairs, radial.reshape(len(pairs), scale.size)):
+            total += q_i * J_i
+        out[live] = np.exp(-cfg.density * math.pi * cfg.tx_probability
+                           * (R * R - 2.0 * total))
+    return float(out) if out.ndim == 0 else out
 
 
 def coverage_ccdf(beta, params):
@@ -161,22 +178,20 @@ def coverage_ccdf(beta, params):
     Sum over ell = 1..m of C(m, ell) (-1)^(ell+1) exp(-ell m mt bt sigma2)
     * laplace_term(ell, bt).  The alternating terms are accumulated with
     exact compensated summation and the result clamped to [0, 1] (roundoff
-    can push it out by a few ulps).  Vectorized over beta.
+    can push it out by a few ulps).  Vectorized over beta of any shape;
+    one laplace_term call covers every (ell, beta) pair.
     """
     cfg = params.config
     beta_arr = np.asarray(beta, dtype=float)
-    bts = np.atleast_1d(beta_tilde(beta_arr, params))
+    bts = np.ravel(beta_tilde(beta_arr, params))
     m = cfg.m_los
-    out = np.empty(bts.shape, dtype=float)
-    for j, bt in enumerate(bts):
-        terms = []
-        for ell in range(1, m + 1):
-            sign = 1.0 if ell % 2 == 1 else -1.0
-            noise_fac = math.exp(-ell * m * params.m_tilde * bt * params.sigma2_total)
-            terms.append(sign * math.comb(m, ell) * noise_fac
-                         * laplace_term(ell, bt, params))
-        out[j] = min(1.0, max(0.0, math.fsum(terms)))
-    return float(out[0]) if beta_arr.ndim == 0 else out
+    ell = np.arange(1, m + 1, dtype=float)[:, None]
+    coef = np.array([(1.0 if k % 2 == 1 else -1.0) * math.comb(m, k)
+                     for k in range(1, m + 1)])[:, None]
+    noise_fac = np.exp(-ell * m * params.m_tilde * bts * params.sigma2_total)
+    terms = coef * noise_fac * laplace_term(ell, bts, params)
+    out = np.array([min(1.0, max(0.0, math.fsum(col))) for col in terms.T.tolist()])
+    return float(out[0]) if beta_arr.ndim == 0 else out.reshape(beta_arr.shape)
 
 
 def spectral_efficiency_ccdf(t, params):

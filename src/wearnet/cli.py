@@ -65,6 +65,17 @@ def _env(name, fallback):
     return os.environ.get("WEARNET_" + name, fallback)
 
 
+def _env_int(name, fallback):
+    text = _env(name, None)
+    if text is None:
+        return fallback
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError("InvalidNumber",
+                          f"WEARNET_{name} must be an integer, got {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wearnet",
@@ -74,9 +85,11 @@ def build_parser():
                         help="model configuration file (key = value lines)")
     parser.add_argument("--out-dir", default=_env("OUT_DIR", "."),
                         help="directory for artifacts (default: .)")
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", "0")),
+    # --seed/--threads fall back to the environment in main(), where a
+    # malformed value is reported like any other bad argument
+    parser.add_argument("--seed", type=int, default=None,
                         help="master seed for all simulation (default: 0)")
-    parser.add_argument("--threads", type=int, default=int(_env("THREADS", "1")),
+    parser.add_argument("--threads", type=int, default=None,
                         help="simulation worker processes, 0 = auto (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,8 +195,7 @@ def cmd_compare(args):
         "coverage": ("coverage_compare", parse_grid(args.beta_grid_db)),
         "se": ("se_compare", parse_grid(args.t_grid)),
         "mean-count": ("mean_count_sweep", parse_grid(args.lambda_grid)),
-        "nakagami": ("nakagami_sweep",
-                     tuple(int(m) for m in parse_grid(args.m_grid))),
+        "nakagami": ("nakagami_sweep", parse_grid(args.m_grid)),
     }
     kind, grid = kind_map[args.kind]
     plan = experiments.ExperimentPlan(
@@ -215,6 +227,10 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_int("SEED", 0)
+        if args.threads is None:
+            args.threads = _env_int("THREADS", 1)
         return _COMMANDS[args.command](args)
     except experiments.ToleranceExceeded as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

@@ -84,7 +84,7 @@ def validate_plan(plan):
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     if plan.kind == "nakagami_sweep":
         for m in plan.grid:
-            if int(m) != m or m < 1:
+            if not (math.isfinite(m) and m >= 1 and int(m) == m):
                 raise ConfigError("NakagamiOrderInvalid",
                                   f"nakagami_sweep grid must hold integers >= 1, got {m}")
     if plan.trials < 1:

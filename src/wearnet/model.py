@@ -114,7 +114,13 @@ class GainPairTable:
 MAX_NAKAGAMI_M = 64
 
 
+def _check_finite(name, value):
+    if not math.isfinite(value):
+        raise ConfigError("ValueNotFinite", f"{name} must be finite, got {value}")
+
+
 def _check_pattern(pat, side):
+    _check_finite(f"{side} main-lobe gain", pat.main_gain)
     if not (pat.side_gain > 0.0):
         raise ConfigError("SideGainNotPositive",
                           f"{side} side-lobe gain must be > 0, got {pat.side_gain}")
@@ -129,11 +135,15 @@ def _check_pattern(pat, side):
 def validate(config):
     """Check every model invariant; return ``config`` unchanged if all hold.
 
-    Raises ConfigError with a named violation for the first failed invariant.
+    Raises ConfigError with a named violation for the first failed invariant;
+    an infinite or NaN length, exponent, power or gain is ``ValueNotFinite``.
     density = 0 is accepted and means an empty network (no interferers and
     no blockages), which is a well-defined degenerate case.
     """
-    if not (config.density >= 0.0) or not math.isfinite(config.density):
+    for name in ("density", "blockage_diameter", "net_radius", "alpha_los",
+                 "alpha_nlos", "ref_distance", "noise_power", "power_ratio"):
+        _check_finite(name, getattr(config, name))
+    if not (config.density >= 0.0):
         raise ConfigError("DensityNegative", f"density must be >= 0, got {config.density}")
     if not (config.blockage_diameter > 0.0):
         raise ConfigError("BlockageDiameterNotPositive",

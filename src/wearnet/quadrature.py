@@ -5,6 +5,14 @@ sharply peaked integrands (powers of 1/(1 + c r^-alpha) near r = 0).  A
 fixed-order Gauss-Legendre rule per panel with bisection on an error
 estimate handles these reliably; the error estimate for a panel is the
 difference between the one-panel value and the sum over its two halves.
+
+The rule is batch-native: ``integrate_batch`` integrates many integrands
+over a common interval and evaluates every pending panel of every
+integrand in one vectorized call per bisection level.  A panel's fate
+depends only on the panel itself, never on the order panels are visited
+in or on the other integrands of the batch, and the accepted panels are
+summed with the exactly rounded ``math.fsum``, so a batch gives bit for
+bit the values each integrand would give alone.
 """
 
 from __future__ import annotations
@@ -15,15 +23,24 @@ import numpy as np
 
 
 class QuadratureNotConverged(ArithmeticError):
-    """The panel budget ran out before the error estimate met tolerance."""
+    """The panel budget ran out before the error estimate met tolerance.
 
-    def __init__(self, message, value, error_estimate):
+    ``index`` is the position of the failing integrand in its batch (0 for
+    a single integral).
+    """
+
+    def __init__(self, message, value, error_estimate, index=0):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.index = index
 
 
 _NODE_CACHE = {}
+
+# Integrands advanced together; bounds the working set of a large batch
+# (pending panels x nodes per level) to a few MB.
+_GROUP = 256
 
 
 def _gauss_legendre_rule(order):
@@ -35,51 +52,104 @@ def _gauss_legendre_rule(order):
         return nodes, weights
 
 
+def _panels(f, owner, lo, hi, nodes, weights):
+    """One-panel rule values on [lo[k], hi[k]] for integrand owner[k].
+
+    The weighted node sum runs node by node over contiguous rows, so each
+    panel's value is the same whatever else is in the batch.
+    """
+    half = 0.5 * (hi - lo)
+    values = f(owner, 0.5 * (lo + hi) + half * nodes[:, None])
+    total = weights[0] * values[0]
+    for w, row in zip(weights[1:], values[1:]):
+        total += w * row
+    return half * total
+
+
+def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8,
+                    order=20, max_panels=4096):
+    """Integrate ``n`` integrands over the common interval [a, b].
+
+    ``f(index, x)`` receives an int array ``index`` of shape (P,) and a float
+    array ``x`` of shape (order, P); column k holds sample points of
+    integrand ``index[k]``, and ``f`` returns their values in that shape.
+
+    Each integrand is bisected on its own: a panel whose error estimate
+    exceeds
+
+        max(abs_tol, rel_tol * |whole-interval estimate|) * panel_len / (b - a)
+
+    is split, unless it is narrower than 16 ulps of its midpoint.  An
+    integrand that has spent more than ``max_panels`` panel evaluations and
+    still has a failing panel raises QuadratureNotConverged, carrying its
+    best value, its error estimate and its index.  Returns a float array of
+    the ``n`` integrals.
+    """
+    if not (b >= a):
+        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
+    out = np.zeros(n)
+    if a == b:
+        return out
+    for start in range(0, n, _GROUP):
+        stop = min(n, start + _GROUP)
+        out[start:stop] = _integrate_group(
+            f, np.arange(start, stop), a, b, abs_tol, rel_tol, order, max_panels)
+    return out
+
+
+def _integrate_group(f, index, a, b, abs_tol, rel_tol, order, max_panels):
+    nodes, weights = _gauss_legendre_rule(order)
+    k = index.size
+    own = np.arange(k)
+    lo = np.full(k, float(a))
+    hi = np.full(k, float(b))
+    whole = _panels(f, index, lo, hi, nodes, weights)
+    tol_density = np.maximum(abs_tol, rel_tol * np.abs(whole)) / (b - a)
+    used = np.ones(k, dtype=np.int64)
+    done_owner, done_value = [], []     # converged panels, by level
+    while own.size:
+        mid = 0.5 * (lo + hi)
+        halves = _panels(f, index[np.concatenate((own, own))],
+                         np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+                         nodes, weights)
+        left, right = halves[:own.size], halves[own.size:]
+        used += 2 * np.bincount(own, minlength=k)
+        refined = left + right
+        err = np.abs(refined - whole)
+        width = hi - lo
+        ok = ((err <= tol_density[own] * width)
+              | (width <= 16.0 * np.spacing(np.abs(mid))))
+        done_owner.append(own[ok])
+        done_value.append(refined[ok])
+        split = ~ok
+        over = split & (used[own] > max_panels)
+        if np.count_nonzero(over):
+            j = int(own[over][0])
+            mine = own == j
+            value = (math.fsum(np.concatenate(done_value)[np.concatenate(done_owner) == j])
+                     + math.fsum(refined[mine & split]))
+            worst = float(err[mine & split].max())
+            raise QuadratureNotConverged(
+                f"integrand {int(index[j])}: no convergence after {int(used[j])} "
+                f"panels on [{a}, {b}]; worst panel error {worst:.3e}",
+                value, worst, int(index[j]))
+        own = np.concatenate((own[split], own[split]))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+    parts = [[] for _ in range(k)]
+    for j, value in zip(np.concatenate(done_owner).tolist(),
+                        np.concatenate(done_value).tolist()):
+        parts[j].append(value)
+    return np.array([math.fsum(p) for p in parts])
+
+
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
                             order=20, max_panels=4096):
     """Integrate the vectorized callable ``f`` over [a, b].
 
     ``f`` receives a float ndarray of sample points and must return values
-    of the same shape.  Panels whose bisection error estimate exceeds
-
-        max(abs_tol, rel_tol * |whole-interval estimate|) * panel_len / (b - a)
-
-    are split until every panel passes or ``max_panels`` evaluations have
-    been spent, in which case QuadratureNotConverged is raised carrying the
-    best value and its error estimate.
+    of the same shape.  This is ``integrate_batch`` with one integrand; see
+    there for the tolerance and the panel budget.
     """
-    if not (b >= a):
-        raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-    if a == b:
-        return 0.0
-    nodes, weights = _gauss_legendre_rule(order)
-
-    def one_panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        return half * float(np.dot(weights, f(0.5 * (lo + hi) + half * nodes)))
-
-    scale = abs(one_panel(a, b))
-    tol_density = max(abs_tol, rel_tol * scale) / (b - a)
-
-    accepted = []          # contributions of converged panels
-    pending = [(a, b, one_panel(a, b))]
-    panels_used = 1
-    while pending:
-        lo, hi, whole = pending.pop()
-        mid = 0.5 * (lo + hi)
-        left = one_panel(lo, mid)
-        right = one_panel(mid, hi)
-        panels_used += 2
-        refined = left + right
-        err = abs(refined - whole)
-        if err <= tol_density * (hi - lo) or (hi - lo) <= 16.0 * math.ulp(mid):
-            accepted.append(refined)
-            continue
-        if panels_used > max_panels:
-            value = math.fsum(accepted) + refined + sum(p[2] for p in pending)
-            raise QuadratureNotConverged(
-                f"no convergence after {panels_used} panels on [{a}, {b}]; "
-                f"last panel error {err:.3e}", value, err)
-        pending.append((lo, mid, left))
-        pending.append((mid, hi, right))
-    return math.fsum(accepted)
+    return float(integrate_batch(lambda index, x: f(x), 1, a, b, abs_tol,
+                                 rel_tol, order, max_panels)[0])

@@ -7,9 +7,10 @@ canonical figure-style setups, 9 pins the interference-free degenerate
 case, and 10 locks artifact determinism.
 
 The canonical setups leave four physical constants open (path-loss
-exponents, reference distance, noise power); the values filled here are a
-plausible dense-indoor choice (alpha_L = 3.2, alpha_N = 3.4, R0 = 0.25 m,
-unit noise) and every tolerance below is met with them.
+exponents, reference distance, noise power); the values conftest's
+figure_config fills are a plausible dense-indoor choice (alpha_L = 3.2,
+alpha_N = 3.4, R0 = 0.25 m, unit noise) and every tolerance below is met
+with them.
 """
 
 import math
@@ -18,17 +19,8 @@ import time
 import numpy as np
 from scipy import integrate
 
+from conftest import figure_config
 from wearnet import analytic, experiments, geometry, losball, mcsim, model
-
-# fills for the REQUIRED placeholders in the emitted figure configs
-_FILLS = {"alpha_L": "3.2", "alpha_N": "3.4", "R0": "0.25", "noise_power": "1.0"}
-
-
-def _figure_config(figure_id, **extra):
-    values = model.parse_key_values(experiments.figure_config_text(figure_id))
-    values.update(_FILLS)
-    values.update({k: str(v) for k, v in extra.items()})
-    return model.config_from_keys(values)
 
 
 def test_01_mean_los_closed_form_matches_quadrature():
@@ -103,7 +95,7 @@ def test_04_mean_los_count_decreases_with_density():
     lams = (1.0, 2.0, 3.0, 4.0, 5.0)
     means = [losball.mean_los_interferers(lam, 0.3, 10.0) for lam in lams]
     assert all(a > b for a, b in zip(means, means[1:])), means
-    cfg5 = _figure_config("fig5")
+    cfg5 = figure_config("fig5")
     zs = []
     for i, lam in enumerate(lams):
         cfg = model.with_overrides(cfg5, density=lam)
@@ -119,7 +111,7 @@ def test_05_weak_interference_power_matches_sampling():
     # closed-form mean power from the blocked annulus vs 1e5 sampled
     # deployments with activity/antenna/fading marks; 3 sigma, < 2 min
     start = time.perf_counter()
-    cfg = _figure_config("fig6")
+    cfg = figure_config("fig6")
     r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
                                     cfg.net_radius)
     closed = analytic.nlos_mean_power(cfg, r_los)
@@ -138,7 +130,7 @@ def test_06_coverage_bound_tracks_losball_simulation(tmp_path):
     # setup: sup-norm <= 0.03 and analytic >= empirical - 3 se at every
     # grid point over beta in [-10, 30] dB; 1e5 trials, < 5 min
     start = time.perf_counter()
-    cfg = _figure_config("fig7")
+    cfg = figure_config("fig7")
     plan = experiments.ExperimentPlan(
         kind="coverage_compare", config=cfg,
         grid=tuple(np.arange(-10.0, 31.0, 1.0)),
@@ -157,7 +149,7 @@ def test_07_full_and_losball_se_distributions_agree(tmp_path):
     # spectral-efficiency CDFs from the full blockage-field simulation and
     # the LOS-ball reduction: sup-norm <= 0.05 at 1e5 trials, < 10 min
     start = time.perf_counter()
-    cfg = _figure_config("fig6")
+    cfg = figure_config("fig6")
     plan = experiments.ExperimentPlan(
         kind="se_compare", config=cfg,
         grid=tuple(np.arange(0.0, 12.01, 0.25)),
@@ -179,7 +171,7 @@ def test_08_ergodic_se_rises_with_nakagami_order(tmp_path):
     # a growing margin for m > 1 -- about 0.10 to 0.45 bits/s/Hz here --
     # so pointwise equality against MC is not the contract; the trend and
     # the bound direction are.)
-    cfg = _figure_config("fig8")
+    cfg = figure_config("fig8")
     plan = experiments.ExperimentPlan(
         kind="nakagami_sweep", config=cfg, grid=(1, 2, 4, 8, 16),
         out_dir=str(tmp_path), seed=106, trials=10_000, tolerance=2.0)
@@ -198,7 +190,7 @@ def test_09_interference_free_rayleigh_exactness():
     # lambda = 0, m = 1: the bound collapses to exp(-bt sigma2_noise)
     # exactly (<= 1e-12 across the beta grid) and simulation agrees
     # within 3 sigma at every grid point
-    cfg = _figure_config("fig6", **{"lambda": 0.0})
+    cfg = figure_config("fig6", **{"lambda": 0.0})
     params = analytic.coverage_params(cfg)
     beta_db = np.arange(-10.0, 31.0, 1.0)
     beta = experiments.db_grid_to_linear(beta_db)
@@ -224,7 +216,7 @@ def test_10_fixed_seed_reruns_are_byte_identical(tmp_path):
         for sub in ("a", "b"):
             out = tmp_path / kind / sub
             plan = experiments.ExperimentPlan(
-                kind=kind, config=_figure_config(fid),
+                kind=kind, config=figure_config(fid),
                 grid=tuple(np.arange(0.0, 10.1, 1.0)), out_dir=str(out),
                 seed=108, trials=2000, tolerance=1.0)
             experiments.run_plan(plan)

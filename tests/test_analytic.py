@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import make_config
+from conftest import figure_config, make_config
 from wearnet import analytic, model
 
 
@@ -175,12 +175,27 @@ def test_coverage_endpoints_and_shape():
 
 
 def test_coverage_scalar_array_agree():
-    p = _params(m=3)
-    grid = np.array([0.1, 1.0, 10.0])
-    arr = analytic.coverage_ccdf(grid, p)
-    sca = [analytic.coverage_ccdf(float(b), p) for b in grid]
-    assert np.allclose(arr, sca, rtol=0.0, atol=0.0)
-    assert isinstance(sca[0], float)
+    grid = np.array([0.0, 0.1, 1.0, 10.0])
+    for m in (1, 3, 16):
+        p = _params(m=m)
+        arr = analytic.coverage_ccdf(grid, p)
+        sca = [analytic.coverage_ccdf(float(b), p) for b in grid]
+        assert arr.tolist() == sca, m
+        assert isinstance(sca[0], float)
+        # any array shape, same values
+        assert analytic.coverage_ccdf(grid.reshape(2, 2), p).ravel().tolist() == sca
+
+
+def test_laplace_term_broadcasts():
+    p = _params(m=3, p_t=0.8)
+    ell = np.array([[1.0], [2.0], [3.0]])
+    bt = analytic.beta_tilde(np.array([0.0, 0.5, 4.0, 30.0]), p)
+    grid = analytic.laplace_term(ell, bt, p)
+    assert grid.shape == (3, 4)
+    want = [[analytic.laplace_term(int(e), float(b), p) for b in bt] for e in ell[:, 0]]
+    assert grid.tolist() == want
+    assert np.all(grid[:, 0] == 1.0)
+    assert isinstance(want[0][1], float)
 
 
 def test_coverage_parameter_monotonicity():
@@ -225,6 +240,20 @@ def test_ergodic_se_orderings():
     assert all(a <= b + 1e-9 for a, b in zip(es, es[1:]))
     assert (analytic.ergodic_spectral_efficiency(_params(p_t=0.5))
             > analytic.ergodic_spectral_efficiency(_params(p_t=1.0)))
+
+
+# ergodic SE at the fig8 setup, m = 1, 2, 4, 8, 16, frozen from the
+# one-integral-at-a-time quadrature this package used before its rule was
+# batched
+FIG8_ERGODIC_SE = (3.336852895599304, 3.5540301871061977, 3.728099417166248,
+                   3.8937358422737463, 4.061047602426209)
+
+
+def test_ergodic_se_fig8_frozen():
+    cfg = figure_config("fig8")
+    for m, want in zip((1, 2, 4, 8, 16), FIG8_ERGODIC_SE):
+        p = analytic.coverage_params(model.with_overrides(cfg, m_los=m))
+        assert abs(analytic.ergodic_spectral_efficiency(p) - want) < 1e-9, m
 
 
 def test_coverage_curve_container():

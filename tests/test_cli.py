@@ -148,6 +148,30 @@ def test_env_seed_matches_flag(tmp_path, monkeypatch):
             == (d2 / "simulate_losball.csv").read_bytes())
 
 
+@pytest.mark.parametrize("name", ["WEARNET_SEED", "WEARNET_THREADS"])
+def test_malformed_env_integer_exit_code(tmp_path, monkeypatch, capsys, name):
+    cfg = _write_config(tmp_path)
+    monkeypatch.setenv(name, "abc")
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "coverage"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidNumber") and name in err
+    # an explicit flag needs no environment value
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "--seed", "1",
+                   "--threads", "1", "coverage"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("grid", ["2.5", "1,inf", "0,1"])
+def test_compare_rejects_non_integer_m_grid(tmp_path, capsys, grid):
+    cfg = _write_config(tmp_path)
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "compare",
+                   "--kind", "nakagami", "--trials", "50", "--m-grid", grid])
+    assert rc == 2
+    assert "NakagamiOrderInvalid" in capsys.readouterr().err
+    assert not (tmp_path / "nakagami_sweep.csv").exists()
+
+
 def _run_console_script(exe, out_dir):
     """Run a `wearnet` console script as its own process on this checkout.
 

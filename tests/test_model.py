@@ -117,6 +117,16 @@ def test_validation_violations():
     _expect_violation("PowerRatioNotPositive", power_ratio=0.0)
 
 
+# -inf dB is a finite linear gain (0), so Gt_dB takes only inf and nan
+@pytest.mark.parametrize("key,value", [
+    (key, value)
+    for key in ("lambda", "W", "r_net", "alpha_L", "alpha_N", "R0",
+                "noise_power", "power_ratio")
+    for value in ("inf", "-inf", "nan")] + [("Gt_dB", "inf"), ("Gt_dB", "nan")])
+def test_non_finite_values_rejected(key, value):
+    _expect_violation("ValueNotFinite", **{key: value})
+
+
 def test_density_zero_is_valid():
     cfg = make_config(**{"lambda": 0.0})
     assert cfg.density == 0.0
