@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from wearnet import analytic, mcsim, model
-from wearnet.experiments import db_grid_to_linear, figure_config_text
+from wearnet.experiments import figure_config_text
 
 OUT_DIR = "demo_out"
 N_TRIALS = 20000
@@ -30,7 +30,7 @@ def main():
     cfg = model.config_from_keys(values)
 
     params = analytic.coverage_params(cfg)
-    beta = db_grid_to_linear(BETA_DB)
+    beta = model.db_to_linear(BETA_DB)
     ccdf_a = np.asarray(analytic.coverage_ccdf(beta, params))
     emp = mcsim.simulate_ccdf(mcsim.LOSBALL, cfg, N_TRIALS, beta, SEED)
 

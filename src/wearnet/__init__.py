@@ -5,9 +5,8 @@ from .model import (ConfigError, GainPairTable, NetworkConfig, SectorPattern,
                     config_from_keys, config_hash, db_to_linear, gain_pairs,
                     linear_to_db, load_config, parse_config_text, validate,
                     with_overrides)
-from .geometry import (Deployment, blockage_probability, blocking_area,
-                       classify_los, is_blocked, sample_deployment,
-                       sample_ppp_annulus, sample_ppp_disk)
+from .geometry import (blockage_probability, blocking_area, classify_los,
+                       is_blocked, sample_ppp_annulus, sample_ppp_disk)
 from .losball import (LosBallSummary, los_ball_radius, los_ball_radius_limit,
                       los_ball_summary, mean_los_interferers)
 from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
@@ -19,8 +18,9 @@ from .analytic import (CoverageCurve, CoverageParams, beta_tilde,
 from .mcsim import (FULL, LOSBALL, EmpiricalDistribution, TrialOutcome,
                     empirical_ccdf, estimate_ergodic_se,
                     estimate_mean_los_count, run_trial,
-                    sample_annulus_interference_mean, sample_nakagami_power,
-                    simulate_ccdf, simulate_se_ccdf, simulate_sinr_samples)
+                    sample_annulus_interference_mean, sample_full_field,
+                    sample_nakagami_power, simulate_ccdf, simulate_se_ccdf,
+                    simulate_sinr_samples)
 from .experiments import (ExperimentPlan, IoError, ToleranceExceeded,
                           UnknownFigure, emit_figure_config, run_plan,
                           write_csv)

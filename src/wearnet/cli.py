@@ -14,34 +14,42 @@ configuration/arguments or unwritable output.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import analytic, experiments, mcsim
-from .model import (CONFIG_KEYS, ConfigError, config_from_keys,
+from .model import (CONFIG_KEYS, ConfigError, config_from_keys, db_to_linear,
                     parse_key_values)
 
 
 def parse_grid(text):
-    """'start:stop:step' (endpoints inclusive) or comma-separated values."""
+    """'start:stop:step' (endpoints inclusive) or comma-separated values.
+
+    Every value and endpoint must be finite; anything else is MalformedGrid.
+    """
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("MalformedGrid",
-                              f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise ConfigError("MalformedGrid", f"bad grid range {text!r}")
-        n = int(round((stop - start) / step))
-        grid = start + step * np.arange(n + 1)
-        return grid[grid <= stop + 1e-9 * max(1.0, abs(stop))]
+    is_range = ":" in text
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        values = [float(p) for p in text.split(":" if is_range else ",")
+                  if p.strip() != ""]
     except ValueError:
         raise ConfigError("MalformedGrid", f"cannot parse grid {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("MalformedGrid", f"grid values must be finite, got {text!r}")
+    if not is_range:
+        return np.array(values)
+    if len(values) != 3:
+        raise ConfigError("MalformedGrid",
+                          f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0.0 or stop < start or not math.isfinite((stop - start) / step):
+        raise ConfigError("MalformedGrid", f"bad grid range {text!r}")
+    n = int(round((stop - start) / step))
+    grid = start + step * np.arange(n + 1)
+    return grid[grid <= stop + 1e-9 * max(1.0, abs(stop))]
 
 
 def load_config_with_env(path):
@@ -153,8 +161,7 @@ def cmd_coverage(args):
     cfg = load_config_with_env(args.config)
     beta_db = parse_grid(args.beta_grid_db)
     params = analytic.coverage_params(cfg)
-    ccdf = np.asarray(analytic.coverage_ccdf(
-        experiments.db_grid_to_linear(beta_db), params))
+    ccdf = np.asarray(analytic.coverage_ccdf(db_to_linear(beta_db), params))
     path = experiments.write_csv(_out_path(args, "coverage.csv"),
                                  ("beta_dB", "ccdf_analytic"),
                                  list(zip(beta_db, ccdf)), cfg, args.seed)
@@ -166,8 +173,7 @@ def cmd_simulate(args):
     cfg = load_config_with_env(args.config)
     beta_db = parse_grid(args.beta_grid_db)
     dist = mcsim.simulate_ccdf(args.mode, cfg, args.trials,
-                               experiments.db_grid_to_linear(beta_db),
-                               args.seed, args.threads)
+                               db_to_linear(beta_db), args.seed, args.threads)
     path = experiments.write_csv(_out_path(args, f"simulate_{args.mode}.csv"),
                                  ("beta_dB", "ccdf", "stderr"),
                                  list(zip(beta_db, dist.ccdf, dist.stderr)),

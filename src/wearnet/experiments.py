@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, losball, mcsim
-from .model import (CONFIG_KEYS, ConfigError, config_hash, validate,
-                    with_overrides)
+from .model import (CONFIG_KEYS, ConfigError, config_hash, db_to_linear,
+                    validate, with_overrides)
 
 KINDS = ("losball_sweep", "mean_count_sweep", "coverage_compare",
          "se_compare", "nakagami_sweep")
@@ -82,11 +82,13 @@ def validate_plan(plan):
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
-    if plan.kind == "nakagami_sweep":
-        for m in plan.grid:
-            if not (math.isfinite(m) and m >= 1 and int(m) == m):
-                raise ConfigError("NakagamiOrderInvalid",
-                                  f"nakagami_sweep grid must hold integers >= 1, got {m}")
+    for v in plan.grid:
+        if not math.isfinite(v):
+            raise ConfigError("ValueNotFinite",
+                              f"plan.grid values must be finite, got {v}")
+        if plan.kind == "nakagami_sweep" and not (v >= 1 and int(v) == v):
+            raise ConfigError("NakagamiOrderInvalid",
+                              f"nakagami_sweep grid must hold integers >= 1, got {v}")
     if plan.trials < 1:
         raise ConfigError("TrialCountInvalid", "trials must be >= 1")
     validate(plan.config)
@@ -101,34 +103,28 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_csv(path, columns, rows, config, seed):
-    """CSV with a '# config_hash=... seed=...' comment line, then header."""
+def _write(path, text):
+    """Write ``text`` as ASCII with Unix line ends, creating parent directories."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"# config_hash={config_hash(config)} seed={seed}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
-def _write_summary(out_dir, lines):
-    path = os.path.join(out_dir, "summary.txt")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+def write_csv(path, columns, rows, config, seed):
+    """CSV with a '# config_hash=... seed=...' comment line, then header."""
+    lines = [f"# config_hash={config_hash(config)} seed={seed}", ",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return _write(path, "\n".join(lines) + "\n")
 
 
-def db_grid_to_linear(grid_db):
-    return 10.0 ** (np.asarray(grid_db, dtype=float) / 10.0)
-
+# Each runner only computes.  It returns (csv name, columns, rows, summary
+# fields, result extras, failure): the summary fields are printed to
+# summary.txt in order, and failure is the ToleranceExceeded that run_plan
+# raises once the artifacts exist, or None when the gate holds.
 
 def _run_losball_sweep(plan):
     cfg = plan.config
@@ -139,12 +135,9 @@ def _run_losball_sweep(plan):
             s = losball.los_ball_summary(lam, cfg.blockage_diameter, r_net)
             rows.append((lam, cfg.blockage_diameter, r_net,
                          s.mean_los_count, s.r_los, s.r_los_limit))
-    path = write_csv(os.path.join(plan.out_dir, "losball.csv"),
-                     ("lambda", "W", "r_net", "mean_los", "r_los", "r_los_limit"),
-                     rows, cfg, plan.seed)
-    summary = _write_summary(plan.out_dir,
-                             [f"kind=losball_sweep rows={len(rows)} status=PASS"])
-    return {"kind": plan.kind, "files": [path, summary], "status": "PASS"}
+    return ("losball.csv",
+            ("lambda", "W", "r_net", "mean_los", "r_los", "r_los_limit"),
+            rows, {"rows": len(rows)}, {}, None)
 
 
 def _run_mean_count_sweep(plan):
@@ -161,47 +154,34 @@ def _run_mean_count_sweep(plan):
         rows.append((lam, analytic_mean, mc_mean, se))
         if se > 0.0:
             worst = max(worst, float(abs(mc_mean - analytic_mean) / se))
-    path = write_csv(os.path.join(plan.out_dir, "mean_count.csv"),
-                     ("lambda", "mean_los_analytic", "mean_los_mc", "stderr"),
-                     rows, cfg, plan.seed)
-    ok = worst <= se_multiple
-    summary = _write_summary(plan.out_dir, [
-        f"kind=mean_count_sweep max_z={worst!r} tolerance={se_multiple!r} "
-        f"status={'PASS' if ok else 'FAIL'}"])
-    if not ok:
-        raise ToleranceExceeded(
-            f"mean LOS count off by {worst:.2f} standard errors "
-            f"(allowed {se_multiple})", worst, se_multiple)
-    return {"kind": plan.kind, "files": [path, summary], "status": "PASS",
-            "max_z": worst}
+    failure = None if worst <= se_multiple else ToleranceExceeded(
+        f"mean LOS count off by {worst:.2f} standard errors "
+        f"(allowed {se_multiple})", worst, se_multiple)
+    return ("mean_count.csv",
+            ("lambda", "mean_los_analytic", "mean_los_mc", "stderr"), rows,
+            {"max_z": worst, "tolerance": se_multiple}, {"max_z": worst},
+            failure)
 
 
 def _run_coverage_compare(plan):
     cfg = plan.config
     tol = plan.tolerance if plan.tolerance is not None else 0.03
     beta_db = np.asarray(plan.grid, dtype=float)
-    beta = db_grid_to_linear(beta_db)
+    beta = db_to_linear(beta_db)
     params = analytic.coverage_params(cfg)
     ccdf_a = np.asarray(analytic.coverage_ccdf(beta, params))
     emp = mcsim.simulate_ccdf(mcsim.LOSBALL, cfg, plan.trials, beta,
                               plan.seed, plan.workers)
     sup = float(np.max(np.abs(ccdf_a - emp.ccdf)))
     bound_ok = bool(np.all(ccdf_a >= emp.ccdf - 3.0 * emp.stderr))
-    rows = list(zip(beta_db, ccdf_a, emp.ccdf, emp.stderr))
-    path = write_csv(os.path.join(plan.out_dir, "coverage_compare.csv"),
-                     ("beta_dB", "ccdf_analytic", "ccdf_sim", "stderr"),
-                     rows, cfg, plan.seed)
-    ok = sup <= tol and bound_ok
-    summary = _write_summary(plan.out_dir, [
-        f"kind=coverage_compare sup_norm={sup!r} tolerance={tol!r} "
-        f"bound_direction={'PASS' if bound_ok else 'FAIL'} "
-        f"status={'PASS' if ok else 'FAIL'}"])
-    if not ok:
-        raise ToleranceExceeded(
-            f"coverage sup-norm {sup:.4f} vs tolerance {tol} "
-            f"(bound direction {'ok' if bound_ok else 'violated'})", sup, tol)
-    return {"kind": plan.kind, "files": [path, summary], "status": "PASS",
-            "sup_norm": sup, "bound_direction": bound_ok}
+    failure = None if sup <= tol and bound_ok else ToleranceExceeded(
+        f"coverage sup-norm {sup:.4f} vs tolerance {tol} "
+        f"(bound direction {'ok' if bound_ok else 'violated'})", sup, tol)
+    return ("coverage_compare.csv",
+            ("beta_dB", "ccdf_analytic", "ccdf_sim", "stderr"),
+            list(zip(beta_db, ccdf_a, emp.ccdf, emp.stderr)),
+            {"sup_norm": sup, "tolerance": tol, "bound_direction": bound_ok},
+            {"sup_norm": sup, "bound_direction": bound_ok}, failure)
 
 
 def _run_se_compare(plan):
@@ -215,21 +195,14 @@ def _run_se_compare(plan):
     ball = mcsim.simulate_se_ccdf(mcsim.LOSBALL, cfg, plan.trials, t_grid,
                                   plan.seed, plan.workers)
     sup = float(np.max(np.abs(full.cdf - ball.cdf)))
-    rows = list(zip(t_grid, full.cdf, full.stderr, ball.cdf, ball.stderr, cdf_a))
-    path = write_csv(os.path.join(plan.out_dir, "se_compare.csv"),
-                     ("eta_bps_hz", "cdf_full", "stderr_full", "cdf_losball",
-                      "stderr_losball", "cdf_analytic"),
-                     rows, cfg, plan.seed)
-    ok = sup <= tol
-    summary = _write_summary(plan.out_dir, [
-        f"kind=se_compare sup_norm={sup!r} tolerance={tol!r} "
-        f"status={'PASS' if ok else 'FAIL'}"])
-    if not ok:
-        raise ToleranceExceeded(
-            f"spectral-efficiency CDF sup-norm {sup:.4f} vs tolerance {tol}",
-            sup, tol)
-    return {"kind": plan.kind, "files": [path, summary], "status": "PASS",
-            "sup_norm": sup}
+    failure = None if sup <= tol else ToleranceExceeded(
+        f"spectral-efficiency CDF sup-norm {sup:.4f} vs tolerance {tol}",
+        sup, tol)
+    return ("se_compare.csv",
+            ("eta_bps_hz", "cdf_full", "stderr_full", "cdf_losball",
+             "stderr_losball", "cdf_analytic"),
+            list(zip(t_grid, full.cdf, full.stderr, ball.cdf, ball.stderr, cdf_a)),
+            {"sup_norm": sup, "tolerance": tol}, {"sup_norm": sup}, failure)
 
 
 def _run_nakagami_sweep(plan):
@@ -247,30 +220,21 @@ def _run_nakagami_sweep(plan):
                                                plan.trials, plan.seed,
                                                plan.workers)
         rows.append((int(m), se_a, se_mc, err))
-    path = write_csv(os.path.join(plan.out_dir, "nakagami_sweep.csv"),
-                     ("m", "se_analytic", "se_mc", "stderr"),
-                     rows, cfg, plan.seed)
-    se_a = np.array([r[1] for r in rows])
-    se_mc = np.array([r[2] for r in rows])
-    err = np.array([r[3] for r in rows])
+    _, se_a, se_mc, err = np.array(rows, dtype=float).T
     nondecreasing = bool(np.all(np.diff(se_a) >= 0.0))
     slack = se_multiple * np.hypot(err[1:], err[:-1])
     mc_trend = bool(np.all(np.diff(se_mc) >= -slack))
     upper_bound = bool(np.all(se_a >= se_mc - se_multiple * err))
     ok = nondecreasing and mc_trend and upper_bound
-    summary = _write_summary(plan.out_dir, [
-        f"kind=nakagami_sweep analytic_nondecreasing={'PASS' if nondecreasing else 'FAIL'} "
-        f"mc_trend={'PASS' if mc_trend else 'FAIL'} "
-        f"upper_bound={'PASS' if upper_bound else 'FAIL'} "
-        f"tolerance={se_multiple!r} status={'PASS' if ok else 'FAIL'}"])
-    if not ok:
-        raise ToleranceExceeded(
-            f"nakagami sweep: analytic nondecreasing {nondecreasing}, MC "
-            f"trend within slack {mc_trend}, bound direction {upper_bound}",
-            float(np.min(np.diff(se_mc) + slack, initial=np.inf)), se_multiple)
-    return {"kind": plan.kind, "files": [path, summary], "status": "PASS",
-            "nondecreasing": nondecreasing, "mc_trend": mc_trend,
-            "upper_bound": upper_bound}
+    failure = None if ok else ToleranceExceeded(
+        f"nakagami sweep: analytic nondecreasing {nondecreasing}, MC "
+        f"trend within slack {mc_trend}, bound direction {upper_bound}",
+        float(np.min(np.diff(se_mc) + slack, initial=np.inf)), se_multiple)
+    return ("nakagami_sweep.csv", ("m", "se_analytic", "se_mc", "stderr"), rows,
+            {"analytic_nondecreasing": nondecreasing, "mc_trend": mc_trend,
+             "upper_bound": upper_bound, "tolerance": se_multiple},
+            {"nondecreasing": nondecreasing, "mc_trend": mc_trend,
+             "upper_bound": upper_bound}, failure)
 
 
 _RUNNERS = {
@@ -282,13 +246,33 @@ _RUNNERS = {
 }
 
 
+def _summary_value(value):
+    if isinstance(value, bool):
+        return "PASS" if value else "FAIL"
+    return repr(value)
+
+
 def run_plan(plan):
     """Execute a validated plan; writes its artifacts, returns a summary dict.
 
-    Raises ToleranceExceeded when a comparison gate fails (the CSV and
-    summary artifacts are still written first, status FAIL).
+    Every kind writes its CSV and a one-line summary.txt,
+    'kind=<kind> key=value ... status=PASS|FAIL' (booleans as PASS/FAIL,
+    other values as repr).  Raises ToleranceExceeded when a comparison gate
+    fails, after both artifacts are written with status FAIL.
     """
-    return _RUNNERS[validate_plan(plan).kind](plan)
+    name, columns, rows, fields, extras, failure = _RUNNERS[
+        validate_plan(plan).kind](plan)
+    csv_path = write_csv(os.path.join(plan.out_dir, name), columns, rows,
+                         plan.config, plan.seed)
+    fields["status"] = failure is None
+    words = [f"kind={plan.kind}"]
+    words += [f"{key}={_summary_value(value)}" for key, value in fields.items()]
+    summary = _write(os.path.join(plan.out_dir, "summary.txt"),
+                     " ".join(words) + "\n")
+    if failure is not None:
+        raise failure
+    return {"kind": plan.kind, "files": [csv_path, summary], "status": "PASS",
+            **extras}
 
 
 # --- canonical figure-style configurations --------------------------------
@@ -344,11 +328,4 @@ def figure_config_text(figure_id):
 
 def emit_figure_config(figure_id, path):
     """Write the canonical config for a figure; REQUIRED fields left unset."""
-    text = figure_config_text(figure_id)
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    return _write(path, figure_config_text(figure_id))

@@ -15,41 +15,8 @@ line of sight with probability exp(-lambda |A'(r)|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Deployment:
-    """One sampled snapshot: interferer and blockage-center positions (polar).
-
-    Interferers live on the network disk of radius r_net; blockage centers
-    on the slightly larger disk of radius r_net + W/2 so that the blocking
-    region of an interferer near the edge is never truncated.
-    """
-
-    interferer_r: np.ndarray
-    interferer_phi: np.ndarray
-    blockage_r: np.ndarray
-    blockage_phi: np.ndarray
-
-    def write_csv(self, path):
-        """Debug dump: rows 'kind,x,y' with kind I (interferer) or B (blockage)."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("kind,x,y\n")
-            for kind, r, phi in (("I", self.interferer_r, self.interferer_phi),
-                                 ("B", self.blockage_r, self.blockage_phi)):
-                for ri, pi in zip(r.tolist(), phi.tolist()):
-                    fh.write(f"{kind},{ri * math.cos(pi)!r},{ri * math.sin(pi)!r}\n")
-
-
-def sample_deployment(density, W, r_net, rng):
-    """Draw independent interferer and blockage PPPs of common density."""
-    ir, iphi = sample_ppp_disk(density, r_net, rng)
-    br, bphi = sample_ppp_disk(density, r_net + 0.5 * W, rng)
-    return Deployment(interferer_r=ir, interferer_phi=iphi,
-                      blockage_r=br, blockage_phi=bphi)
 
 
 def sample_ppp_disk(density, radius, rng):

@@ -83,6 +83,16 @@ def _normalize_mode(mode):
     return mode
 
 
+def sample_full_field(cfg, rng):
+    """One FULL-mode deployment: interferers (r, phi) on the network disk,
+    then blockage centers on the disk of radius r_net + W/2 (so no edge
+    interferer's blocking region is truncated); returns (r, phi, los mask)."""
+    r, phi = sample_ppp_disk(cfg.density, cfg.net_radius, rng)
+    br, bphi = sample_ppp_disk(cfg.density,
+                               cfg.net_radius + 0.5 * cfg.blockage_diameter, rng)
+    return r, phi, classify_los(r, phi, br, bphi, cfg.blockage_diameter)
+
+
 def _draw_marks(cfg, phi, rng):
     """Activity/transmit-gain mark and receiver-side gain per interferer.
 
@@ -124,11 +134,7 @@ class _TrialSampler:
         """Draw one snapshot; returns (sinr, aggregate interference, LOS count)."""
         cfg = self.cfg
         if self.mode == FULL:
-            r, phi = sample_ppp_disk(cfg.density, cfg.net_radius, rng)
-            br, bphi = sample_ppp_disk(cfg.density,
-                                       cfg.net_radius + 0.5 * cfg.blockage_diameter,
-                                       rng)
-            los = classify_los(r, phi, br, bphi, cfg.blockage_diameter)
+            r, phi, los = sample_full_field(cfg, rng)
         else:
             r, phi = sample_ppp_disk(cfg.density, self.r_los, rng)
             los = np.ones(r.size, dtype=bool)
@@ -169,13 +175,8 @@ def _run_los_count_range(config, start, stop, master_seed):
     cfg = validate(config)
     out = np.empty(stop - start, dtype=np.int64)
     for k in range(start, stop):
-        rng = _substream(master_seed, k)
-        r, phi = sample_ppp_disk(cfg.density, cfg.net_radius, rng)
-        br, bphi = sample_ppp_disk(cfg.density,
-                                   cfg.net_radius + 0.5 * cfg.blockage_diameter,
-                                   rng)
-        out[k - start] = int(np.count_nonzero(
-            classify_los(r, phi, br, bphi, cfg.blockage_diameter)))
+        _, _, los = sample_full_field(cfg, _substream(master_seed, k))
+        out[k - start] = int(np.count_nonzero(los))
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -331,20 +331,19 @@ def config_to_key_values(config):
 
 
 def config_hash(config):
-    """Short stable hash of the internal-unit parameters, for artifact headers."""
-    parts = [f"density={config.density!r}",
-             f"blockage_diameter={config.blockage_diameter!r}",
-             f"net_radius={config.net_radius!r}",
-             f"tx={config.tx_pattern.main_gain!r},{config.tx_pattern.side_gain!r},{config.tx_pattern.beamwidth!r}",
-             f"rx={config.rx_pattern.main_gain!r},{config.rx_pattern.side_gain!r},{config.rx_pattern.beamwidth!r}",
-             f"tx_probability={config.tx_probability!r}",
-             f"alpha_los={config.alpha_los!r}",
-             f"alpha_nlos={config.alpha_nlos!r}",
-             f"m_los={config.m_los!r}",
-             f"m_nlos={config.m_nlos!r}",
-             f"ref_distance={config.ref_distance!r}",
-             f"noise_power={config.noise_power!r}",
-             f"power_ratio={config.power_ratio!r}"]
+    """Short stable hash of the internal-unit parameters, for artifact headers.
+
+    One 'name=value' part per NetworkConfig field, in declaration order;
+    an antenna pattern prints as 'tx=' / 'rx=' and its values, comma-separated.
+    """
+    parts = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, SectorPattern):
+            values = ",".join(repr(getattr(value, g.name)) for g in fields(value))
+            parts.append(f"{f.name.removesuffix('_pattern')}={values}")
+        else:
+            parts.append(f"{f.name}={value!r}")
     digest = hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
     return digest[:12]
 

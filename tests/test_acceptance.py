@@ -193,7 +193,7 @@ def test_09_interference_free_rayleigh_exactness():
     cfg = figure_config("fig6", **{"lambda": 0.0})
     params = analytic.coverage_params(cfg)
     beta_db = np.arange(-10.0, 31.0, 1.0)
-    beta = experiments.db_grid_to_linear(beta_db)
+    beta = model.db_to_linear(beta_db)
     want = np.exp(-analytic.beta_tilde(beta, params) * cfg.noise_power)
     got = np.asarray(analytic.coverage_ccdf(beta, params))
     gap = float(np.max(np.abs(got - want)))

@@ -30,7 +30,8 @@ def test_parse_grid_ranges():
     got = cli.parse_grid("-10:30:1")
     assert got[0] == -10.0 and got[-1] == 30.0 and got.size == 41
     assert np.array_equal(cli.parse_grid("1,2,4"), [1.0, 2.0, 4.0])
-    for bad in ("1:2", "1:5:0", "5:1:1", "a,b"):
+    for bad in ("1:2", "1:5:0", "5:1:1", "a,b", "nan", "1,inf", "0:inf:1",
+                "-1e308:1e308:1"):
         with pytest.raises(model.ConfigError) as err:
             cli.parse_grid(bad)
         assert err.value.violation == "MalformedGrid"
@@ -162,7 +163,7 @@ def test_malformed_env_integer_exit_code(tmp_path, monkeypatch, capsys, name):
     assert rc == 0
 
 
-@pytest.mark.parametrize("grid", ["2.5", "1,inf", "0,1"])
+@pytest.mark.parametrize("grid", ["2.5", "0,1"])
 def test_compare_rejects_non_integer_m_grid(tmp_path, capsys, grid):
     cfg = _write_config(tmp_path)
     rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "compare",
@@ -170,6 +171,22 @@ def test_compare_rejects_non_integer_m_grid(tmp_path, capsys, grid):
     assert rc == 2
     assert "NakagamiOrderInvalid" in capsys.readouterr().err
     assert not (tmp_path / "nakagami_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["coverage", "--beta-grid-dB", "nan"],
+    ["simulate", "--mode", "losball", "--trials", "50", "--beta-grid-dB", "nan,inf"],
+    ["compare", "--kind", "nakagami", "--trials", "50", "--m-grid", "1,inf"],
+    ["losball", "--rnet-grid", "0:inf:1"],
+], ids=lambda args: args[0])
+def test_non_finite_grid_exit_code(tmp_path, capsys, args):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out)] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedGrid") and "Traceback" not in err
+    assert not out.exists()
 
 
 def _run_console_script(exe, out_dir):

@@ -10,6 +10,10 @@ from conftest import make_config
 from wearnet import experiments, losball, mcsim, model
 
 
+def _summary(tmp_path):
+    return open(os.path.join(str(tmp_path), "summary.txt")).read()
+
+
 def _plan(tmp_path, **kw):
     args = dict(kind="losball_sweep", config=make_config(), grid=(5.0, 10.0),
                 out_dir=str(tmp_path), seed=7, trials=400)
@@ -30,6 +34,11 @@ def test_plan_validation(tmp_path):
     with pytest.raises(model.ConfigError) as err:
         experiments.validate_plan(_plan(tmp_path, trials=0))
     assert err.value.violation == "TrialCountInvalid"
+    for kind in experiments.KINDS:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(model.ConfigError) as err:
+                experiments.validate_plan(_plan(tmp_path, kind=kind, grid=(1.0, bad)))
+            assert err.value.violation == "ValueNotFinite"
 
 
 def test_write_csv_format(tmp_path):
@@ -46,7 +55,8 @@ def test_write_csv_format(tmp_path):
 
 
 def test_db_grid_to_linear():
-    got = experiments.db_grid_to_linear([-10.0, 0.0, 10.0])
+    # the dB -> linear conversion the experiment plans apply to their beta grids
+    got = model.db_to_linear([-10.0, 0.0, 10.0])
     assert np.allclose(got, [0.1, 1.0, 10.0], rtol=1e-12)
 
 
@@ -63,7 +73,8 @@ def test_losball_sweep(tmp_path):
     assert mean_los == losball.mean_los_interferers(1.0, 0.3, 5.0)
     assert r_los == losball.los_ball_radius(1.0, 0.3, 5.0)
     assert limit == losball.los_ball_radius_limit(1.0, 0.3)
-    assert "status=PASS" in open(os.path.join(str(tmp_path), "summary.txt")).read()
+    assert result["files"] == [path, os.path.join(str(tmp_path), "summary.txt")]
+    assert _summary(tmp_path) == "kind=losball_sweep rows=4 status=PASS\n"
 
 
 def test_mean_count_sweep(tmp_path):
@@ -78,6 +89,8 @@ def test_mean_count_sweep(tmp_path):
     want_mc, want_se = mcsim.estimate_mean_los_count(
         model.with_overrides(plan.config, density=2.0), 500, 7)
     assert mc == want_mc and se == want_se
+    assert _summary(tmp_path) == (f"kind=mean_count_sweep max_z={result['max_z']!r} "
+                                  "tolerance=4.0 status=PASS\n")
 
 
 def test_coverage_compare(tmp_path):
@@ -91,7 +104,9 @@ def test_coverage_compare(tmp_path):
     assert lines[1] == "beta_dB,ccdf_analytic,ccdf_sim,stderr"
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     assert np.all(np.diff(body[:, 1]) <= 1e-12)  # analytic CCDF nonincreasing
-    assert "sup_norm=" in open(os.path.join(str(tmp_path), "summary.txt")).read()
+    assert _summary(tmp_path) == (
+        f"kind=coverage_compare sup_norm={result['sup_norm']!r} tolerance=0.06 "
+        "bound_direction=PASS status=PASS\n")
 
 
 def test_coverage_compare_gate_failure(tmp_path):
@@ -102,7 +117,9 @@ def test_coverage_compare_gate_failure(tmp_path):
     assert err.value.tolerance == 1e-9
     # artifacts are still written, marked FAIL, before the gate raises
     assert os.path.exists(os.path.join(str(tmp_path), "coverage_compare.csv"))
-    assert "status=FAIL" in open(os.path.join(str(tmp_path), "summary.txt")).read()
+    assert _summary(tmp_path) == (
+        f"kind=coverage_compare sup_norm={err.value.measure!r} tolerance=1e-09 "
+        "bound_direction=PASS status=FAIL\n")
 
 
 def test_se_compare(tmp_path):
@@ -117,6 +134,8 @@ def test_se_compare(tmp_path):
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     assert np.all(np.diff(body[:, 1]) >= 0.0)   # CDFs nondecreasing in t
     assert np.all(np.diff(body[:, 5]) >= -1e-12)
+    assert _summary(tmp_path) == (f"kind=se_compare sup_norm={result['sup_norm']!r} "
+                                  "tolerance=0.08 status=PASS\n")
 
 
 def test_nakagami_sweep(tmp_path):
@@ -127,6 +146,9 @@ def test_nakagami_sweep(tmp_path):
     lines = open(os.path.join(str(tmp_path), "nakagami_sweep.csv")).read().splitlines()
     assert lines[1] == "m,se_analytic,se_mc,stderr"
     assert lines[2].startswith("1,")
+    assert _summary(tmp_path) == (
+        "kind=nakagami_sweep analytic_nondecreasing=PASS mc_trend=PASS "
+        "upper_bound=PASS tolerance=2.0 status=PASS\n")
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from wearnet import geometry
+from conftest import make_config
+from wearnet import geometry, mcsim
 
 
 def test_annulus_count_and_support():
@@ -46,8 +47,8 @@ def test_density_zero_gives_empty_sample():
     rng = np.random.default_rng(0)
     r, phi = geometry.sample_ppp_disk(0.0, 5.0, rng)
     assert r.size == 0 and phi.size == 0
-    dep = geometry.sample_deployment(0.0, 0.3, 10.0, rng)
-    assert dep.interferer_r.size == 0 and dep.blockage_r.size == 0
+    r, phi, los = mcsim.sample_full_field(make_config(**{"lambda": 0.0}), rng)
+    assert r.size == 0 and phi.size == 0 and los.size == 0
 
 
 def test_blocking_area_values():
@@ -162,32 +163,32 @@ def test_classify_los_center_blocker():
     assert not np.any(los)
 
 
-def test_sample_deployment_regions():
+def test_sample_deployment_regions(monkeypatch):
+    # the FULL-mode draw: interferers on the network disk, then blockage
+    # centers on the disk of radius r_net + W/2, both through mcsim's names
+    calls = []
+
+    def recording_disk(density, radius, rng):
+        r, phi = geometry.sample_ppp_disk(density, radius, rng)
+        calls.append((radius, r, phi))
+        return r, phi
+
+    monkeypatch.setattr(mcsim, "sample_ppp_disk", recording_disk)
     rng = np.random.default_rng(17)
     W, r_net = 0.3, 10.0
+    cfg = make_config(W=W, r_net=r_net)
     max_b = 0.0
     for _ in range(50):
-        dep = geometry.sample_deployment(3.0, W, r_net, rng)
-        if dep.interferer_r.size:
-            assert dep.interferer_r.max() <= r_net
-        if dep.blockage_r.size:
-            assert dep.blockage_r.max() <= r_net + W / 2.0
-            max_b = max(max_b, dep.blockage_r.max())
+        calls.clear()
+        r, phi, los = mcsim.sample_full_field(cfg, rng)
+        (r_i, drawn_i, _), (r_b, drawn_b, drawn_bphi) = calls
+        assert (r_i, r_b) == (r_net, r_net + W / 2.0)
+        assert drawn_i is r
+        assert np.array_equal(los, geometry.classify_los(r, phi, drawn_b, drawn_bphi, W))
+        if r.size:
+            assert r.max() <= r_net
+        if drawn_b.size:
+            assert drawn_b.max() <= r_net + W / 2.0
+            max_b = max(max_b, drawn_b.max())
     # the blockage margin beyond r_net is actually used
     assert max_b > r_net
-
-
-def test_deployment_write_csv(tmp_path):
-    rng = np.random.default_rng(18)
-    dep = geometry.sample_deployment(1.0, 0.3, 5.0, rng)
-    path = tmp_path / "snapshot.csv"
-    dep.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "kind,x,y"
-    kinds = [ln.split(",")[0] for ln in lines[1:]]
-    assert kinds.count("I") == dep.interferer_r.size
-    assert kinds.count("B") == dep.blockage_r.size
-    first_i = next(ln for ln in lines[1:] if ln.startswith("I"))
-    _, x, y = first_i.split(",")
-    assert abs(float(x) - dep.interferer_r[0] * math.cos(dep.interferer_phi[0])) < 1e-12
-    assert abs(float(y) - dep.interferer_r[0] * math.sin(dep.interferer_phi[0])) < 1e-12

@@ -1,5 +1,6 @@
 """Parameter handling, unit conversion, and antenna gain combinatorics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,28 @@ def test_config_hash_behavior():
     assert len(h) == 12 and all(c in "0123456789abcdef" for c in h)
     assert model.config_hash(make_config()) == h
     assert model.config_hash(make_config(p_t=0.5)) != h
+    # pinned: artifact headers written before stay comparable
+    assert h == "b12b1b99049a"
+
+
+def test_config_hash_covers_every_field():
+    cfg = make_config()
+    base = model.config_hash(cfg)
+    hashes = set()
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, model.SectorPattern):
+            changed = [dataclasses.replace(value, **{g.name: getattr(value, g.name) + 1})
+                       for g in dataclasses.fields(value)]
+        else:
+            changed = [value + 1]
+        for new in changed:
+            h = model.config_hash(dataclasses.replace(cfg, **{f.name: new}))
+            assert h != base, f"config_hash ignores {f.name}"
+            hashes.add(h)
+    # tx and rx patterns are equal here, so distinct hashes also show that
+    # the two patterns are told apart
+    assert len(hashes) == 11 + 2 * 3
 
 
 def test_optional_keys_default():
