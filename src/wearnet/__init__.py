@@ -6,7 +6,7 @@ from .model import (ConfigError, GainPairTable, NetworkConfig, SectorPattern,
                     linear_to_db, load_config, parse_config_text, validate,
                     with_overrides)
 from .geometry import (blockage_probability, blocking_area, classify_los,
-                       is_blocked, sample_ppp_annulus, sample_ppp_disk)
+                       sample_ppp_annulus, sample_ppp_disk)
 from .losball import (LosBallSummary, los_ball_radius, los_ball_radius_limit,
                       los_ball_summary, mean_los_interferers)
 from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
@@ -14,7 +14,7 @@ from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
 from .analytic import (CoverageCurve, CoverageParams, beta_tilde,
                        coverage_ccdf, coverage_curve, coverage_params,
                        ergodic_spectral_efficiency, laplace_term,
-                       nlos_mean_power, spectral_efficiency_ccdf, t_factor)
+                       nlos_mean_power, spectral_efficiency_ccdf)
 from .mcsim import (FULL, LOSBALL, EmpiricalDistribution, TrialOutcome,
                     empirical_ccdf, estimate_ergodic_se,
                     estimate_mean_los_count, run_trial,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losball import los_ball_radius
-from .model import gain_pairs, validate
+from .model import ConfigError, gain_pairs, validate
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # The alternating binomial sum below loses roughly one digit per doubling of
@@ -71,23 +71,33 @@ def nlos_mean_power(config, r_los):
 
         rho * p_t * (q.G) * 2 pi lambda * (r_los^(2-aN) - r_net^(2-aN)) / (aN - 2),
 
-    finite because alpha_N > 2.  Zero when the ball fills the network disk.
+    finite because alpha_N > 2.  Zero when the ball fills the network disk
+    or no interferer transmits.
+    ConfigError DensityTooHigh when the ball is so small that the power is
+    not finite (above about 1.03e4 bodies/m^2 at W = 0.3 m, alpha_N = 3.4).
     """
     if not (config.alpha_nlos > 2.0):
         # validate() already enforces this; repeated here because the formula
         # below silently flips sign rather than diverging if violated.
-        from .model import ConfigError
         raise ConfigError("AlphaNlosTooSmall",
                           f"alpha_nlos must exceed 2, got {config.alpha_nlos}")
     if not (r_los <= config.net_radius):
         raise ValueError(f"r_los {r_los} exceeds net_radius {config.net_radius}")
-    if r_los == config.net_radius or config.density == 0.0:
+    if r_los == config.net_radius or config.density == 0.0 or config.tx_probability == 0.0:
         return 0.0
     table = gain_pairs(config.tx_pattern, config.rx_pattern)
     a = 2.0 - config.alpha_nlos
-    radial = (r_los ** a - config.net_radius ** a) / (config.alpha_nlos - 2.0)
-    return (config.power_ratio * config.tx_probability * table.mean_gain()
-            * 2.0 * math.pi * config.density * radial)
+    try:
+        radial = (r_los ** a - config.net_radius ** a) / (config.alpha_nlos - 2.0)
+    except (ZeroDivisionError, OverflowError):  # r_los == 0 or r_los^a > 1e308
+        radial = math.inf
+    power = (config.power_ratio * config.tx_probability * table.mean_gain()
+             * 2.0 * math.pi * config.density * radial)
+    if not math.isfinite(power):
+        raise ConfigError("DensityTooHigh",
+                          f"density {config.density} leaves a LOS ball of radius "
+                          f"{r_los}; the mean NLOS interference power diverges")
+    return power
 
 
 def coverage_params(config):
@@ -109,21 +119,6 @@ def beta_tilde(beta, params):
     cfg = params.config
     return (np.asarray(beta, dtype=float) * cfg.ref_distance ** cfg.alpha_los
             / (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain))
-
-
-def t_factor(gain_r, R, ell, bt, params):
-    """Per-interferer Laplace factor at distance R seen with receiver gain
-    gain_r: (1 - p_t) + p_t * E_tx-lobe[(1 + ell mt bt Gtx gain_r R^-aL)^-m].
-
-    Averages the activity/transmit-gain mark: silent with probability
-    1 - p_t, else main- or side-lobe transmit gain by lobe fraction.
-    """
-    cfg = params.config
-    scale = ell * params.m_tilde * bt * cfg.power_ratio * gain_r * np.asarray(R, dtype=float) ** (-cfg.alpha_los)
-    at = cfg.tx_pattern.main_lobe_fraction
-    main = (1.0 + scale * cfg.tx_pattern.main_gain) ** (-cfg.m_los)
-    side = (1.0 + scale * cfg.tx_pattern.side_gain) ** (-cfg.m_los)
-    return (1.0 - cfg.tx_probability) + cfg.tx_probability * (at * main + (1.0 - at) * side)
 
 
 def laplace_term(ell, bt, params):

@@ -28,7 +28,7 @@ from .model import (CONFIG_KEYS, ConfigError, config_from_keys, db_to_linear,
 def parse_grid(text):
     """'start:stop:step' (endpoints inclusive) or comma-separated values.
 
-    Every value and endpoint must be finite; anything else is MalformedGrid.
+    A grid with no value, or with a non-finite value or endpoint, is MalformedGrid.
     """
     text = text.strip()
     is_range = ":" in text
@@ -37,8 +37,8 @@ def parse_grid(text):
                   if p.strip() != ""]
     except ValueError:
         raise ConfigError("MalformedGrid", f"cannot parse grid {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError("MalformedGrid", f"grid values must be finite, got {text!r}")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigError("MalformedGrid", f"grid needs finite values, got {text!r}")
     if not is_range:
         return np.array(values)
     if len(values) != 3:

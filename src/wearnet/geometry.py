@@ -62,90 +62,87 @@ def blockage_probability(r, density, W):
     return float(out) if out.ndim == 0 else out
 
 
-def _segment_dist_sq(px, py, cx, cy):
-    """Squared distance from points (cx, cy) to segments [origin, (px, py)].
-
-    All arguments broadcast together.  A zero-length segment degenerates to
-    the origin itself.
-    """
-    seg_sq = px * px + py * py
-    dot = cx * px + cy * py
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(seg_sq > 0.0, dot / np.where(seg_sq > 0.0, seg_sq, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    dx = cx - t * px
-    dy = cy - t * py
-    return dx * dx + dy * dy
-
-
-def is_blocked(r, phi, d, psi, W):
-    """Exact blockage test for one link against all blockage centers.
-
-    Link from the origin to polar point (r, phi); blockage centers at
-    (d, psi) with blocking diameter W.  True when any center lies within
-    W/2 of the link segment (boundary contact counts as blocked).
-    """
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        return False
-    px, py = r * math.cos(phi), r * math.sin(phi)
-    dist_sq = _segment_dist_sq(px, py, d * np.cos(psi), d * np.sin(psi))
-    return bool(np.any(dist_sq <= 0.25 * W * W))
-
-
 def classify_los(r, phi, d, psi, W):
     """LOS mask for many links against many blockage centers.
 
     Links run from the origin to the polar points (r[i], phi[i]); blockage
-    centers sit at (d[j], psi[j]) with blocking diameter W.  Returns a bool
-    array, True where the link is unobstructed.
+    centers sit at (d[j], psi[j]) with blocking diameter W; angles lie in
+    [0, 2*pi).  Returns a bool array, True where no center lies within W/2
+    of the link segment (contact counts as blocked).  Centers with
+    d <= W/2 cover the origin and block every link.
 
-    A center at distance d > W/2 can only reach the segment toward angle
-    phi when |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so candidate
-    pairs are found by a sorted-angle window search and only those pairs
-    get the exact segment-distance test.  Centers with d <= W/2 cover the
-    origin and block every link.
+    A center at d > W/2 can only reach the segment toward angle phi when
+    |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so a sorted-angle window
+    search finds the candidate pairs and only those get the exact
+    segment-distance test.  Centers are swept nearest first, in distance
+    bands whose edges double from 2 / (lambda W), with lambda =
+    len(d) / (pi max(d)^2) the density the sample shows; a band's centers
+    block most links beyond them.  Each band is searched only against
+    links still LOS with r >= band_lo - W/2: a center at d > band_lo lies
+    at least d - r > W/2 from a shorter link and cannot block it.  Every
+    pair still tested gets the same arithmetic on the same values, so the
+    bands change the cost, never the mask.
     """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    d = np.asarray(d, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    n = r.size
-    los = np.ones(n, dtype=bool)
-    if n == 0 or d.size == 0:
+    r, phi, d, psi = (np.asarray(v, dtype=float) for v in (r, phi, d, psi))
+    los = np.ones(r.size, dtype=bool)
+    if r.size == 0 or d.size == 0:
         return los
     half_w = 0.5 * W
     if np.any(d <= half_w):
         los[:] = False
         return los
 
-    order = np.argsort(phi)
-    phi_sorted = phi[order]
-    # Duplicating the sorted angles shifted by 2*pi turns the circular window
-    # search into a plain interval search: a window [lo, hi] with lo in
-    # [0, 2*pi) and hi - lo < pi lands entirely inside the duplicated array.
-    ext = np.concatenate((phi_sorted, phi_sorted + 2.0 * math.pi))
-
+    px = r * np.cos(phi)
+    py = r * np.sin(phi)
+    seg_sq = px * px + py * py
+    cx = d * np.cos(psi)
+    cy = d * np.sin(psi)
     # Widen the window by a few ulps so the exact test below, not angle
     # rounding, decides grazing contacts.
     half_window = np.arcsin(np.minimum(1.0, half_w / d)) + 1e-12
-    lo = np.mod(psi - half_window, 2.0 * math.pi)
-    start = np.searchsorted(ext, lo, side="left")
-    stop = np.searchsorted(ext, lo + 2.0 * half_window, side="right")
+    win_lo = np.mod(psi - half_window, 2.0 * math.pi)
+    win_hi = win_lo + 2.0 * half_window
 
-    counts = stop - start
+    d_max = d.max()
+    # one band when d_max^2 underflows, so the doubling always reaches d_max
+    band_lo, edge = 0.0, 2.0 * math.pi * d_max * d_max / (d.size * W) or d_max
+    while band_lo < d_max and los.any():
+        band = np.flatnonzero((d > band_lo) & (d <= edge))
+        # the 1e-9 m of slack leaves limit cases to the exact pair test
+        live = np.flatnonzero(los & (r >= band_lo - half_w - 1e-9))
+        if band.size and live.size:
+            _block_band(los, live, phi, px, py, seg_sq, cx[band], cy[band],
+                        win_lo[band], win_hi[band], half_w)
+        band_lo, edge = edge, 2.0 * edge
+    return los
+
+
+def _block_band(los, live, phi, px, py, seg_sq, cx, cy, win_lo, win_hi, half_w):
+    """Clear los[i] for each link i in ``live`` blocked by a center (cx, cy)
+    whose angular window [win_lo, win_hi] holds phi[i]."""
+    order = live[np.argsort(phi[live])]
+    phi_sorted = phi[order]
+    # Duplicating the sorted angles shifted by 2*pi turns the circular window
+    # search into a plain interval search: a window [lo, hi] with lo in
+    # [0, 2*pi] and hi - lo < pi lands entirely inside the duplicated array.
+    ext = np.concatenate((phi_sorted, phi_sorted + 2.0 * math.pi))
+    start = np.searchsorted(ext, win_lo, side="left")
+    counts = np.searchsorted(ext, win_hi, side="right") - start
     total = int(counts.sum())
     if total == 0:
-        return los
-    blocker_idx = np.repeat(np.arange(d.size), counts)
-    seq = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    link_pos = (np.repeat(start, counts) + seq) % n
-    link_idx = order[link_pos]
+        return
+    body_idx = np.repeat(np.arange(cx.size), counts)
+    offsets = np.cumsum(counts) - counts
+    link_idx = order[(np.arange(total) + np.repeat(start - offsets, counts)) % order.size]
 
-    px = r[link_idx] * np.cos(phi[link_idx])
-    py = r[link_idx] * np.sin(phi[link_idx])
-    cx = d[blocker_idx] * np.cos(psi[blocker_idx])
-    cy = d[blocker_idx] * np.sin(psi[blocker_idx])
-    hit = _segment_dist_sq(px, py, cx, cy) <= half_w * half_w
-    np.logical_and.at(los, link_idx, ~hit)
-    return los
+    # squared distance from each center to its link segment [0, (px, py)];
+    # a zero-length link degenerates to the origin
+    lpx, lpy, lseg = px[link_idx], py[link_idx], seg_sq[link_idx]
+    bcx, bcy = cx[body_idx], cy[body_idx]
+    dot = bcx * lpx + bcy * lpy
+    t = np.where(lseg > 0.0, dot / np.where(lseg > 0.0, lseg, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    dx = bcx - t * lpx
+    dy = bcy - t * lpy
+    hit = dx * dx + dy * dy <= half_w * half_w
+    los[link_idx[hit]] = False

@@ -21,18 +21,22 @@ import math
 from dataclasses import dataclass
 
 
-def _one_minus_exp_linear(x):
-    """f(x) = 1 - exp(-x)(1 + x), series-guarded near zero.
+def _f_over_x_sq(x):
+    """f(x) / x^2 for f(x) = 1 - exp(-x)(1 + x) and 0 <= x < 1e-3.
 
-    The direct form loses all significant digits for small x (f ~ x^2/2
-    while both terms are ~1), so below 1e-3 the Taylor series
-    x^2/2 - x^3/3 + x^4/8 - x^5/30 is used; its truncation error there is
-    below 1e-14 relative.
+    There the direct form of f loses all significant digits (f ~ x^2/2
+    while both terms are ~1), so this is the Taylor series
+    1/2 - x/3 + x^2/8 - x^3/30, truncation error below 1e-14 relative.
+    Callers fold x^2 = (lambda W r_net)^2 into their prefactor: x^2 and
+    lambda^2 underflow to 0 for lambda below about 1e-154.
     """
     if x < 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
-    if x < 1e-3:
-        return x * x * (1.0 / 2.0 + x * (-1.0 / 3.0 + x * (1.0 / 8.0 - x / 30.0)))
+    return 1.0 / 2.0 + x * (-1.0 / 3.0 + x * (1.0 / 8.0 - x / 30.0))
+
+
+def _one_minus_exp_linear(x):
+    """f(x) = 1 - exp(-x)(1 + x) by its direct form, for x >= 1e-3."""
     return -math.expm1(-x) - x * math.exp(-x)
 
 
@@ -45,8 +49,10 @@ def mean_los_interferers(density, W, r_net):
     if density == 0.0:
         return 0.0
     x = density * W * r_net
-    front = 2.0 * math.pi * math.exp(-density * math.pi * W * W / 4.0) / (W * W * density)
-    return front * _one_minus_exp_linear(x)
+    shade = math.exp(-density * math.pi * W * W / 4.0)
+    if x < 1e-3:
+        return 2.0 * math.pi * shade * density * r_net * r_net * _f_over_x_sq(x)
+    return 2.0 * math.pi * shade / (W * W * density) * _one_minus_exp_linear(x)
 
 
 def los_ball_radius(density, W, r_net):
@@ -58,9 +64,10 @@ def los_ball_radius(density, W, r_net):
     if density == 0.0:
         return float(r_net)
     x = density * W * r_net
-    ratio = (2.0 * math.exp(-density * math.pi * W * W / 4.0)
-             / (W * W * density * density)) * _one_minus_exp_linear(x)
-    return math.sqrt(ratio)
+    shade = 2.0 * math.exp(-density * math.pi * W * W / 4.0)
+    if x < 1e-3:
+        return r_net * math.sqrt(shade * _f_over_x_sq(x))
+    return math.sqrt(shade / (W * W * density * density) * _one_minus_exp_linear(x))
 
 
 def los_ball_radius_limit(density, W):

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from conftest import figure_config
+from oracles import segment_dist_sq
 from wearnet import analytic, experiments, geometry, losball, mcsim, model
 
 
@@ -48,8 +49,8 @@ def test_01_mean_los_closed_form_matches_quadrature():
 
 def test_02_blockage_probability_matches_sampled_frequency():
     # blockage probability vs the hit frequency of 1e5 sampled blocker
-    # fields per link length, using an independent segment-distance
-    # predicate; 3 sigma binomial bands, < 60 s
+    # fields per link length, using the test-side segment-distance oracle;
+    # 3 sigma binomial bands, < 60 s
     start = time.perf_counter()
     lam, W, n = 3.0, 0.3, 100_000
     rng = np.random.default_rng(101)
@@ -61,11 +62,8 @@ def test_02_blockage_probability_matches_sampled_frequency():
         tot = int(counts.sum())
         rad = R * np.sqrt(rng.uniform(size=tot))
         ang = rng.uniform(0.0, 2.0 * math.pi, size=tot)
-        x = rad * np.cos(ang)
-        y = rad * np.sin(ang)
-        # nearest point of the segment (0,0)-(r,0) to (x, y) is (clip(x), 0)
-        t = np.clip(x, 0.0, r)
-        hit = (x - t) ** 2 + y ** 2 <= (W / 2.0) ** 2
+        hit = segment_dist_sq(r, 0.0, rad * np.cos(ang),
+                              rad * np.sin(ang)) <= (W / 2.0) ** 2
         freq = np.mean(np.bincount(dep[hit], minlength=n) > 0)
         p = geometry.blockage_probability(r, lam, W)
         se = math.sqrt(p * (1.0 - p) / n)

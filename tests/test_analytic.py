@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from conftest import figure_config, make_config
+from oracles import t_factor
 from wearnet import analytic, model
 
 
@@ -39,6 +40,13 @@ def test_nlos_mean_power_trivial_cases():
     assert analytic.nlos_mean_power(cfg, cfg.net_radius) == 0.0  # empty annulus
     with pytest.raises(ValueError):
         analytic.nlos_mean_power(cfg, cfg.net_radius + 0.1)
+    # an empty (or vanishing) LOS ball: the integral of r^(1-aN) diverges
+    # at 0 (or overflows), unless no interferer transmits
+    for r_los in (0.0, 1e-250):
+        assert analytic.nlos_mean_power(make_config(p_t=0.0), r_los) == 0.0
+        with pytest.raises(model.ConfigError) as err:
+            analytic.nlos_mean_power(cfg, r_los)
+        assert err.value.violation == "DensityTooHigh"
 
 
 def test_nlos_mean_power_matches_quadrature():
@@ -76,14 +84,14 @@ def test_t_factor_limits():
     gain_r = p.config.rx_pattern.main_gain
     # silent network: no interference, factor is exactly 1
     p_silent = _params(m=3, p_t=0.0)
-    assert analytic.t_factor(gain_r, 1.0, 1, bt, p_silent) == 1.0
+    assert t_factor(gain_r, 1.0, 1, bt, p_silent) == 1.0
     # zero threshold: factor 1
-    assert analytic.t_factor(gain_r, 1.0, 1, 0.0, p) == 1.0
+    assert t_factor(gain_r, 1.0, 1, 0.0, p) == 1.0
     # huge threshold: every active interferer kills the trial, factor -> 1 - p_t
     p_half = _params(m=3, p_t=0.8)
-    assert analytic.t_factor(gain_r, 1.0, 1, 1e12, p_half) == pytest.approx(0.2, abs=1e-8)
+    assert t_factor(gain_r, 1.0, 1, 1e12, p_half) == pytest.approx(0.2, abs=1e-8)
     # in (0, 1] and decreasing in bt
-    vals = [analytic.t_factor(gain_r, 1.0, 1, b, p) for b in (1e-4, 1e-2, 1.0, 1e2)]
+    vals = [t_factor(gain_r, 1.0, 1, b, p) for b in (1e-4, 1e-2, 1.0, 1e2)]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -99,8 +107,8 @@ def test_laplace_term_from_t_factor():
         bt = float(analytic.beta_tilde(beta, p))
 
         def one_minus_t(r):
-            t = (ar * analytic.t_factor(cfg.rx_pattern.main_gain, r, ell, bt, p)
-                 + (1.0 - ar) * analytic.t_factor(cfg.rx_pattern.side_gain, r, ell, bt, p))
+            t = (ar * t_factor(cfg.rx_pattern.main_gain, r, ell, bt, p)
+                 + (1.0 - ar) * t_factor(cfg.rx_pattern.side_gain, r, ell, bt, p))
             return (1.0 - t) * r
 
         radial, err = integrate.quad(one_minus_t, 0.0, p.r_los,

@@ -31,7 +31,7 @@ def test_parse_grid_ranges():
     assert got[0] == -10.0 and got[-1] == 30.0 and got.size == 41
     assert np.array_equal(cli.parse_grid("1,2,4"), [1.0, 2.0, 4.0])
     for bad in ("1:2", "1:5:0", "5:1:1", "a,b", "nan", "1,inf", "0:inf:1",
-                "-1e308:1e308:1"):
+                "-1e308:1e308:1", "", ",", " , "):
         with pytest.raises(model.ConfigError) as err:
             cli.parse_grid(bad)
         assert err.value.violation == "MalformedGrid"
@@ -186,6 +186,58 @@ def test_non_finite_grid_exit_code(tmp_path, capsys, args):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedGrid") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["coverage", "--beta-grid-dB", ","],
+    ["simulate", "--mode", "losball", "--trials", "50", "--beta-grid-dB", ","],
+    ["se-cdf", "--mode", "full", "--trials", "50", "--t-grid", ","],
+    ["compare", "--kind", "se", "--trials", "50", "--t-grid", ","],
+    ["losball", "--lambda-family", ","],
+], ids=lambda args: args[0])
+def test_empty_grid_exit_code(tmp_path, capsys, args):
+    # a grid with no value is refused before anything runs or is written
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out)] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedGrid") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_vanishing_density_gives_the_empty_network(tmp_path, capsys):
+    # lambda = 1e-300 used to divide by an underflowed lambda^2; the LOS
+    # ball now fills the network disk and the bound equals lambda = 0's
+    curves = {}
+    for lam in ("1e-300", "0"):
+        cfg = _write_config(tmp_path, **{"lambda": lam})
+        out = tmp_path / lam
+        for args in (["coverage", "--beta-grid-dB=-10:30:10"],
+                     ["simulate", "--mode", "losball", "--trials", "50"],
+                     ["losball", "--rnet-grid", "2:4:1"]):
+            assert cli.main(["--config", cfg, "--out-dir", str(out)] + args) == 0
+        curves[lam] = (out / "coverage.csv").read_text().splitlines()[2:]
+        sim = np.loadtxt(out / "simulate_losball.csv", delimiter=",", skiprows=2)
+        assert np.all((sim[:, 1] >= 0.0) & (sim[:, 1] <= 1.0))
+        r_los = [line.split(",")[4] for line in
+                 (out / "losball.csv").read_text().splitlines()[2:]]
+        assert r_los == ["2.0", "3.0", "4.0"]
+    assert curves["1e-300"] == curves["0"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_overwhelming_density_exit_code(tmp_path, capsys):
+    # lambda = 1e6 shrinks the LOS ball to 0, where the mean NLOS power
+    # diverges: a named ConfigError, not a ZeroDivisionError
+    cfg = _write_config(tmp_path, **{"lambda": "1e6"})
+    out = tmp_path / "out"
+    for args in (["coverage"], ["simulate", "--mode", "losball", "--trials", "50"]):
+        rc = cli.main(["--config", cfg, "--out-dir", str(out)] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DensityTooHigh") and "Traceback" not in err
     assert not out.exists()
 
 

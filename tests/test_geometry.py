@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_config
+from oracles import is_blocked, segment_dist_sq
 from wearnet import geometry, mcsim
 
 
@@ -86,7 +89,7 @@ def test_blockage_probability_matches_frequency():
     hits = 0
     for _ in range(n):
         d, psi = geometry.sample_ppp_disk(lam, r + W / 2.0, rng)
-        hits += geometry.is_blocked(r, 0.0, d, psi, W)
+        hits += is_blocked(r, 0.0, d, psi, W)
     p = geometry.blockage_probability(r, lam, W)
     se = math.sqrt(p * (1.0 - p) / n)
     assert abs(hits / n - p) < 3.5 * se
@@ -96,7 +99,7 @@ def test_is_blocked_basic_cases():
     W = 0.3
 
     def blocked(r, phi, d, psi):
-        return geometry.is_blocked(r, phi, np.atleast_1d(np.asarray(d, dtype=float)),
+        return is_blocked(r, phi, np.atleast_1d(np.asarray(d, dtype=float)),
                                    np.atleast_1d(np.asarray(psi, dtype=float)), W)
 
     assert not blocked(2.0, 0.0, [], [])          # no blockers at all
@@ -120,8 +123,8 @@ def test_is_blocked_rotation_invariance():
         d = rng.uniform(0.0, 6.0, size=8)
         psi = rng.uniform(0.0, 2.0 * math.pi, size=8)
         rot = rng.uniform(0.0, 2.0 * math.pi)
-        base = geometry.is_blocked(r, 0.0, d, psi, W)
-        turned = geometry.is_blocked(r, rot, d, np.mod(psi + rot, 2.0 * math.pi), W)
+        base = is_blocked(r, 0.0, d, psi, W)
+        turned = is_blocked(r, rot, d, np.mod(psi + rot, 2.0 * math.pi), W)
         assert base == turned
 
 
@@ -150,7 +153,7 @@ def test_classify_los_matches_bruteforce():
         d = rng.uniform(0.0, 10.5, size=nb)
         psi = rng.uniform(0.0, 2.0 * math.pi, size=nb)
         fast = geometry.classify_los(r, phi, d, psi, W)
-        slow = np.array([not geometry.is_blocked(r[i], phi[i], d, psi, W)
+        slow = np.array([not is_blocked(r[i], phi[i], d, psi, W)
                          for i in range(n)], dtype=bool)
         assert np.array_equal(fast, slow), f"mismatch on fuzz trial {trial}"
 
@@ -161,6 +164,130 @@ def test_classify_los_center_blocker():
     phi = np.array([0.0, 2.0, 4.0])
     los = geometry.classify_los(r, phi, np.array([0.1]), np.array([1.0]), 0.3)
     assert not np.any(los)
+
+
+def _bruteforce_los(r, phi, d, psi, W):
+    # every link against every center with the oracle's segment distance,
+    # 64 links at a time
+    cx, cy = d * np.cos(psi), d * np.sin(psi)
+    los = np.ones(np.size(r), dtype=bool)
+    for lo in range(0, np.size(r), 64):
+        px = (r[lo:lo + 64] * np.cos(phi[lo:lo + 64]))[:, None]
+        py = (r[lo:lo + 64] * np.sin(phi[lo:lo + 64]))[:, None]
+        los[lo:lo + 64] = ~np.any(segment_dist_sq(px, py, cx, cy) <= 0.25 * W * W, axis=1)
+    return los
+
+
+def _record_bands(monkeypatch):
+    # (live links, band centers' cx) of every band the sweep searches
+    bands = []
+    inner = geometry._block_band
+
+    def recording(los, live, phi, px, py, seg_sq, cx, *rest):
+        bands.append((live.copy(), cx.copy()))
+        return inner(los, live, phi, px, py, seg_sq, cx, *rest)
+
+    monkeypatch.setattr(geometry, "_block_band", recording)
+    return bands
+
+
+@pytest.mark.parametrize("lam, r_net", [(3.0, 10.0), (5.0, 10.0), (3.0, 20.0),
+                                        (5.0, 20.0)])
+def test_classify_los_dense_fields_match_bruteforce(monkeypatch, lam, r_net):
+    # PPP fields as the full mode draws them, dense enough that the
+    # nearest-first sweep runs several distance bands
+    bands = _record_bands(monkeypatch)
+    rng = np.random.default_rng(int(lam * 100 + r_net))
+    W = 0.3
+    band_counts = []
+    for _ in range(3 if r_net < 20.0 else 1):  # the oracle is all-pairs
+        r, phi = geometry.sample_ppp_disk(lam, r_net, rng)
+        d, psi = geometry.sample_ppp_disk(lam, r_net + W / 2.0, rng)
+        d, psi = d[d > W / 2.0], psi[d > W / 2.0]  # keep the sweep running
+        bands.clear()
+        los = geometry.classify_los(r, phi, d, psi, W)
+        assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
+        assert 0 < np.count_nonzero(los) < r.size
+        band_counts.append(len(bands))
+    assert max(band_counts) >= 3
+
+
+def test_classify_los_band_edges(monkeypatch):
+    # 500 centers out to d_max = 10 put the first band edge at
+    # e = 2 pi d_max^2 / (n W).  One center sits exactly on e and one just
+    # past it; one link ends exactly at e - W/2, the shortest length the
+    # second band still tests, and one just short of that.
+    bands = _record_bands(monkeypatch)
+    W, n, d_max = 0.3, 500, 10.0
+    edge = 2.0 * math.pi * d_max ** 2 / (n * W)
+    rng = np.random.default_rng(18)
+    d = np.concatenate(([edge, np.nextafter(edge, d_max), d_max],
+                        rng.uniform(0.2, d_max, size=n - 3)))
+    psi = np.concatenate(([0.5, 2.0, 3.0], rng.uniform(3.5, 6.0, size=n - 3)))
+    r = np.array([edge + 1.0, edge - W / 2.0, edge - W / 2.0 - 1e-6, d_max - 0.05])
+    phi = np.array([0.5, 2.0, 2.0, 3.0])
+    los = geometry.classify_los(r, phi, d, psi, W)
+    assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
+    assert list(los) == [False, True, True, False]
+
+    def in_band(k, angle):
+        return np.any(np.isclose(bands[k][1], edge * math.cos(angle), rtol=0.0, atol=1e-9))
+
+    assert in_band(0, 0.5) and not in_band(0, 2.0)
+    assert in_band(1, 2.0) and not in_band(1, 0.5)
+    assert 1 in bands[1][0] and 2 not in bands[1][0]
+
+
+def test_classify_los_window_wraps_across_zero():
+    # a center just above angle 0 shadows links just below 2 pi and the
+    # reverse; an unrelated link stays LOS
+    W = 0.3
+    d = np.array([2.0, 3.0])
+    psi = np.array([0.01, 2.0 * math.pi - 0.01])
+    r = np.array([5.0, 5.0, 5.0])
+    phi = np.array([2.0 * math.pi - 0.005, 0.005, math.pi])
+    los = geometry.classify_los(r, phi, d, psi, W)
+    assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
+    assert list(los) == [False, False, True]
+
+
+def test_classify_los_repeated_angles():
+    # several links and centers share one angle exactly
+    W = 0.3
+    r = np.array([0.5, 1.0, 4.0, 4.0, 8.0, 8.0])
+    phi = np.array([1.0, 1.0, 1.0, 1.0, 4.0, 4.0])
+    d = np.array([2.0, 2.0, 6.0, 9.5])
+    psi = np.array([1.0, 1.0, 4.0, 4.0])
+    los = geometry.classify_los(r, phi, d, psi, W)
+    assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
+    assert list(los) == [True, True, False, False, False, False]
+
+
+def test_classify_los_empty_inputs():
+    none = np.array([])
+    some = np.array([1.0, 2.0])
+    assert geometry.classify_los(none, none, some, some, 0.3).shape == (0,)
+    assert geometry.classify_los(none, none, none, none, 0.3).shape == (0,)
+    assert list(geometry.classify_los(some, some, none, none, 0.3)) == [True, True]
+
+
+_angles = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+_lengths = st.floats(0.0, 12.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(links=st.lists(st.tuples(_lengths, _angles), max_size=40),
+       centers=st.lists(st.tuples(_lengths, _angles), min_size=1, max_size=80),
+       W=st.floats(0.05, 2.5))
+def test_classify_los_property(links, centers, W):
+    # with W up to 2.5 and up to 80 centers several bands can run; the mask
+    # equals the oracle, and one more center never turns a NLOS link LOS
+    r, phi = np.array(links, dtype=float).reshape(-1, 2).T
+    d, psi = np.array(centers, dtype=float).reshape(-1, 2).T
+    los = geometry.classify_los(r, phi, d, psi, W)
+    assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
+    fewer = geometry.classify_los(r, phi, d[:-1], psi[:-1], W)
+    assert not np.any(los & ~fewer)
 
 
 def test_sample_deployment_regions(monkeypatch):

@@ -56,6 +56,15 @@ def test_density_zero():
     assert losball.los_ball_radius_limit(0.0, 0.3) == math.inf
 
 
+def test_vanishing_density():
+    # lambda^2 and (lambda W r_net)^2 underflow here; the series form keeps
+    # mean = lam pi r_net^2 (1 - O(x)) and R_LOS = r_net (1 - O(x))
+    for lam in (1e-300, 1e-200, 1e-12):
+        mean = losball.mean_los_interferers(lam, 0.3, 10.0)
+        assert abs(mean - lam * math.pi * 100.0) <= 1e-10 * lam * math.pi * 100.0
+        assert abs(losball.los_ball_radius(lam, 0.3, 10.0) - 10.0) <= 1e-10
+
+
 def test_radius_definition_and_bounds():
     # R_LOS packs the mean count at full density into a ball: mean = lam pi R^2
     for lam in (0.5, 1.0, 3.0, 5.0):
