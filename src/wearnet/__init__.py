@@ -11,13 +11,11 @@ from .losball import (LosBallSummary, los_ball_radius, los_ball_radius_limit,
                       los_ball_summary, mean_los_interferers)
 from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
                          integrate_batch)
-from .analytic import (CoverageCurve, CoverageParams, beta_tilde,
-                       coverage_ccdf, coverage_curve, coverage_params,
-                       ergodic_spectral_efficiency, laplace_term,
-                       nlos_mean_power, spectral_efficiency_ccdf)
-from .mcsim import (FULL, LOSBALL, EmpiricalDistribution, TrialOutcome,
-                    empirical_ccdf, estimate_ergodic_se,
-                    estimate_mean_los_count, run_trial,
+from .analytic import (CoverageParams, beta_tilde, coverage_ccdf,
+                       coverage_params, ergodic_spectral_efficiency,
+                       laplace_term, nlos_mean_power, spectral_efficiency_ccdf)
+from .mcsim import (FULL, LOSBALL, EmpiricalDistribution, empirical_ccdf,
+                    estimate_ergodic_se, estimate_mean_los_count,
                     sample_annulus_interference_mean, sample_full_field,
                     sample_nakagami_power, simulate_ccdf, simulate_se_ccdf,
                     simulate_sinr_samples)

@@ -8,7 +8,8 @@ the same way (e.g. WEARNET_LAMBDA=2 or WEARNET_ALPHA_L=2.0), with explicit
 file values losing to the environment and flags beating both.
 
 Exit status: 0 success, 1 a comparison missed its tolerance, 2 bad
-configuration/arguments or unwritable output.
+configuration/arguments or unwritable output, 3 a numerical failure (an
+ArithmeticError such as QuadratureNotConverged).
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def main(argv=None):
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

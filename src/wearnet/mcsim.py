@@ -17,7 +17,10 @@ and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
-NLOS fading (FULL only), reference fading.
+NLOS fading (FULL only), reference fading.  A deployment of
+sample_annulus_interference_mean draws the annulus PPP, activity uniforms
+and NLOS fading (its LOS fading draw has size 0 and takes no generator
+state).
 """
 
 from __future__ import annotations
@@ -36,16 +39,6 @@ from .model import validate
 
 FULL = "full"
 LOSBALL = "losball"
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One SINR snapshot: sinr (linear), geometric LOS interferer count,
-    and the aggregate LOS+NLOS interference power that entered the SINR."""
-
-    sinr: float
-    interferer_count_los: int
-    aggregate_interference: float
 
 
 @dataclass(frozen=True)
@@ -114,59 +107,51 @@ def _draw_marks(cfg, phi, rng):
     return tx_gain, rx_gain
 
 
-class _TrialSampler:
-    """Precomputed constants for drawing one SINR trial."""
+def _interference(cfg, r, phi, los, rng):
+    """Aggregate interference power of one field of interferers at (r, phi).
 
-    def __init__(self, mode, config):
-        self.mode = _normalize_mode(mode)
-        self.cfg = validate(config)
-        cfg = self.cfg
-        self.signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
-                            * cfg.ref_distance ** (-cfg.alpha_los))
-        self.r_los = los_ball_radius(cfg.density, cfg.blockage_diameter,
-                                     cfg.net_radius)
-        # LOSBALL replaces everything outside the ball by its mean power.
-        self.sigma2_const = cfg.noise_power
-        if self.mode == LOSBALL:
-            self.sigma2_const += nlos_mean_power(cfg, self.r_los)
-
-    def trial(self, rng):
-        """Draw one snapshot; returns (sinr, aggregate interference, LOS count)."""
-        cfg = self.cfg
-        if self.mode == FULL:
-            r, phi, los = sample_full_field(cfg, rng)
-        else:
-            r, phi = sample_ppp_disk(cfg.density, self.r_los, rng)
-            los = np.ones(r.size, dtype=bool)
-        tx_gain, rx_gain = _draw_marks(cfg, phi, rng)
+    Draws the activity/antenna marks, then the fading: Nakagami m_los on
+    the links of the LOS mask ``los`` and m_nlos on the others, with path
+    loss r^-alpha_L or r^-alpha_N.  ``los=None`` (LOSBALL) means every link
+    is LOS: one m_los draw and r^-alpha_L only.
+    """
+    tx_gain, rx_gain = _draw_marks(cfg, phi, rng)
+    if los is None:
+        h = sample_nakagami_power(cfg.m_los, rng, r.size)
+        path = r ** (-cfg.alpha_los)
+    else:
         h = np.empty(r.size)
         idx_los = np.flatnonzero(los)
         h[idx_los] = sample_nakagami_power(cfg.m_los, rng, idx_los.size)
-        if self.mode == FULL:
-            idx_nlos = np.flatnonzero(~los)
-            h[idx_nlos] = sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
+        idx_nlos = np.flatnonzero(~los)
+        h[idx_nlos] = sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
         path = np.where(los, r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
-        interference = cfg.power_ratio * float(np.sum(tx_gain * rx_gain * h * path))
-        h0 = float(sample_nakagami_power(cfg.m_los, rng))
-        sinr = self.signal_coef * h0 / (self.sigma2_const + interference)
-        return sinr, interference, int(idx_los.size)
-
-
-def run_trial(mode, config, rng):
-    """One Monte Carlo snapshot with a caller-owned generator."""
-    sinr, interference, n_los = _TrialSampler(mode, config).trial(rng)
-    return TrialOutcome(sinr=sinr, interferer_count_los=n_los,
-                        aggregate_interference=interference)
+    return cfg.power_ratio * float(np.sum(tx_gain * rx_gain * h * path))
 
 
 # --- batched, seed-deterministic runs ------------------------------------
 
 def _run_sinr_range(mode, config, start, stop, master_seed):
-    sampler = _TrialSampler(mode, config)
+    mode = _normalize_mode(mode)
+    cfg = validate(config)
+    signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
+                   * cfg.ref_distance ** (-cfg.alpha_los))
+    r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
+    # LOSBALL replaces everything outside the ball by its mean power.
+    sigma2 = cfg.noise_power
+    if mode == LOSBALL:
+        sigma2 += nlos_mean_power(cfg, r_los)
     out = np.empty((stop - start, 2))
     for k in range(start, stop):
-        sinr, interference, _ = sampler.trial(_substream(master_seed, k))
-        out[k - start, 0] = sinr
+        rng = _substream(master_seed, k)
+        if mode == FULL:
+            r, phi, los = sample_full_field(cfg, rng)
+        else:
+            r, phi = sample_ppp_disk(cfg.density, r_los, rng)
+            los = None
+        interference = _interference(cfg, r, phi, los, rng)
+        h0 = float(sample_nakagami_power(cfg.m_los, rng))
+        out[k - start, 0] = signal_coef * h0 / (sigma2 + interference)
         out[k - start, 1] = interference
     return out
 
@@ -287,8 +272,5 @@ def sample_annulus_interference_mean(config, r_los, n_deployments, master_seed):
     for k in range(n_deployments):
         rng = _substream(master_seed, k)
         r, phi = sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
-        tx_gain, rx_gain = _draw_marks(cfg, phi, rng)
-        h = sample_nakagami_power(cfg.m_nlos, rng, r.size)
-        totals[k] = cfg.power_ratio * float(
-            np.sum(tx_gain * rx_gain * h * r ** (-cfg.alpha_nlos)))
+        totals[k] = _interference(cfg, r, phi, np.zeros(r.size, dtype=bool), rng)
     return _mean_and_se(totals)

@@ -2,7 +2,7 @@
 
 The coverage expressions need one-dimensional integrals of smooth but
 sharply peaked integrands (powers of 1/(1 + c r^-alpha) near r = 0).  A
-fixed-order Gauss-Legendre rule per panel with bisection on an error
+20-point Gauss-Legendre rule per panel with bisection on an error
 estimate handles these reliably; the error estimate for a panel is the
 difference between the one-panel value and the sum over its two halves.
 
@@ -36,42 +36,34 @@ class QuadratureNotConverged(ArithmeticError):
         self.index = index
 
 
-_NODE_CACHE = {}
+# The 20-point rule on every panel, and the panel budget per integrand.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = 4096
 
 # Integrands advanced together; bounds the working set of a large batch
 # (pending panels x nodes per level) to a few MB.
 _GROUP = 256
 
 
-def _gauss_legendre_rule(order):
-    try:
-        return _NODE_CACHE[order]
-    except KeyError:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _NODE_CACHE[order] = (nodes, weights)
-        return nodes, weights
-
-
-def _panels(f, owner, lo, hi, nodes, weights):
+def _panels(f, owner, lo, hi):
     """One-panel rule values on [lo[k], hi[k]] for integrand owner[k].
 
     The weighted node sum runs node by node over contiguous rows, so each
     panel's value is the same whatever else is in the batch.
     """
     half = 0.5 * (hi - lo)
-    values = f(owner, 0.5 * (lo + hi) + half * nodes[:, None])
-    total = weights[0] * values[0]
-    for w, row in zip(weights[1:], values[1:]):
+    values = f(owner, 0.5 * (lo + hi) + half * _NODES[:, None])
+    total = _WEIGHTS[0] * values[0]
+    for w, row in zip(_WEIGHTS[1:], values[1:]):
         total += w * row
     return half * total
 
 
-def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8,
-                    order=20, max_panels=4096):
+def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     """Integrate ``n`` integrands over the common interval [a, b].
 
     ``f(index, x)`` receives an int array ``index`` of shape (P,) and a float
-    array ``x`` of shape (order, P); column k holds sample points of
+    array ``x`` of shape (20, P); column k holds sample points of
     integrand ``index[k]``, and ``f`` returns their values in that shape.
 
     Each integrand is bisected on its own: a panel whose error estimate
@@ -80,10 +72,10 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8,
         max(abs_tol, rel_tol * |whole-interval estimate|) * panel_len / (b - a)
 
     is split, unless it is narrower than 16 ulps of its midpoint.  An
-    integrand that has spent more than ``max_panels`` panel evaluations and
-    still has a failing panel raises QuadratureNotConverged, carrying its
-    best value, its error estimate and its index.  Returns a float array of
-    the ``n`` integrals.
+    integrand that has spent more than _MAX_PANELS (4096) panel evaluations
+    and still has a failing panel raises QuadratureNotConverged, carrying
+    its best value, its error estimate and its index.  Returns a float array
+    of the ``n`` integrals.
     """
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
@@ -93,25 +85,23 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8,
     for start in range(0, n, _GROUP):
         stop = min(n, start + _GROUP)
         out[start:stop] = _integrate_group(
-            f, np.arange(start, stop), a, b, abs_tol, rel_tol, order, max_panels)
+            f, np.arange(start, stop), a, b, abs_tol, rel_tol)
     return out
 
 
-def _integrate_group(f, index, a, b, abs_tol, rel_tol, order, max_panels):
-    nodes, weights = _gauss_legendre_rule(order)
+def _integrate_group(f, index, a, b, abs_tol, rel_tol):
     k = index.size
     own = np.arange(k)
     lo = np.full(k, float(a))
     hi = np.full(k, float(b))
-    whole = _panels(f, index, lo, hi, nodes, weights)
+    whole = _panels(f, index, lo, hi)
     tol_density = np.maximum(abs_tol, rel_tol * np.abs(whole)) / (b - a)
     used = np.ones(k, dtype=np.int64)
     done_owner, done_value = [], []     # converged panels, by level
     while own.size:
         mid = 0.5 * (lo + hi)
         halves = _panels(f, index[np.concatenate((own, own))],
-                         np.concatenate((lo, mid)), np.concatenate((mid, hi)),
-                         nodes, weights)
+                         np.concatenate((lo, mid)), np.concatenate((mid, hi)))
         left, right = halves[:own.size], halves[own.size:]
         used += 2 * np.bincount(own, minlength=k)
         refined = left + right
@@ -122,7 +112,7 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol, order, max_panels):
         done_owner.append(own[ok])
         done_value.append(refined[ok])
         split = ~ok
-        over = split & (used[own] > max_panels)
+        over = split & (used[own] > _MAX_PANELS)
         if np.count_nonzero(over):
             j = int(own[over][0])
             mine = own == j
@@ -143,13 +133,11 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol, order, max_panels):
     return np.array([math.fsum(p) for p in parts])
 
 
-def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8,
-                            order=20, max_panels=4096):
+def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
     """Integrate the vectorized callable ``f`` over [a, b].
 
     ``f`` receives a float ndarray of sample points and must return values
     of the same shape.  This is ``integrate_batch`` with one integrand; see
     there for the tolerance and the panel budget.
     """
-    return float(integrate_batch(lambda index, x: f(x), 1, a, b, abs_tol,
-                                 rel_tol, order, max_panels)[0])
+    return float(integrate_batch(lambda index, x: f(x), 1, a, b, abs_tol, rel_tol)[0])

@@ -1,6 +1,7 @@
 """Closed-form coverage bound, weak-interference power, spectral efficiency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_coverage_endpoints_and_shape():
         assert np.all(np.diff(vals) <= 1e-12), f"CCDF not monotone at m={m}"
 
 
+def test_coverage_at_extreme_density_warns_nothing():
+    # lambda = 1e4 leaves a LOS ball of radius ~1.5e-157, where r^-aL
+    # overflows near r = 0; the factor rounds to 0 there and no numpy
+    # warning may escape
+    p = _params(**{"lambda": 1e4})
+    assert p.r_los < 1e-150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = analytic.coverage_ccdf(np.array([0.0, 1e-9, 1e-3, 1.0, 1e3]), p)
+    assert np.all(np.isfinite(vals))
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert vals[0] == 1.0 and np.all(np.diff(vals) <= 0.0)
+
+
 def test_coverage_scalar_array_agree():
     grid = np.array([0.0, 0.1, 1.0, 10.0])
     for m in (1, 3, 16):
@@ -262,14 +277,3 @@ def test_ergodic_se_fig8_frozen():
     for m, want in zip((1, 2, 4, 8, 16), FIG8_ERGODIC_SE):
         p = analytic.coverage_params(model.with_overrides(cfg, m_los=m))
         assert abs(analytic.ergodic_spectral_efficiency(p) - want) < 1e-9, m
-
-
-def test_coverage_curve_container():
-    p = _params(m=3)
-    grid = np.geomspace(0.01, 100.0, 40)
-    curve = analytic.coverage_curve(grid, p)
-    assert curve.kind == "analytic"
-    assert curve.ci_halfwidth is None
-    assert np.array_equal(curve.thresholds, grid)
-    assert np.array_equal(curve.ccdf, analytic.coverage_ccdf(grid, p))
-    assert np.all(np.diff(curve.ccdf) <= 1e-12)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import BASE_KEYS
-from wearnet import cli, model
+from wearnet import analytic, cli, model
+from wearnet.quadrature import QuadratureNotConverged
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,6 +240,23 @@ def test_overwhelming_density_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: DensityTooHigh") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a quadrature that runs out of panels is neither bad input (2) nor a
+    # missed gate (1): it exits 3 with a one-line message, no traceback
+    def not_converged(params):
+        raise QuadratureNotConverged("no convergence after 4097 panels", 0.5, 1e-3)
+
+    monkeypatch.setattr(analytic, "ergodic_spectral_efficiency", not_converged)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out), "compare",
+                   "--kind", "nakagami", "--trials", "10", "--m-grid", "1,2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: QuadratureNotConverged") and "Traceback" not in err
+    assert not (out / "nakagami_sweep.csv").exists()
 
 
 def _run_console_script(exe, out_dir):

@@ -4,9 +4,12 @@ Gate 10 only checks that a rerun reproduces its own bytes.  These hashes
 also fail when a change moves any value in the artifact, e.g. a different
 LOS classification, per-trial draw order or summation order.  They were
 recorded before the nearest-first banded `classify_los` sweep, which
-leaves every mask, and so every byte, unchanged.  The hashes hold for one
-numpy build and platform math library; a toolchain whose trig or pow
-results differ in the last bit moves them too.
+leaves every mask, and so every byte, unchanged.  Two Monte Carlo paths
+that no CSV reaches are pinned the same way: the annulus interference
+sampler and the interference column of `simulate_sinr_samples`, both
+recorded before the per-trial sampler was folded into one trial loop.
+The values hold for one numpy build and platform math library; a
+toolchain whose trig or pow results differ in the last bit moves them too.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE_KEYS, figure_config
-from wearnet import cli, experiments
+from wearnet import cli, experiments, losball, mcsim
 
 
 def _se_compare_fig6(tmp_path):
@@ -58,3 +61,19 @@ def _cli_simulate_full(tmp_path):
 def test_artifact_sha256_frozen(tmp_path, build, sha256):
     path = build(tmp_path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_annulus_interference_mean_frozen():
+    cfg = figure_config("fig6")
+    r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
+                                    cfg.net_radius)
+    got = mcsim.sample_annulus_interference_mean(cfg, r_los, 200, 105)
+    assert got == (12.191313554695668, 0.23088231304081908)
+
+
+def test_losball_samples_sha256_frozen():
+    # both columns, the SINR and the interference that entered it
+    samples = mcsim.simulate_sinr_samples(mcsim.LOSBALL, figure_config("fig7"),
+                                          300, 104)
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == (
+        "1f16f697da02812968c25fc3794263a76ec0d010a2ef940504532b5ae54b9d1f")

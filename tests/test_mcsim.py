@@ -29,32 +29,29 @@ def test_nakagami_fading_moments():
     assert np.ndim(mcsim.sample_nakagami_power(3, rng)) == 0
 
 
-def test_run_trial_zero_density():
-    # no interferers: SINR = Gt Gr h R0^-aL / noise with h ~ Exp(1)
+def test_zero_density_samples():
+    # no interferers: SINR = Gt Gr h R0^-aL / noise with h ~ Exp(1) and an
+    # all-zero interference column, in both modes
     cfg = make_config(**{"lambda": 0.0})
     coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
             * cfg.ref_distance ** (-cfg.alpha_los) / cfg.noise_power)
-    rng = np.random.default_rng(32)
     n = 20000
-    h = np.empty(n)
-    for k in range(n):
-        out = mcsim.run_trial(mcsim.FULL, cfg, rng)
-        assert out.aggregate_interference == 0.0
-        assert out.interferer_count_los == 0
-        h[k] = out.sinr / coef
-    assert abs(h.mean() - 1.0) < 3.5 / math.sqrt(n)
-    p = np.mean(h > 1.0)
-    assert abs(p - math.exp(-1.0)) < 3.5 * math.sqrt(p * (1 - p) / n)
-
-
-def test_run_trial_silent_network():
-    cfg = make_config(p_t=0.0)
-    rng = np.random.default_rng(33)
     for mode in (mcsim.FULL, mcsim.LOSBALL):
-        for _ in range(50):
-            out = mcsim.run_trial(mode, cfg, rng)
-            assert out.aggregate_interference == 0.0
-            assert out.sinr > 0.0
+        samples = mcsim.simulate_sinr_samples(mode, cfg, n, master_seed=32)
+        assert np.all(samples[:, 1] == 0.0)
+        h = samples[:, 0] / coef
+        assert abs(h.mean() - 1.0) < 3.5 / math.sqrt(n)
+        p = np.mean(h > 1.0)
+        assert abs(p - math.exp(-1.0)) < 3.5 * math.sqrt(p * (1 - p) / n)
+    assert mcsim.estimate_mean_los_count(cfg, 50, master_seed=32) == (0.0, 0.0)
+
+
+def test_silent_network_samples():
+    cfg = make_config(p_t=0.0)
+    for mode in (mcsim.FULL, mcsim.LOSBALL):
+        samples = mcsim.simulate_sinr_samples(mode, cfg, 50, master_seed=33)
+        assert np.all(samples[:, 1] == 0.0)
+        assert np.all(samples[:, 0] > 0.0)
 
 
 def test_losball_interference_mean():
@@ -159,9 +156,6 @@ def test_estimate_ergodic_se_noise_only():
 
 def test_mode_names_validated():
     cfg = make_config()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        mcsim.run_trial("exact", cfg, rng)
     with pytest.raises(ValueError):
         mcsim.simulate_sinr_samples("bogus", cfg, 10, master_seed=0)
     with pytest.raises(ValueError):
