@@ -236,6 +236,8 @@ def main(argv=None):
     try:
         if args.seed is None:
             args.seed = _env_int("SEED", 0)
+        if args.seed < 0:
+            raise ConfigError("SeedInvalid", f"seed must be >= 0, got {args.seed}")
         if args.threads is None:
             args.threads = _env_int("THREADS", 1)
         return _COMMANDS[args.command](args)

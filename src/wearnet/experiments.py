@@ -89,8 +89,11 @@ def validate_plan(plan):
         if plan.kind == "nakagami_sweep" and not (v >= 1 and int(v) == v):
             raise ConfigError("NakagamiOrderInvalid",
                               f"nakagami_sweep grid must hold integers >= 1, got {v}")
-    if plan.trials < 1:
-        raise ConfigError("TrialCountInvalid", "trials must be >= 1")
+    if not 1 <= plan.trials < mcsim.MAX_TRIALS:
+        raise ConfigError("TrialCountInvalid",
+                          f"trials must be in [1, 2**32), got {plan.trials}")
+    if plan.seed < 0:
+        raise ConfigError("SeedInvalid", f"seed must be >= 0, got {plan.seed}")
     validate(plan.config)
     return plan
 

@@ -14,18 +14,29 @@ Reproducibility: trial k of a run with master seed s draws from a PCG64
 generator seeded with SeedSequence((s, k)).  That per-trial substream rule
 makes results independent of how trials are split across workers; counts
 and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
+The substream states are computed in bulk, _CHUNK trials at a time, by
+numpy's own SeedSequence hash and PCG64 seeding rule, and set in turn on one
+reused generator; a test checks them against numpy's constructors.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
-NLOS fading (FULL only), reference fading.  A deployment of
-sample_annulus_interference_mean draws the annulus PPP, activity uniforms
-and NLOS fading (its LOS fading draw has size 0 and takes no generator
-state).
+NLOS fading (FULL only), reference fading.  In LOSBALL the link fading and
+the reference fading are one draw of n + 1 values, the reference last;
+numpy's gamma sampler fills element by element, so the values are those of
+two separate draws.  A deployment of sample_annulus_interference_mean draws
+the annulus PPP, activity uniforms and NLOS fading (its LOS fading draw has
+size 0 and takes no generator state).
+
+Only the draws run trial by trial.  The marks' gains, the path loss and the
+products run once over a chunk of buffered trials, and each trial's
+interference is its own np.add.reduce, the pairwise order np.sum uses, so
+every value is the one a trial-by-trial loop gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,10 +76,6 @@ def sample_nakagami_power(m, rng, size=None):
     return rng.gamma(m, 1.0 / m, size)
 
 
-def _substream(master_seed, k):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, k))))
-
-
 def _normalize_mode(mode):
     mode = str(mode).lower()
     if mode not in (FULL, LOSBALL):
@@ -86,8 +93,9 @@ def sample_full_field(cfg, rng):
     return r, phi, classify_los(r, phi, br, bphi, cfg.blockage_diameter)
 
 
-def _draw_marks(cfg, phi, rng):
-    """Activity/transmit-gain mark and receiver-side gain per interferer.
+def _gains(cfg, u, phi):
+    """Transmit gain from the activity uniforms u and receiver-side gain
+    from the angles phi, per interferer.
 
     The transmit mark is the categorical variable: 0 with probability
     1 - p_t, main-lobe gain with p_t * theta_t/2pi, side-lobe gain
@@ -95,7 +103,6 @@ def _draw_marks(cfg, phi, rng):
     falls in the closed wedge of width theta_r around the pointing
     direction, fixed at 0 without loss of generality.
     """
-    u = rng.random(phi.size)
     at = cfg.tx_pattern.main_lobe_fraction
     tx_gain = np.where(u < cfg.tx_probability * at,
                        cfg.tx_pattern.main_gain,
@@ -107,26 +114,168 @@ def _draw_marks(cfg, phi, rng):
     return tx_gain, rx_gain
 
 
-def _interference(cfg, r, phi, los, rng):
-    """Aggregate interference power of one field of interferers at (r, phi).
+def _fading(cfg, los, rng):
+    """Nakagami m_los power on the links of the LOS mask, then m_nlos on
+    the others."""
+    h = np.empty(los.size)
+    idx_los = np.flatnonzero(los)
+    h[idx_los] = sample_nakagami_power(cfg.m_los, rng, idx_los.size)
+    idx_nlos = np.flatnonzero(~los)
+    h[idx_nlos] = sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
+    return h
 
-    Draws the activity/antenna marks, then the fading: Nakagami m_los on
-    the links of the LOS mask ``los`` and m_nlos on the others, with path
-    loss r^-alpha_L or r^-alpha_N.  ``los=None`` (LOSBALL) means every link
-    is LOS: one m_los draw and r^-alpha_L only.
+
+def _interference(cfg, chunk):
+    """Aggregate interference power of each trial in ``chunk``.
+
+    A trial is a tuple (r, phi, u, h, los, ...): link radii and angles,
+    activity uniforms, fading powers and the LOS mask.  Path loss is
+    r^-alpha_L on LOS links and r^-alpha_N on the others; ``los`` None
+    (LOSBALL) means every link is LOS.
     """
-    tx_gain, rx_gain = _draw_marks(cfg, phi, rng)
-    if los is None:
-        h = sample_nakagami_power(cfg.m_los, rng, r.size)
-        path = r ** (-cfg.alpha_los)
+    def column(i):
+        return np.concatenate([trial[i] for trial in chunk])
+
+    # tx * rx * h * path, rounded left to right, in place to hold fewer
+    # chunk-sized temporaries
+    power = np.multiply(*_gains(cfg, column(2), column(1)))
+    power *= column(3)
+    r = column(0)
+    if chunk[0][4] is None:
+        power *= r ** (-cfg.alpha_los)
     else:
-        h = np.empty(r.size)
-        idx_los = np.flatnonzero(los)
-        h[idx_los] = sample_nakagami_power(cfg.m_los, rng, idx_los.size)
-        idx_nlos = np.flatnonzero(~los)
-        h[idx_nlos] = sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
-        path = np.where(los, r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
-    return cfg.power_ratio * float(np.sum(tx_gain * rx_gain * h * path))
+        power *= np.where(column(4), r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
+    # one reduce per trial keeps np.sum's pairwise order; reduceat or
+    # bincount would add in another order and move the last bits
+    ends = np.cumsum([trial[0].size for trial in chunk]).tolist()
+    sums = [np.add.reduce(power[a:b]) for a, b in zip([0] + ends, ends)]
+    return cfg.power_ratio * np.array(sums)
+
+
+# --- per-trial substreams -------------------------------------------------
+
+_CHUNK = 256    # trials per block of substream states and per flush
+# Buffered links that close a chunk early.  This bounds its memory: at
+# 2048 the peak RSS of fig6 full and fig7 losball runs stays within
+# 0.4 MB of a trial-by-trial loop; 8192 added about 0.9 MB.
+_LINKS = 2048
+
+# The trial index k enters numpy's seed hash as one 32-bit word.
+MAX_TRIALS = 2 ** 32
+
+# numpy's SeedSequence is O'Neill's seed_seq hash on 32-bit words; these are
+# its constants, then PCG64's 128-bit LCG multiplier.  They stay masked
+# Python ints: numpy uint32 scalars warn on overflow.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)     # INIT_A, MULT_A
+_GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed):
+    """32-bit words of a non-negative int, least significant first, as
+    SeedSequence coerces it (0 is one word)."""
+    words = [seed & _M32]
+    seed >>= 32
+    while seed:
+        words.append(seed & _M32)
+        seed >>= 32
+    return words
+
+
+def _hasher(const, mult):
+    """seed_seq's hashmix over uint32 arrays, with its running multiplier."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _pcg64_states(words, lo, hi):
+    """(state, inc) of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
+    words = _seed_words(s), hi <= MAX_TRIALS; vectorized over k."""
+    n = hi - lo
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(lo, hi, dtype=np.int64).astype(np.uint32))
+    entropy += [np.zeros(n, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hasher(*_MIX_ENTROPY)
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # low word first
+    hashmix = _hasher(*_GENERATE_STATE)
+    w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (w[2 * j] | w[2 * j + 1] << 32).tolist() for j in range(4))
+    # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps around
+    # adding initstate
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
+        yield ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _M128, inc
+
+
+def _substreams(master_seed, start, stop):
+    """Yield (k, rng) for each trial k in [start, stop), where rng draws
+    exactly what Generator(PCG64(SeedSequence((master_seed, k)))) would.
+
+    One generator serves every trial: its state is reset for each k, so a
+    yielded rng is valid only until the next one is taken.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    words = _seed_words(master_seed)
+    for lo in range(start, stop, _CHUNK):
+        states = _pcg64_states(words, lo, min(lo + _CHUNK, stop))
+        for k, (state, inc) in enumerate(states, lo):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield k, rng
+
+
+def _trial_chunks(draw, master_seed, start, stop):
+    """draw(rng) for each trial of [start, stop) on its own substream,
+    yielded in lists of at most _CHUNK trials.  A list closes early once
+    its trials hold _LINKS links (a trial's first array is its link radii),
+    so a chunk of dense FULL fields stays small."""
+    chunk, links = [], 0
+    for _, rng in _substreams(master_seed, start, stop):
+        trial = draw(rng)
+        chunk.append(trial)
+        links += trial[0].size
+        if len(chunk) == _CHUNK or links >= _LINKS:
+            yield chunk
+            chunk, links = [], 0
+    if chunk:
+        yield chunk
+
+
+def _checked_seed(master_seed, n, name):
+    """The master seed as an int; refuses a negative seed and a trial count
+    outside [1, MAX_TRIALS) before any work starts."""
+    if not 1 <= n < MAX_TRIALS:
+        raise ValueError(f"{name} must be in [1, 2**32), got {n}")
+    seed = operator.index(master_seed)
+    if seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {seed}")
+    return seed
 
 
 # --- batched, seed-deterministic runs ------------------------------------
@@ -141,26 +290,39 @@ def _run_sinr_range(mode, config, start, stop, master_seed):
     sigma2 = cfg.noise_power
     if mode == LOSBALL:
         sigma2 += nlos_mean_power(cfg, r_los)
-    out = np.empty((stop - start, 2))
-    for k in range(start, stop):
-        rng = _substream(master_seed, k)
-        if mode == FULL:
+
+    # a trial is (r, phi, u, h, los, h0); see _interference
+    if mode == FULL:
+        def draw(rng):
             r, phi, los = sample_full_field(cfg, rng)
-        else:
+            u = rng.random(r.size)
+            h = _fading(cfg, los, rng)
+            return r, phi, u, h, los, sample_nakagami_power(cfg.m_los, rng)
+    else:
+        def draw(rng):
             r, phi = sample_ppp_disk(cfg.density, r_los, rng)
-            los = None
-        interference = _interference(cfg, r, phi, los, rng)
-        h0 = float(sample_nakagami_power(cfg.m_los, rng))
-        out[k - start, 0] = signal_coef * h0 / (sigma2 + interference)
-        out[k - start, 1] = interference
+            u = rng.random(r.size)
+            # link fading and h0 (last) in one draw; see the module docstring
+            h = sample_nakagami_power(cfg.m_los, rng, r.size + 1)
+            return r, phi, u, h[:-1], None, h[-1]
+
+    out = np.empty((stop - start, 2))
+    done = 0
+    for chunk in _trial_chunks(draw, master_seed, start, stop):
+        interference = _interference(cfg, chunk)
+        h0 = np.array([trial[5] for trial in chunk])
+        rows = out[done:done + len(chunk)]
+        rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
+        rows[:, 1] = interference
+        done += len(chunk)
     return out
 
 
 def _run_los_count_range(config, start, stop, master_seed):
     cfg = validate(config)
     out = np.empty(stop - start, dtype=np.int64)
-    for k in range(start, stop):
-        _, _, los = sample_full_field(cfg, _substream(master_seed, k))
+    for k, rng in _substreams(master_seed, start, stop):
+        _, _, los = sample_full_field(cfg, rng)
         out[k - start] = int(np.count_nonzero(los))
     return out
 
@@ -184,10 +346,10 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     """Per-trial (sinr, interference) array, shape (n_trials, 2).
 
     Trial k is fully determined by (mode, config, master_seed, k), so any
-    worker split returns the identical array.
+    worker split returns the identical array.  A negative master_seed, or
+    n_trials outside [1, 2**32), raises ValueError before any work starts.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    master_seed = _checked_seed(master_seed, n_trials, "n_trials")
     ranges = _split_ranges(n_trials, workers)
     parts = _map_ranges(_run_sinr_range,
                         [(mode, config, a, b, master_seed) for a, b in ranges],
@@ -250,8 +412,7 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
     Pure geometry: interferers on the network disk, blockages on the
     enlarged disk, exact classification; no marks or fading involved.
     """
-    if n_deployments < 1:
-        raise ValueError("n_deployments must be >= 1")
+    master_seed = _checked_seed(master_seed, n_deployments, "n_deployments")
     ranges = _split_ranges(n_deployments, workers)
     parts = _map_ranges(_run_los_count_range,
                         [(config, a, b, master_seed) for a, b in ranges],
@@ -267,10 +428,13 @@ def sample_annulus_interference_mean(config, r_los, n_deployments, master_seed):
     This samples the defining expectation whose closed form is
     nlos_mean_power; the two must agree within Monte Carlo error.
     """
+    master_seed = _checked_seed(master_seed, n_deployments, "n_deployments")
     cfg = validate(config)
-    totals = np.empty(n_deployments)
-    for k in range(n_deployments):
-        rng = _substream(master_seed, k)
+
+    def draw(rng):
         r, phi = sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
-        totals[k] = _interference(cfg, r, phi, np.zeros(r.size, dtype=bool), rng)
-    return _mean_and_se(totals)
+        los = np.zeros(r.size, dtype=bool)
+        return r, phi, rng.random(r.size), _fading(cfg, los, rng), los
+
+    chunks = _trial_chunks(draw, master_seed, 0, n_deployments)
+    return _mean_and_se(np.concatenate([_interference(cfg, c) for c in chunks]))

@@ -6,11 +6,22 @@ every blockage center, with no angular pruning and no distance bands;
 
 t_factor: the per-interferer Laplace factor whose radial average over the
 LOS ball `analytic.laplace_term` evaluates as one batched integral.
+
+substream / sinr_samples / annulus_interference: trial k's generator built
+by numpy's own constructors, and plain trial-by-trial Monte Carlo loops on
+it, with separate link and reference fading draws; the engine in `mcsim`,
+which sets the substream states in bulk and sums a chunk of trials at
+once, must give the same bytes.
 """
 
 import math
 
 import numpy as np
+
+from wearnet import mcsim
+from wearnet.analytic import nlos_mean_power
+from wearnet.losball import los_ball_radius
+from wearnet.model import validate
 
 
 def segment_dist_sq(px, py, cx, cy):
@@ -57,3 +68,67 @@ def t_factor(gain_r, R, ell, bt, params):
     main = (1.0 + scale * cfg.tx_pattern.main_gain) ** (-cfg.m_los)
     side = (1.0 + scale * cfg.tx_pattern.side_gain) ** (-cfg.m_los)
     return (1.0 - cfg.tx_probability) + cfg.tx_probability * (at * main + (1.0 - at) * side)
+
+
+def substream(master_seed, k):
+    """Trial k's generator: PCG64 seeded with SeedSequence((master_seed, k))."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, k))))
+
+
+def _interference(cfg, r, phi, los, rng):
+    # one trial: marks, fading, path loss and np.sum; los None is LOSBALL
+    u = rng.random(phi.size)
+    at = cfg.tx_pattern.main_lobe_fraction
+    tx_gain = np.where(u < cfg.tx_probability * at, cfg.tx_pattern.main_gain,
+                       np.where(u < cfg.tx_probability,
+                                cfg.tx_pattern.side_gain, 0.0))
+    wrapped = np.mod(phi + math.pi, 2.0 * math.pi) - math.pi
+    rx_gain = np.where(np.abs(wrapped) <= 0.5 * cfg.rx_pattern.beamwidth,
+                       cfg.rx_pattern.main_gain, cfg.rx_pattern.side_gain)
+    if los is None:
+        h = mcsim.sample_nakagami_power(cfg.m_los, rng, r.size)
+        path = r ** (-cfg.alpha_los)
+    else:
+        h = np.empty(r.size)
+        idx_los = np.flatnonzero(los)
+        h[idx_los] = mcsim.sample_nakagami_power(cfg.m_los, rng, idx_los.size)
+        idx_nlos = np.flatnonzero(~los)
+        h[idx_nlos] = mcsim.sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
+        path = np.where(los, r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
+    return cfg.power_ratio * float(np.sum(tx_gain * rx_gain * h * path))
+
+
+def sinr_samples(mode, config, start, stop, master_seed):
+    """(sinr, interference) of trials [start, stop), one trial at a time."""
+    cfg = validate(config)
+    signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
+                   * cfg.ref_distance ** (-cfg.alpha_los))
+    r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
+    sigma2 = cfg.noise_power
+    if mode == mcsim.LOSBALL:
+        sigma2 += nlos_mean_power(cfg, r_los)
+    out = np.empty((stop - start, 2))
+    for k in range(start, stop):
+        rng = substream(master_seed, k)
+        if mode == mcsim.FULL:
+            r, phi, los = mcsim.sample_full_field(cfg, rng)
+        else:
+            r, phi = mcsim.sample_ppp_disk(cfg.density, r_los, rng)
+            los = None
+        interference = _interference(cfg, r, phi, los, rng)
+        h0 = float(mcsim.sample_nakagami_power(cfg.m_los, rng))
+        out[k - start, 0] = signal_coef * h0 / (sigma2 + interference)
+        out[k - start, 1] = interference
+    return out
+
+
+def annulus_interference(config, r_los, n_deployments, master_seed):
+    """Per-deployment interference from the annulus [r_los, r_net], every
+    link blocked, one deployment at a time."""
+    cfg = validate(config)
+    totals = np.empty(n_deployments)
+    for k in range(n_deployments):
+        rng = substream(master_seed, k)
+        r, phi = mcsim.sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
+        totals[k] = _interference(cfg, r, phi, np.zeros(r.size, dtype=bool), rng)
+    return totals

@@ -164,6 +164,24 @@ def test_malformed_env_integer_exit_code(tmp_path, monkeypatch, capsys, name):
     assert rc == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--mode", "losball", "--trials", "50"],
+    ["compare", "--kind", "coverage", "--trials", "50"],
+], ids=lambda args: args[0])
+def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, args):
+    # refused by name before any work, from the flag or the environment
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    for seed_args in (["--seed", "-1"], []):
+        if not seed_args:
+            monkeypatch.setenv("WEARNET_SEED", "-1")
+        rc = cli.main(["--config", cfg, "--out-dir", str(out)] + seed_args + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SeedInvalid") and "Traceback" not in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["2.5", "0,1"])
 def test_compare_rejects_non_integer_m_grid(tmp_path, capsys, grid):
     cfg = _write_config(tmp_path)

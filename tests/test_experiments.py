@@ -31,9 +31,13 @@ def test_plan_validation(tmp_path):
     with pytest.raises(model.ConfigError) as err:
         experiments.validate_plan(_plan(tmp_path, kind="nakagami_sweep", grid=(1, 2.5)))
     assert err.value.violation == "NakagamiOrderInvalid"
+    for trials in (0, 2**32):
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, trials=trials))
+        assert err.value.violation == "TrialCountInvalid"
     with pytest.raises(model.ConfigError) as err:
-        experiments.validate_plan(_plan(tmp_path, trials=0))
-    assert err.value.violation == "TrialCountInvalid"
+        experiments.validate_plan(_plan(tmp_path, seed=-1))
+    assert err.value.violation == "SeedInvalid"
     for kind in experiments.KINDS:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(model.ConfigError) as err:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from conftest import make_config
+import oracles
+from conftest import figure_config, make_config
 from wearnet import analytic, losball, mcsim
 
 
@@ -160,6 +161,104 @@ def test_mode_names_validated():
         mcsim.simulate_sinr_samples("bogus", cfg, 10, master_seed=0)
     with pytest.raises(ValueError):
         mcsim.simulate_sinr_samples(mcsim.FULL, cfg, 0, master_seed=0)
+
+
+def test_seed_and_trial_count_refused_before_work():
+    # a negative seed has no 32-bit words (its split would never end), and
+    # k >= 2**32 would wrap in the one-word trial index and reuse streams;
+    # both are refused before anything is allocated or a worker starts
+    cfg = make_config()
+    r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
+                                    cfg.net_radius)
+    runs = {
+        "simulate_sinr_samples": lambda n, seed: mcsim.simulate_sinr_samples(
+            mcsim.LOSBALL, cfg, n, seed, workers=2),
+        "estimate_mean_los_count": lambda n, seed: mcsim.estimate_mean_los_count(
+            cfg, n, seed, workers=2),
+        "sample_annulus_interference_mean":
+            lambda n, seed: mcsim.sample_annulus_interference_mean(cfg, r_los, n, seed),
+    }
+    for name, run in runs.items():
+        for n, seed in ((5, -1), (2 ** 32, 0), (2 ** 40, 0), (0, 0)):
+            with pytest.raises(ValueError):
+                run(n, seed)
+        with pytest.raises(TypeError):
+            run(5, 1.5)
+        assert np.all(np.isfinite(run(3, np.uint64(2 ** 64 - 1)))), name
+
+
+def test_substreams_match_numpy_constructors():
+    # every state set in bulk equals the one numpy's own SeedSequence and
+    # PCG64 constructors give, at chunk edges and at the largest k
+    ks = (0, mcsim._CHUNK - 1, mcsim._CHUNK, 2 * mcsim._CHUNK + 1)
+    for seed in (0, 1, 104, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3):
+        got = {k: (rng.bit_generator.state, rng.random(4))
+               for k, rng in mcsim._substreams(seed, 0, max(ks) + 1) if k in ks}
+        k, rng = next(mcsim._substreams(seed, 2**32 - 1, 2**32))
+        got[k] = (rng.bit_generator.state, rng.random(4))
+        assert sorted(got) == sorted(ks + (2**32 - 1,))
+        for k, (state, first) in got.items():
+            want = oracles.substream(seed, k)
+            assert state == want.bit_generator.state, (seed, k)
+            assert np.array_equal(first, want.random(4)), (seed, k)
+
+
+@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
+def test_chunked_engine_matches_trial_loop(mode):
+    # two full chunks and a partial one, serial and split at 171 and 343
+    cfg = make_config()
+    n = 2 * mcsim._CHUNK + 3
+    want = oracles.sinr_samples(mode, cfg, 0, n, 44)
+    assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 44), want)
+    assert np.array_equal(
+        mcsim.simulate_sinr_samples(mode, cfg, n, 44, workers=3), want)
+
+
+@pytest.mark.parametrize("density", [3.0, 0.0064])
+def test_link_budget_flush_matches_trial_loop(monkeypatch, density):
+    # a budget of 5 links closes full-mode chunks mid-block: after every
+    # trial at lambda = 3 (about 940 links each), after a few at 0.0064
+    sizes = []
+    interference = mcsim._interference
+
+    def recording(cfg, chunk):
+        sizes.append(len(chunk))
+        return interference(cfg, chunk)
+
+    monkeypatch.setattr(mcsim, "_LINKS", 5)
+    monkeypatch.setattr(mcsim, "_interference", recording)
+    cfg = make_config(**{"lambda": density})
+    n = mcsim._CHUNK + 7
+    assert np.array_equal(mcsim.simulate_sinr_samples(mcsim.FULL, cfg, n, 45),
+                          oracles.sinr_samples(mcsim.FULL, cfg, 0, n, 45))
+    assert sum(sizes) == n and max(sizes) < mcsim._CHUNK
+    assert (max(sizes) > 1) == (density < 1.0)
+
+
+@pytest.mark.parametrize("links", [8192, 5])
+def test_annulus_sampler_matches_trial_loop(monkeypatch, links):
+    monkeypatch.setattr(mcsim, "_LINKS", links)
+    cfg = make_config()
+    r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
+                                    cfg.net_radius)
+    n = 2 * mcsim._CHUNK + 3
+    totals = oracles.annulus_interference(cfg, r_los, n, 47)
+    assert mcsim.sample_annulus_interference_mean(cfg, r_los, n, 47) == (
+        mcsim._mean_and_se(totals))
+
+
+@pytest.mark.parametrize("links", [8192, 1])
+@pytest.mark.parametrize("overrides", [{"lambda": 0.002}, {"p_t": 0.0}],
+                         ids=["sparse", "silent"])
+def test_zero_link_trials_cross_flushes(monkeypatch, links, overrides):
+    # trials with no link (or no active one) at chunk and budget edges
+    monkeypatch.setattr(mcsim, "_LINKS", links)
+    n = mcsim._CHUNK + 9
+    for mode in (mcsim.FULL, mcsim.LOSBALL):
+        cfg = figure_config("fig7", **overrides)
+        got = mcsim.simulate_sinr_samples(mode, cfg, n, 46)
+        assert np.array_equal(got, oracles.sinr_samples(mode, cfg, 0, n, 46))
+        assert np.any(got[:, 1] == 0.0)
 
 
 def test_full_mode_blockage_lowers_interference():
