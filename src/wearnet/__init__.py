@@ -7,8 +7,8 @@ from .model import (ConfigError, GainPairTable, NetworkConfig, SectorPattern,
                     with_overrides)
 from .geometry import (blockage_probability, blocking_area, classify_los,
                        sample_ppp_annulus, sample_ppp_disk)
-from .losball import (LosBallSummary, los_ball_radius, los_ball_radius_limit,
-                      los_ball_summary, mean_los_interferers)
+from .losball import (los_ball_radius, los_ball_radius_limit,
+                      mean_los_interferers)
 from .quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
                          integrate_batch)
 from .analytic import (CoverageParams, beta_tilde, coverage_ccdf,
@@ -16,9 +16,8 @@ from .analytic import (CoverageParams, beta_tilde, coverage_ccdf,
                        laplace_term, nlos_mean_power, spectral_efficiency_ccdf)
 from .mcsim import (FULL, LOSBALL, EmpiricalDistribution, empirical_ccdf,
                     estimate_ergodic_se, estimate_mean_los_count,
-                    sample_annulus_interference_mean, sample_full_field,
-                    sample_nakagami_power, simulate_ccdf, simulate_se_ccdf,
-                    simulate_sinr_samples)
+                    sample_full_field, sample_nakagami_power, simulate_ccdf,
+                    simulate_se_ccdf, simulate_sinr_samples)
 from .experiments import (ExperimentPlan, IoError, ToleranceExceeded,
                           UnknownFigure, emit_figure_config, run_plan,
                           write_csv)

@@ -125,22 +125,24 @@ def write_csv(path, columns, rows, config, seed):
 
 
 # Each runner only computes.  It returns (csv name, columns, rows, summary
-# fields, result extras, failure): the summary fields are printed to
-# summary.txt in order, and failure is the ToleranceExceeded that run_plan
-# raises once the artifacts exist, or None when the gate holds.
+# fields, failure): the summary fields are printed to summary.txt in order
+# and returned by run_plan, and failure is the ToleranceExceeded that
+# run_plan raises once the artifacts exist, or None when the gate holds.
 
 def _run_losball_sweep(plan):
     cfg = plan.config
+    W = cfg.blockage_diameter
     densities = tuple(plan.density_family) or (cfg.density,)
     rows = []
     for lam in densities:
         for r_net in plan.grid:
-            s = losball.los_ball_summary(lam, cfg.blockage_diameter, r_net)
-            rows.append((lam, cfg.blockage_diameter, r_net,
-                         s.mean_los_count, s.r_los, s.r_los_limit))
+            rows.append((lam, W, r_net,
+                         losball.mean_los_interferers(lam, W, r_net),
+                         losball.los_ball_radius(lam, W, r_net),
+                         losball.los_ball_radius_limit(lam, W)))
     return ("losball.csv",
             ("lambda", "W", "r_net", "mean_los", "r_los", "r_los_limit"),
-            rows, {"rows": len(rows)}, {}, None)
+            rows, {"rows": len(rows)}, None)
 
 
 def _run_mean_count_sweep(plan):
@@ -162,8 +164,7 @@ def _run_mean_count_sweep(plan):
         f"(allowed {se_multiple})", worst, se_multiple)
     return ("mean_count.csv",
             ("lambda", "mean_los_analytic", "mean_los_mc", "stderr"), rows,
-            {"max_z": worst, "tolerance": se_multiple}, {"max_z": worst},
-            failure)
+            {"max_z": worst, "tolerance": se_multiple}, failure)
 
 
 def _run_coverage_compare(plan):
@@ -184,7 +185,7 @@ def _run_coverage_compare(plan):
             ("beta_dB", "ccdf_analytic", "ccdf_sim", "stderr"),
             list(zip(beta_db, ccdf_a, emp.ccdf, emp.stderr)),
             {"sup_norm": sup, "tolerance": tol, "bound_direction": bound_ok},
-            {"sup_norm": sup, "bound_direction": bound_ok}, failure)
+            failure)
 
 
 def _run_se_compare(plan):
@@ -205,7 +206,7 @@ def _run_se_compare(plan):
             ("eta_bps_hz", "cdf_full", "stderr_full", "cdf_losball",
              "stderr_losball", "cdf_analytic"),
             list(zip(t_grid, full.cdf, full.stderr, ball.cdf, ball.stderr, cdf_a)),
-            {"sup_norm": sup, "tolerance": tol}, {"sup_norm": sup}, failure)
+            {"sup_norm": sup, "tolerance": tol}, failure)
 
 
 def _run_nakagami_sweep(plan):
@@ -235,9 +236,7 @@ def _run_nakagami_sweep(plan):
         float(np.min(np.diff(se_mc) + slack, initial=np.inf)), se_multiple)
     return ("nakagami_sweep.csv", ("m", "se_analytic", "se_mc", "stderr"), rows,
             {"analytic_nondecreasing": nondecreasing, "mc_trend": mc_trend,
-             "upper_bound": upper_bound, "tolerance": se_multiple},
-            {"nondecreasing": nondecreasing, "mc_trend": mc_trend,
-             "upper_bound": upper_bound}, failure)
+             "upper_bound": upper_bound, "tolerance": se_multiple}, failure)
 
 
 _RUNNERS = {
@@ -261,21 +260,21 @@ def run_plan(plan):
     Every kind writes its CSV and a one-line summary.txt,
     'kind=<kind> key=value ... status=PASS|FAIL' (booleans as PASS/FAIL,
     other values as repr).  Raises ToleranceExceeded when a comparison gate
-    fails, after both artifacts are written with status FAIL.
+    fails, after both artifacts are written with status FAIL.  Otherwise
+    returns {"kind", "files", <the summary fields>, "status": "PASS"}.
     """
-    name, columns, rows, fields, extras, failure = _RUNNERS[
-        validate_plan(plan).kind](plan)
+    name, columns, rows, fields, failure = _RUNNERS[validate_plan(plan).kind](plan)
     csv_path = write_csv(os.path.join(plan.out_dir, name), columns, rows,
                          plan.config, plan.seed)
-    fields["status"] = failure is None
     words = [f"kind={plan.kind}"]
-    words += [f"{key}={_summary_value(value)}" for key, value in fields.items()]
+    words += [f"{key}={_summary_value(value)}"
+              for key, value in {**fields, "status": failure is None}.items()]
     summary = _write(os.path.join(plan.out_dir, "summary.txt"),
                      " ".join(words) + "\n")
     if failure is not None:
         raise failure
-    return {"kind": plan.kind, "files": [csv_path, summary], "status": "PASS",
-            **extras}
+    return {"kind": plan.kind, "files": [csv_path, summary], **fields,
+            "status": "PASS"}
 
 
 # --- canonical figure-style configurations --------------------------------

@@ -18,7 +18,6 @@ closed form sqrt(2) exp(-lambda pi W^2 / 8) / (lambda W).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def _f_over_x_sq(x):
@@ -77,31 +76,3 @@ def los_ball_radius_limit(density, W):
         return math.inf
     return math.sqrt(2.0) * math.exp(-density * math.pi * W * W / 8.0) / (density * W)
 
-
-@dataclass(frozen=True)
-class LosBallSummary:
-    """LOS-ball reduction of one (density, W, r_net) point.
-
-    mean_los_count  mean number of unblocked interferers in the network disk
-    r_los           equivalent LOS ball radius (m)
-    r_los_limit     r_net -> infinity limit of the radius (m)
-    """
-
-    density: float
-    blockage_diameter: float
-    net_radius: float
-    mean_los_count: float
-    r_los: float
-    r_los_limit: float
-
-
-def los_ball_summary(density, W, r_net):
-    """Evaluate all LOS-ball quantities at one parameter point."""
-    return LosBallSummary(
-        density=density,
-        blockage_diameter=W,
-        net_radius=r_net,
-        mean_los_count=mean_los_interferers(density, W, r_net),
-        r_los=los_ball_radius(density, W, r_net),
-        r_los_limit=los_ball_radius_limit(density, W),
-    )

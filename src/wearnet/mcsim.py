@@ -23,18 +23,23 @@ interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
 NLOS fading (FULL only), reference fading.  In LOSBALL the link fading and
 the reference fading are one draw of n + 1 values, the reference last;
 numpy's gamma sampler fills element by element, so the values are those of
-two separate draws.  A deployment of sample_annulus_interference_mean draws
-the annulus PPP, activity uniforms and NLOS fading (its LOS fading draw has
-size 0 and takes no generator state).
+two separate draws.
 
 Only the draws run trial by trial.  The marks' gains, the path loss and the
 products run once over a chunk of buffered trials, and each trial's
 interference is its own np.add.reduce, the pairwise order np.sum uses, so
 every value is the one a trial-by-trial loop gives.
+
+Every refusal comes before any worker starts: an unknown mode, an invalid
+config, a config whose run constants do not exist (DensityTooHigh), a
+negative seed and a trial count outside [1, 2**32) are raised in the
+calling process, so a run split across workers fails exactly as a serial
+run does.  The trial ranges themselves raise nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import nlos_mean_power
-from .geometry import classify_los, sample_ppp_annulus, sample_ppp_disk
+from .geometry import classify_los, sample_ppp_disk
 from .losball import los_ball_radius
 from .model import validate
 
@@ -112,17 +117,6 @@ def _gains(cfg, u, phi):
     rx_gain = np.where(np.abs(wrapped) <= 0.5 * cfg.rx_pattern.beamwidth,
                        cfg.rx_pattern.main_gain, cfg.rx_pattern.side_gain)
     return tx_gain, rx_gain
-
-
-def _fading(cfg, los, rng):
-    """Nakagami m_los power on the links of the LOS mask, then m_nlos on
-    the others."""
-    h = np.empty(los.size)
-    idx_los = np.flatnonzero(los)
-    h[idx_los] = sample_nakagami_power(cfg.m_los, rng, idx_los.size)
-    idx_nlos = np.flatnonzero(~los)
-    h[idx_nlos] = sample_nakagami_power(cfg.m_nlos, rng, idx_nlos.size)
-    return h
 
 
 def _interference(cfg, chunk):
@@ -267,36 +261,21 @@ def _trial_chunks(draw, master_seed, start, stop):
         yield chunk
 
 
-def _checked_seed(master_seed, n, name):
-    """The master seed as an int; refuses a negative seed and a trial count
-    outside [1, MAX_TRIALS) before any work starts."""
-    if not 1 <= n < MAX_TRIALS:
-        raise ValueError(f"{name} must be in [1, 2**32), got {n}")
-    seed = operator.index(master_seed)
-    if seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {seed}")
-    return seed
-
-
 # --- batched, seed-deterministic runs ------------------------------------
 
-def _run_sinr_range(mode, config, start, stop, master_seed):
-    mode = _normalize_mode(mode)
-    cfg = validate(config)
+def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
                    * cfg.ref_distance ** (-cfg.alpha_los))
-    r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
-    # LOSBALL replaces everything outside the ball by its mean power.
-    sigma2 = cfg.noise_power
-    if mode == LOSBALL:
-        sigma2 += nlos_mean_power(cfg, r_los)
 
     # a trial is (r, phi, u, h, los, h0); see _interference
     if mode == FULL:
         def draw(rng):
             r, phi, los = sample_full_field(cfg, rng)
             u = rng.random(r.size)
-            h = _fading(cfg, los, rng)
+            h = np.empty(r.size)
+            for links, m in ((los, cfg.m_los), (~los, cfg.m_nlos)):
+                idx = np.flatnonzero(links)
+                h[idx] = sample_nakagami_power(m, rng, idx.size)
             return r, phi, u, h, los, sample_nakagami_power(cfg.m_los, rng)
     else:
         def draw(rng):
@@ -318,8 +297,7 @@ def _run_sinr_range(mode, config, start, stop, master_seed):
     return out
 
 
-def _run_los_count_range(config, start, stop, master_seed):
-    cfg = validate(config)
+def _run_los_count_range(cfg, master_seed, start, stop):
     out = np.empty(stop - start, dtype=np.int64)
     for k, rng in _substreams(master_seed, start, stop):
         _, _, los = sample_full_field(cfg, rng)
@@ -327,34 +305,51 @@ def _run_los_count_range(config, start, stop, master_seed):
     return out
 
 
-def _split_ranges(n_trials, workers):
+def _map_trials(run_range, n_trials, master_seed, workers, *args):
+    """run_range(*args, master_seed, start, stop) over the trials
+    [0, n_trials), one contiguous range per worker (0 = one per CPU), with
+    the parts concatenated in trial order.
+
+    Refuses a non-integral count or seed (TypeError), a count outside
+    [1, MAX_TRIALS) and a negative seed (ValueError) before anything is
+    allocated or a worker starts.
+    """
+    n_trials = operator.index(n_trials)
+    if not 1 <= n_trials < MAX_TRIALS:
+        raise ValueError(f"trial count must be in [1, 2**32), got {n_trials}")
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     if workers == 0:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, n_trials))
-    bounds = np.linspace(0, n_trials, workers + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _map_ranges(fn, args_list, workers):
-    if len(args_list) == 1 or workers == 1:
-        return [fn(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=len(args_list)) as pool:
-        return list(pool.map(fn, *zip(*args_list)))
+    run = functools.partial(run_range, *args, master_seed)
+    if workers == 1:
+        return run(0, n_trials)
+    bounds = np.linspace(0, n_trials, workers + 1).astype(int).tolist()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])))
 
 
 def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     """Per-trial (sinr, interference) array, shape (n_trials, 2).
 
     Trial k is fully determined by (mode, config, master_seed, k), so any
-    worker split returns the identical array.  A negative master_seed, or
-    n_trials outside [1, 2**32), raises ValueError before any work starts.
+    worker split returns the identical array.  Every refusal is raised here,
+    before any worker starts: ValueError for an unknown mode, a negative
+    master_seed or n_trials outside [1, 2**32); TypeError for a non-integral
+    n_trials or seed; ConfigError for an invalid config, and DensityTooHigh
+    in LOSBALL when the mean power outside the LOS ball is not finite.
     """
-    master_seed = _checked_seed(master_seed, n_trials, "n_trials")
-    ranges = _split_ranges(n_trials, workers)
-    parts = _map_ranges(_run_sinr_range,
-                        [(mode, config, a, b, master_seed) for a, b in ranges],
-                        workers)
-    return np.concatenate(parts, axis=0)
+    mode = _normalize_mode(mode)
+    cfg = validate(config)
+    r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
+    # LOSBALL replaces everything outside the ball by its mean power.
+    sigma2 = cfg.noise_power
+    if mode == LOSBALL:
+        sigma2 += nlos_mean_power(cfg, r_los)
+    return _map_trials(_run_sinr_range, n_trials, master_seed, workers,
+                       mode, cfg, r_los, sigma2)
 
 
 def empirical_ccdf(samples, thresholds):
@@ -411,30 +406,8 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
 
     Pure geometry: interferers on the network disk, blockages on the
     enlarged disk, exact classification; no marks or fading involved.
+    An invalid config, count or seed is refused before any worker starts.
     """
-    master_seed = _checked_seed(master_seed, n_deployments, "n_deployments")
-    ranges = _split_ranges(n_deployments, workers)
-    parts = _map_ranges(_run_los_count_range,
-                        [(config, a, b, master_seed) for a, b in ranges],
-                        workers)
-    return _mean_and_se(np.concatenate(parts).astype(float))
-
-
-def sample_annulus_interference_mean(config, r_los, n_deployments, master_seed):
-    """Mean aggregate power from interferers on the annulus [r_los, r_net],
-    all treated as blocked (path-loss exponent alpha_nlos, fading m_nlos),
-    with activity and antenna marks sampled; returns (mean, se).
-
-    This samples the defining expectation whose closed form is
-    nlos_mean_power; the two must agree within Monte Carlo error.
-    """
-    master_seed = _checked_seed(master_seed, n_deployments, "n_deployments")
-    cfg = validate(config)
-
-    def draw(rng):
-        r, phi = sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
-        los = np.zeros(r.size, dtype=bool)
-        return r, phi, rng.random(r.size), _fading(cfg, los, rng), los
-
-    chunks = _trial_chunks(draw, master_seed, 0, n_deployments)
-    return _mean_and_se(np.concatenate([_interference(cfg, c) for c in chunks]))
+    counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
+                         workers, validate(config))
+    return _mean_and_se(counts.astype(float))

@@ -7,11 +7,15 @@ every blockage center, with no angular pruning and no distance bands;
 t_factor: the per-interferer Laplace factor whose radial average over the
 LOS ball `analytic.laplace_term` evaluates as one batched integral.
 
-substream / sinr_samples / annulus_interference: trial k's generator built
-by numpy's own constructors, and plain trial-by-trial Monte Carlo loops on
-it, with separate link and reference fading draws; the engine in `mcsim`,
-which sets the substream states in bulk and sums a chunk of trials at
-once, must give the same bytes.
+substream / sinr_samples: trial k's generator built by numpy's own
+constructors, and a plain trial-by-trial Monte Carlo loop on it, with
+separate link and reference fading draws; the engine in `mcsim`, which sets
+the substream states in bulk and sums a chunk of trials at once, must give
+the same bytes.
+
+annulus_interference: the sampled side of the weak-interference gate, the
+per-deployment power of the blocked interferers on [r_los, r_net], whose
+mean `analytic.nlos_mean_power` gives in closed form.
 """
 
 import math
@@ -20,6 +24,7 @@ import numpy as np
 
 from wearnet import mcsim
 from wearnet.analytic import nlos_mean_power
+from wearnet.geometry import sample_ppp_annulus
 from wearnet.losball import los_ball_radius
 from wearnet.model import validate
 
@@ -124,11 +129,13 @@ def sinr_samples(mode, config, start, stop, master_seed):
 
 def annulus_interference(config, r_los, n_deployments, master_seed):
     """Per-deployment interference from the annulus [r_los, r_net], every
-    link blocked, one deployment at a time."""
+    link blocked (path-loss exponent alpha_nlos, fading m_nlos), with the
+    activity and antenna marks sampled; deployment k draws the annulus PPP,
+    the activity uniforms and the fading from substream(master_seed, k)."""
     cfg = validate(config)
     totals = np.empty(n_deployments)
     for k in range(n_deployments):
         rng = substream(master_seed, k)
-        r, phi = mcsim.sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
+        r, phi = sample_ppp_annulus(cfg.density, r_los, cfg.net_radius, rng)
         totals[k] = _interference(cfg, r, phi, np.zeros(r.size, dtype=bool), rng)
     return totals

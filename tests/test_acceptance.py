@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from conftest import figure_config
-from oracles import segment_dist_sq
+from oracles import annulus_interference, segment_dist_sq
 from wearnet import analytic, experiments, geometry, losball, mcsim, model
 
 
@@ -113,8 +113,7 @@ def test_05_weak_interference_power_matches_sampling():
     r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
                                     cfg.net_radius)
     closed = analytic.nlos_mean_power(cfg, r_los)
-    mc, se = mcsim.sample_annulus_interference_mean(cfg, r_los, 100_000,
-                                                    master_seed=103)
+    mc, se = mcsim._mean_and_se(annulus_interference(cfg, r_los, 100_000, 103))
     elapsed = time.perf_counter() - start
     z = abs(mc - closed) / se
     assert z < 3.0, (mc, closed, se)
@@ -175,7 +174,8 @@ def test_08_ergodic_se_rises_with_nakagami_order(tmp_path):
         out_dir=str(tmp_path), seed=106, trials=10_000, tolerance=2.0)
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS"
-    assert result["nondecreasing"] and result["mc_trend"] and result["upper_bound"]
+    assert (result["analytic_nondecreasing"] and result["mc_trend"]
+            and result["upper_bound"])
     rows = [ln.split(",") for ln in
             open(tmp_path / "nakagami_sweep.csv").read().splitlines()[2:]]
     gaps = [float(a) - float(mc) for _, a, mc, _ in rows]

@@ -249,10 +249,12 @@ def test_vanishing_density_gives_the_empty_network(tmp_path, capsys):
 
 def test_overwhelming_density_exit_code(tmp_path, capsys):
     # lambda = 1e6 shrinks the LOS ball to 0, where the mean NLOS power
-    # diverges: a named ConfigError, not a ZeroDivisionError
+    # diverges: a named ConfigError, not a ZeroDivisionError, and the same
+    # one from a run split across workers
     cfg = _write_config(tmp_path, **{"lambda": "1e6"})
     out = tmp_path / "out"
-    for args in (["coverage"], ["simulate", "--mode", "losball", "--trials", "50"]):
+    simulate = ["simulate", "--mode", "losball", "--trials", "50"]
+    for args in (["coverage"], simulate, ["--threads", "2"] + simulate):
         rc = cli.main(["--config", cfg, "--out-dir", str(out)] + args)
         assert rc == 2
         err = capsys.readouterr().err

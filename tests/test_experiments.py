@@ -146,7 +146,8 @@ def test_nakagami_sweep(tmp_path):
     plan = _plan(tmp_path, kind="nakagami_sweep", grid=(1, 2), trials=2000)
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS"
-    assert result["nondecreasing"] and result["mc_trend"] and result["upper_bound"]
+    assert (result["analytic_nondecreasing"] and result["mc_trend"]
+            and result["upper_bound"])
     lines = open(os.path.join(str(tmp_path), "nakagami_sweep.csv")).read().splitlines()
     assert lines[1] == "m,se_analytic,se_mc,stderr"
     assert lines[2].startswith("1,")

@@ -5,9 +5,10 @@ also fail when a change moves any value in the artifact, e.g. a different
 LOS classification, per-trial draw order or summation order.  They were
 recorded before the nearest-first banded `classify_los` sweep, which
 leaves every mask, and so every byte, unchanged.  Two Monte Carlo paths
-that no CSV reaches are pinned the same way: the annulus interference
-sampler and the interference column of `simulate_sinr_samples`, both
-recorded before the per-trial sampler was folded into one trial loop.
+that no CSV reaches are pinned the same way: the mean annulus interference
+of the weak-interference gate (now sampled by `oracles.annulus_interference`)
+and the interference column of `simulate_sinr_samples`, both recorded
+before the per-trial sampler was folded into one trial loop.
 The values hold for one numpy build and platform math library; a
 toolchain whose trig or pow results differ in the last bit moves them too.
 """
@@ -17,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from conftest import BASE_KEYS, figure_config
 from wearnet import cli, experiments, losball, mcsim
 
@@ -67,7 +69,7 @@ def test_annulus_interference_mean_frozen():
     cfg = figure_config("fig6")
     r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
                                     cfg.net_radius)
-    got = mcsim.sample_annulus_interference_mean(cfg, r_los, 200, 105)
+    got = mcsim._mean_and_se(oracles.annulus_interference(cfg, r_los, 200, 105))
     assert got == (12.191313554695668, 0.23088231304081908)
 
 

@@ -100,11 +100,3 @@ def test_radius_limit_consistency():
     for lam in (1.0, 3.0):
         r_big = losball.los_ball_radius(lam, 0.3, 1000.0)
         assert abs(r_big - losball.los_ball_radius_limit(lam, 0.3)) <= 1e-6 * limit
-
-
-def test_summary_bundle():
-    s = losball.los_ball_summary(3.0, 0.3, 10.0)
-    assert (s.density, s.blockage_diameter, s.net_radius) == (3.0, 0.3, 10.0)
-    assert s.mean_los_count == losball.mean_los_interferers(3.0, 0.3, 10.0)
-    assert s.r_los == losball.los_ball_radius(3.0, 0.3, 10.0)
-    assert s.r_los_limit == losball.los_ball_radius_limit(3.0, 0.3)

@@ -1,5 +1,6 @@
 """Monte Carlo SINR engine: fading law, trial laws, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import integrate, special
 import oracles
 from conftest import figure_config, make_config
 from wearnet import analytic, losball, mcsim
+from wearnet.model import ConfigError
 
 
 def test_nakagami_fading_moments():
@@ -163,28 +165,43 @@ def test_mode_names_validated():
         mcsim.simulate_sinr_samples(mcsim.FULL, cfg, 0, master_seed=0)
 
 
-def test_seed_and_trial_count_refused_before_work():
-    # a negative seed has no 32-bit words (its split would never end), and
-    # k >= 2**32 would wrap in the one-word trial index and reuse streams;
-    # both are refused before anything is allocated or a worker starts
+def test_seed_and_trial_count_refused_before_work(monkeypatch):
+    # every refusal is raised in the calling process before a pool exists:
+    # a negative seed has no 32-bit words (its split would never end),
+    # k >= 2**32 would wrap in the one-word trial index and reuse streams,
+    # and a ConfigError raised in a worker cannot be sent back
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            pytest.fail("a process pool started before the refusal")
+
+    monkeypatch.setattr(mcsim, "ProcessPoolExecutor", NoPool)
     cfg = make_config()
-    r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
-                                    cfg.net_radius)
-    runs = {
-        "simulate_sinr_samples": lambda n, seed: mcsim.simulate_sinr_samples(
-            mcsim.LOSBALL, cfg, n, seed, workers=2),
-        "estimate_mean_los_count": lambda n, seed: mcsim.estimate_mean_los_count(
-            cfg, n, seed, workers=2),
-        "sample_annulus_interference_mean":
-            lambda n, seed: mcsim.sample_annulus_interference_mean(cfg, r_los, n, seed),
-    }
-    for name, run in runs.items():
+
+    def sinr(n, seed, mode=mcsim.LOSBALL, config=cfg):
+        return mcsim.simulate_sinr_samples(mode, config, n, seed, workers=2)
+
+    def count(n, seed, config=cfg):
+        return mcsim.estimate_mean_los_count(config, n, seed, workers=2)
+
+    for run in (sinr, count):
         for n, seed in ((5, -1), (2 ** 32, 0), (2 ** 40, 0), (0, 0)):
             with pytest.raises(ValueError):
                 run(n, seed)
-        with pytest.raises(TypeError):
-            run(5, 1.5)
-        assert np.all(np.isfinite(run(3, np.uint64(2 ** 64 - 1)))), name
+        for n, seed in ((5, 1.5), (2.5, 0)):
+            with pytest.raises(TypeError):
+                run(n, seed)
+        with pytest.raises(ConfigError) as err:
+            run(5, 0, config=dataclasses.replace(cfg, density=-1.0))
+        assert err.value.violation == "DensityNegative"
+    with pytest.raises(ValueError):
+        sinr(5, 0, mode="bogus")
+    with pytest.raises(ConfigError) as err:
+        sinr(5, 0, config=make_config(**{"lambda": 1e6}))
+    assert err.value.violation == "DensityTooHigh"
+
+    monkeypatch.undo()
+    for run in (sinr, count):
+        assert np.all(np.isfinite(run(3, np.uint64(2 ** 64 - 1))))
 
 
 def test_substreams_match_numpy_constructors():
@@ -233,18 +250,6 @@ def test_link_budget_flush_matches_trial_loop(monkeypatch, density):
                           oracles.sinr_samples(mcsim.FULL, cfg, 0, n, 45))
     assert sum(sizes) == n and max(sizes) < mcsim._CHUNK
     assert (max(sizes) > 1) == (density < 1.0)
-
-
-@pytest.mark.parametrize("links", [8192, 5])
-def test_annulus_sampler_matches_trial_loop(monkeypatch, links):
-    monkeypatch.setattr(mcsim, "_LINKS", links)
-    cfg = make_config()
-    r_los = losball.los_ball_radius(cfg.density, cfg.blockage_diameter,
-                                    cfg.net_radius)
-    n = 2 * mcsim._CHUNK + 3
-    totals = oracles.annulus_interference(cfg, r_los, n, 47)
-    assert mcsim.sample_annulus_interference_mean(cfg, r_los, n, 47) == (
-        mcsim._mean_and_se(totals))
 
 
 @pytest.mark.parametrize("links", [8192, 1])
