@@ -177,10 +177,13 @@ def coverage_ccdf(beta, params):
     * laplace_term(ell, bt).  The alternating terms are accumulated with
     exact compensated summation and the result clamped to [0, 1] (roundoff
     can push it out by a few ulps).  Vectorized over beta of any shape;
-    one laplace_term call covers every (ell, beta) pair.
+    one laplace_term call covers every (ell, beta) pair.  A negative or NaN
+    beta is a ValueError before any integral runs; beta = +inf gives 0.
     """
     cfg = params.config
     beta_arr = np.asarray(beta, dtype=float)
+    if not np.all(beta_arr >= 0.0):
+        raise ValueError("SINR thresholds must be >= 0 and not NaN")
     bts = np.ravel(beta_tilde(beta_arr, params))
     m = cfg.m_los
     ell = np.arange(1, m + 1, dtype=float)[:, None]
@@ -195,8 +198,8 @@ def coverage_ccdf(beta, params):
 def spectral_efficiency_ccdf(t, params):
     """P(log2(1 + SINR) > t) = coverage_ccdf(2^t - 1).  t in bits/s/Hz."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("spectral efficiency thresholds must be >= 0")
+    if not np.all(t_arr >= 0.0):
+        raise ValueError("spectral efficiency thresholds must be >= 0 and not NaN")
     return coverage_ccdf(np.exp2(t_arr) - 1.0, params)
 
 

@@ -153,9 +153,7 @@ def cmd_losball(args):
     plan = experiments.ExperimentPlan(
         kind="losball_sweep", config=cfg, grid=tuple(parse_grid(args.rnet_grid)),
         out_dir=args.out_dir, seed=args.seed, density_family=family)
-    result = experiments.run_plan(plan)
-    print("\n".join(result["files"]))
-    return 0
+    return experiments.run_plan(plan)["files"]
 
 
 def cmd_coverage(args):
@@ -163,11 +161,9 @@ def cmd_coverage(args):
     beta_db = parse_grid(args.beta_grid_db)
     params = analytic.coverage_params(cfg)
     ccdf = np.asarray(analytic.coverage_ccdf(db_to_linear(beta_db), params))
-    path = experiments.write_csv(_out_path(args, "coverage.csv"),
-                                 ("beta_dB", "ccdf_analytic"),
-                                 list(zip(beta_db, ccdf)), cfg, args.seed)
-    print(path)
-    return 0
+    return [experiments.write_csv(_out_path(args, "coverage.csv"),
+                                  ("beta_dB", "ccdf_analytic"),
+                                  list(zip(beta_db, ccdf)), cfg, args.seed)]
 
 
 def cmd_simulate(args):
@@ -175,12 +171,10 @@ def cmd_simulate(args):
     beta_db = parse_grid(args.beta_grid_db)
     dist = mcsim.simulate_ccdf(args.mode, cfg, args.trials,
                                db_to_linear(beta_db), args.seed, args.threads)
-    path = experiments.write_csv(_out_path(args, f"simulate_{args.mode}.csv"),
-                                 ("beta_dB", "ccdf", "stderr"),
-                                 list(zip(beta_db, dist.ccdf, dist.stderr)),
-                                 cfg, args.seed)
-    print(path)
-    return 0
+    return [experiments.write_csv(_out_path(args, f"simulate_{args.mode}.csv"),
+                                  ("beta_dB", "ccdf", "stderr"),
+                                  list(zip(beta_db, dist.ccdf, dist.stderr)),
+                                  cfg, args.seed)]
 
 
 def cmd_se_cdf(args):
@@ -188,12 +182,10 @@ def cmd_se_cdf(args):
     t_grid = parse_grid(args.t_grid)
     dist = mcsim.simulate_se_ccdf(args.mode, cfg, args.trials, t_grid,
                                   args.seed, args.threads)
-    path = experiments.write_csv(_out_path(args, f"se_cdf_{args.mode}.csv"),
-                                 ("eta_bps_hz", "cdf", "stderr"),
-                                 list(zip(t_grid, dist.cdf, dist.stderr)),
-                                 cfg, args.seed)
-    print(path)
-    return 0
+    return [experiments.write_csv(_out_path(args, f"se_cdf_{args.mode}.csv"),
+                                  ("eta_bps_hz", "cdf", "stderr"),
+                                  list(zip(t_grid, dist.cdf, dist.stderr)),
+                                  cfg, args.seed)]
 
 
 def cmd_compare(args):
@@ -209,16 +201,12 @@ def cmd_compare(args):
         kind=kind, config=cfg, grid=tuple(grid), out_dir=args.out_dir,
         seed=args.seed, trials=args.trials, tolerance=args.tolerance,
         workers=args.threads)
-    result = experiments.run_plan(plan)
-    print("\n".join(result["files"]))
-    return 0
+    return experiments.run_plan(plan)["files"]
 
 
 def cmd_figure_config(args):
-    path = experiments.emit_figure_config(
-        args.figure, _out_path(args, f"{args.figure}.cfg"))
-    print(path)
-    return 0
+    return [experiments.emit_figure_config(
+        args.figure, _out_path(args, f"{args.figure}.cfg"))]
 
 
 _COMMANDS = {
@@ -240,12 +228,15 @@ def main(argv=None):
             raise ConfigError("SeedInvalid", f"seed must be >= 0, got {args.seed}")
         if args.threads is None:
             args.threads = _env_int("THREADS", 1)
-        return _COMMANDS[args.command](args)
+        if args.threads < 0:
+            raise ConfigError("WorkersInvalid",
+                              f"threads must be >= 0, got {args.threads}")
+        print("\n".join(_COMMANDS[args.command](args)))
+        return 0
     except experiments.ToleranceExceeded as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, experiments.IoError, experiments.UnknownFigure,
-            ValueError) as exc:
+    except (ValueError, experiments.IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

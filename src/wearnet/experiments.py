@@ -33,16 +33,19 @@ class IoError(Exception):
 
 
 class ToleranceExceeded(Exception):
-    """A comparison missed its tolerance; carries (measure, tolerance)."""
+    """A comparison missed its tolerance; carries (measure, tolerance).
+
+    Every constructor argument stays in ``args``, so the error pickles;
+    ``str`` is the message alone.
+    """
 
     def __init__(self, message, measure, tolerance):
-        super().__init__(message)
+        super().__init__(message, measure, tolerance)
         self.measure = measure
         self.tolerance = tolerance
 
-
-class UnknownFigure(ValueError):
-    """figure_id outside the known set."""
+    def __str__(self):
+        return self.args[0]
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class ExperimentPlan:
     tolerance       comparison gate: sup-norm bound for coverage_compare /
                     se_compare, standard-error multiple for the others
     density_family  extra density values (losball_sweep rows per density)
-    workers         worker processes for trial-parallel simulation
+    workers         worker processes for trial-parallel simulation, 0 = one
+                    per CPU
     """
 
     kind: str
@@ -94,6 +98,9 @@ def validate_plan(plan):
                           f"trials must be in [1, 2**32), got {plan.trials}")
     if plan.seed < 0:
         raise ConfigError("SeedInvalid", f"seed must be >= 0, got {plan.seed}")
+    if not (isinstance(plan.workers, (int, np.integer)) and plan.workers >= 0):
+        raise ConfigError("WorkersInvalid", f"workers must be an integer >= 0, "
+                          f"got {plan.workers!r}")
     validate(plan.config)
     return plan
 
@@ -318,8 +325,8 @@ _FIGURE_COMMON = {
 def figure_config_text(figure_id):
     """Canonical key = value text for one figure-style setup."""
     if figure_id not in FIGURE_IDS:
-        raise UnknownFigure(f"figure_id must be one of {FIGURE_IDS}, "
-                            f"got {figure_id!r}")
+        raise ConfigError("UnknownFigure", f"figure_id must be one of "
+                          f"{FIGURE_IDS}, got {figure_id!r}")
     values = dict(_FIGURE_COMMON)
     values.update(_FIGURE_VALUES[figure_id])
     lines = [_FIGURE_NOTES[figure_id]]

@@ -32,9 +32,9 @@ every value is the one a trial-by-trial loop gives.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh), a
-negative seed and a trial count outside [1, 2**32) are raised in the
-calling process, so a run split across workers fails exactly as a serial
-run does.  The trial ranges themselves raise nothing.
+negative seed or worker count and a trial count outside [1, 2**32) are
+raised in the calling process, so a run split across workers fails
+exactly as a serial run does.  The trial ranges themselves raise nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,13 +79,6 @@ def sample_nakagami_power(m, rng, size=None):
     if m < 1:
         raise ValueError(f"Nakagami shape must be >= 1, got {m}")
     return rng.gamma(m, 1.0 / m, size)
-
-
-def _normalize_mode(mode):
-    mode = str(mode).lower()
-    if mode not in (FULL, LOSBALL):
-        raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
-    return mode
 
 
 def sample_full_field(cfg, rng):
@@ -310,9 +303,9 @@ def _map_trials(run_range, n_trials, master_seed, workers, *args):
     [0, n_trials), one contiguous range per worker (0 = one per CPU), with
     the parts concatenated in trial order.
 
-    Refuses a non-integral count or seed (TypeError), a count outside
-    [1, MAX_TRIALS) and a negative seed (ValueError) before anything is
-    allocated or a worker starts.
+    Refuses a non-integral count, seed or worker count (TypeError), a count
+    outside [1, MAX_TRIALS), a negative seed and a negative worker count
+    (ValueError) before anything is allocated or a worker starts.
     """
     n_trials = operator.index(n_trials)
     if not 1 <= n_trials < MAX_TRIALS:
@@ -320,6 +313,9 @@ def _map_trials(run_range, n_trials, master_seed, workers, *args):
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    workers = operator.index(workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, n_trials))
@@ -337,11 +333,13 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     Trial k is fully determined by (mode, config, master_seed, k), so any
     worker split returns the identical array.  Every refusal is raised here,
     before any worker starts: ValueError for an unknown mode, a negative
-    master_seed or n_trials outside [1, 2**32); TypeError for a non-integral
-    n_trials or seed; ConfigError for an invalid config, and DensityTooHigh
-    in LOSBALL when the mean power outside the LOS ball is not finite.
+    master_seed or workers, or n_trials outside [1, 2**32); TypeError for a
+    non-integral n_trials, seed or workers; ConfigError for an invalid
+    config, and DensityTooHigh in LOSBALL when the mean power outside the
+    LOS ball is not finite.
     """
-    mode = _normalize_mode(mode)
+    if mode not in (FULL, LOSBALL):
+        raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
     cfg = validate(config)
     r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
     # LOSBALL replaces everything outside the ball by its mean power.
@@ -380,10 +378,10 @@ def simulate_se_ccdf(mode, config, n_trials, t_grid, master_seed, workers=1):
     estimate shares every sample with simulate_ccdf.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
-    dist = empirical_ccdf(samples[:, 0], np.exp2(t_grid) - 1.0)
-    return EmpiricalDistribution(thresholds=t_grid, ccdf=dist.ccdf,
-                                 n_trials=dist.n_trials, stderr=dist.stderr)
+    return replace(
+        simulate_ccdf(mode, config, n_trials, np.exp2(t_grid) - 1.0,
+                      master_seed, workers),
+        thresholds=t_grid)
 
 
 def _mean_and_se(values):

@@ -22,11 +22,15 @@ class ConfigError(ValueError):
 
     ``violation`` is a stable machine-readable name (e.g. ``AlphaNlosTooSmall``),
     one per failed invariant, so callers can match on it without parsing text.
+    Both constructor arguments stay in ``args``, so the error pickles.
     """
 
     def __init__(self, violation, message):
-        super().__init__(f"{violation}: {message}")
+        super().__init__(violation, message)
         self.violation = violation
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 def db_to_linear(x_db):

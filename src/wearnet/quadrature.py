@@ -26,14 +26,18 @@ class QuadratureNotConverged(ArithmeticError):
     """The panel budget ran out before the error estimate met tolerance.
 
     ``index`` is the position of the failing integrand in its batch (0 for
-    a single integral).
+    a single integral).  Every constructor argument stays in ``args``, so
+    the error pickles; ``str`` is the message alone.
     """
 
     def __init__(self, message, value, error_estimate, index=0):
-        super().__init__(message)
+        super().__init__(message, value, error_estimate, index)
         self.value = value
         self.error_estimate = error_estimate
         self.index = index
+
+    def __str__(self):
+        return self.args[0]
 
 
 # The 20-point rule on every panel, and the panel budget per integrand.

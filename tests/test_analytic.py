@@ -245,6 +245,28 @@ def test_se_ccdf_mapping():
         analytic.spectral_efficiency_ccdf(-0.1, p)
 
 
+def test_bad_thresholds_refused_before_quadrature(monkeypatch):
+    # a NaN or negative threshold is bad input, not a numerical failure:
+    # the quadrature would spend its whole panel budget on it and then
+    # raise QuadratureNotConverged
+    p = _params(m=3, p_t=0.8)
+
+    def no_quadrature(*args, **kwargs):
+        pytest.fail("a radial integral ran before the refusal")
+
+    monkeypatch.setattr(analytic, "integrate_batch", no_quadrature)
+    for beta in (math.nan, -1.0, -math.inf, np.array([1.0, math.nan]),
+                 np.array([[0.5], [-1e-300]])):
+        with pytest.raises(ValueError):
+            analytic.coverage_ccdf(beta, p)
+    for t in (math.nan, np.array([0.5, math.nan]), -0.1):
+        with pytest.raises(ValueError):
+            analytic.spectral_efficiency_ccdf(t, p)
+    monkeypatch.undo()
+    assert analytic.coverage_ccdf(math.inf, p) == 0.0
+    assert analytic.spectral_efficiency_ccdf(math.inf, p) == 0.0
+
+
 def test_ergodic_se_noise_only_closed_form():
     # lambda = 0, m = 1: E[log2(1 + c h)] = exp(1/c) E1(1/c) / ln 2, h ~ Exp(1)
     p = _params(**{"lambda": 0.0, "m": 1})

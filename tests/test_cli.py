@@ -182,6 +182,35 @@ def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, args):
         assert not out.exists()
 
 
+def test_negative_threads_exit_code(tmp_path, monkeypatch, capsys):
+    # refused by name before any work, from the flag or the environment
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    args = ["simulate", "--mode", "losball", "--trials", "50"]
+    for threads_args in (["--threads", "-2"], []):
+        if not threads_args:
+            monkeypatch.setenv("WEARNET_THREADS", "-1")
+        rc = cli.main(["--config", cfg, "--out-dir", str(out)] + threads_args + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: WorkersInvalid") and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    # an --out-dir that is a regular file cannot hold the artifacts
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    rc = cli.main(["--config", cfg, "--out-dir", str(out), "coverage",
+                   "--beta-grid-dB", "0:10:5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert out.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("grid", ["2.5", "0,1"])
 def test_compare_rejects_non_integer_m_grid(tmp_path, capsys, grid):
     cfg = _write_config(tmp_path)

@@ -38,6 +38,10 @@ def test_plan_validation(tmp_path):
     with pytest.raises(model.ConfigError) as err:
         experiments.validate_plan(_plan(tmp_path, seed=-1))
     assert err.value.violation == "SeedInvalid"
+    for workers in (-1, 1.5, "2"):
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, workers=workers))
+        assert err.value.violation == "WorkersInvalid"
     for kind in experiments.KINDS:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(model.ConfigError) as err:
@@ -185,5 +189,6 @@ def test_figure_configs(tmp_path):
     assert "p_t = 0.8" in fig7 and "lambda = 3" in fig7 and "m = 3" in fig7
     fig8 = experiments.figure_config_text("fig8")
     assert "lambda = 2" in fig8 and "p_t = 1" in fig8
-    with pytest.raises(experiments.UnknownFigure):
+    with pytest.raises(model.ConfigError) as err:
         experiments.figure_config_text("fig1")
+    assert err.value.violation == "UnknownFigure"

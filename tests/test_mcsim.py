@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy import integrate, special
 
 import oracles
 from conftest import figure_config, make_config
-from wearnet import analytic, losball, mcsim
+from wearnet import analytic, experiments, losball, mcsim
 from wearnet.model import ConfigError
+from wearnet.quadrature import QuadratureNotConverged
 
 
 def test_nakagami_fading_moments():
@@ -177,11 +179,11 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
     monkeypatch.setattr(mcsim, "ProcessPoolExecutor", NoPool)
     cfg = make_config()
 
-    def sinr(n, seed, mode=mcsim.LOSBALL, config=cfg):
-        return mcsim.simulate_sinr_samples(mode, config, n, seed, workers=2)
+    def sinr(n, seed, mode=mcsim.LOSBALL, config=cfg, workers=2):
+        return mcsim.simulate_sinr_samples(mode, config, n, seed, workers)
 
-    def count(n, seed, config=cfg):
-        return mcsim.estimate_mean_los_count(config, n, seed, workers=2)
+    def count(n, seed, config=cfg, workers=2):
+        return mcsim.estimate_mean_los_count(config, n, seed, workers)
 
     for run in (sinr, count):
         for n, seed in ((5, -1), (2 ** 32, 0), (2 ** 40, 0), (0, 0)):
@@ -190,6 +192,13 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         for n, seed in ((5, 1.5), (2.5, 0)):
             with pytest.raises(TypeError):
                 run(n, seed)
+        # 0 means one worker per CPU; a negative count means nothing
+        for workers in (-1, -3):
+            with pytest.raises(ValueError):
+                run(5, 0, workers=workers)
+        for workers in (1.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                run(5, 0, workers=workers)
         with pytest.raises(ConfigError) as err:
             run(5, 0, config=dataclasses.replace(cfg, density=-1.0))
         assert err.value.violation == "DensityNegative"
@@ -202,6 +211,24 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
     monkeypatch.undo()
     for run in (sinr, count):
         assert np.all(np.isfinite(run(3, np.uint64(2 ** 64 - 1))))
+
+
+@pytest.mark.parametrize("error, text, attrs", [
+    (ConfigError("DensityTooHigh", "the mean NLOS power diverges"),
+     "DensityTooHigh: the mean NLOS power diverges", ("violation",)),
+    (QuadratureNotConverged("no convergence after 4097 panels", 0.5, 1e-3, 7),
+     "no convergence after 4097 panels", ("value", "error_estimate", "index")),
+    (experiments.ToleranceExceeded("sup-norm 0.07 vs tolerance 0.05", 0.07, 0.05),
+     "sup-norm 0.07 vs tolerance 0.05", ("measure", "tolerance")),
+], ids=["ConfigError", "QuadratureNotConverged", "ToleranceExceeded"])
+def test_errors_survive_pickling(error, text, attrs):
+    # an error raised in a pool worker reaches the caller by pickle; one
+    # that cannot be rebuilt there turns into a BrokenProcessPool.  The
+    # text is what the command line prints after "error: "
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(error) == str(back) == text
+    assert all(getattr(back, a) == getattr(error, a) for a in attrs)
 
 
 def test_substreams_match_numpy_constructors():
