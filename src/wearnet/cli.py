@@ -85,6 +85,15 @@ def _env_int(name, fallback):
                           f"WEARNET_{name} must be an integer, got {text!r}") from None
 
 
+# compare --kind: (plan kind, the one grid argument that kind reads)
+_COMPARE_KINDS = {
+    "coverage": ("coverage_compare", "beta_grid_db"),
+    "se": ("se_compare", "t_grid"),
+    "mean-count": ("mean_count_sweep", "lambda_grid"),
+    "nakagami": ("nakagami_sweep", "m_grid"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wearnet",
@@ -125,8 +134,7 @@ def build_parser():
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="analytic-vs-simulation comparison")
-    p.add_argument("--kind", choices=("coverage", "se", "mean-count", "nakagami"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(_COMPARE_KINDS), required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tolerance", type=float, default=None,
                    help="gate: sup-norm (coverage/se) or stderr multiple")
@@ -148,8 +156,7 @@ def _out_path(args, default_name):
 
 def cmd_losball(args):
     cfg = load_config_with_env(args.config)
-    family = (tuple(parse_grid(args.lambda_family))
-              if args.lambda_family else (cfg.density,))
+    family = tuple(parse_grid(args.lambda_family)) if args.lambda_family else ()
     plan = experiments.ExperimentPlan(
         kind="losball_sweep", config=cfg, grid=tuple(parse_grid(args.rnet_grid)),
         out_dir=args.out_dir, seed=args.seed, density_family=family)
@@ -190,17 +197,11 @@ def cmd_se_cdf(args):
 
 def cmd_compare(args):
     cfg = load_config_with_env(args.config)
-    kind_map = {
-        "coverage": ("coverage_compare", parse_grid(args.beta_grid_db)),
-        "se": ("se_compare", parse_grid(args.t_grid)),
-        "mean-count": ("mean_count_sweep", parse_grid(args.lambda_grid)),
-        "nakagami": ("nakagami_sweep", parse_grid(args.m_grid)),
-    }
-    kind, grid = kind_map[args.kind]
+    kind, grid_arg = _COMPARE_KINDS[args.kind]
     plan = experiments.ExperimentPlan(
-        kind=kind, config=cfg, grid=tuple(grid), out_dir=args.out_dir,
-        seed=args.seed, trials=args.trials, tolerance=args.tolerance,
-        workers=args.threads)
+        kind=kind, config=cfg, grid=tuple(parse_grid(getattr(args, grid_arg))),
+        out_dir=args.out_dir, seed=args.seed, trials=args.trials,
+        tolerance=args.tolerance, workers=args.threads)
     return experiments.run_plan(plan)["files"]
 
 

@@ -21,11 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, losball, mcsim
-from .model import (CONFIG_KEYS, ConfigError, config_hash, db_to_linear,
-                    validate, with_overrides)
-
-KINDS = ("losball_sweep", "mean_count_sweep", "coverage_compare",
-         "se_compare", "nakagami_sweep")
+from .model import (CONFIG_KEYS, REQUIRED_PLACEHOLDER, ConfigError,
+                    config_hash, db_to_linear, validate, with_overrides)
 
 
 class IoError(Exception):
@@ -64,7 +61,8 @@ class ExperimentPlan:
     trials          Monte Carlo trials per estimate
     tolerance       comparison gate: sup-norm bound for coverage_compare /
                     se_compare, standard-error multiple for the others
-    density_family  extra density values (losball_sweep rows per density)
+    density_family  densities for losball_sweep, one block of rows each;
+                    empty means the config density
     workers         worker processes for trial-parallel simulation, 0 = one
                     per CPU
     """
@@ -80,6 +78,10 @@ class ExperimentPlan:
     workers: int = 1
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer))
+
+
 def validate_plan(plan):
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
@@ -93,12 +95,19 @@ def validate_plan(plan):
         if plan.kind == "nakagami_sweep" and not (v >= 1 and int(v) == v):
             raise ConfigError("NakagamiOrderInvalid",
                               f"nakagami_sweep grid must hold integers >= 1, got {v}")
-    if not 1 <= plan.trials < mcsim.MAX_TRIALS:
+    for v in plan.density_family:
+        if not math.isfinite(v):
+            raise ConfigError("ValueNotFinite",
+                              f"plan.density_family values must be finite, got {v}")
+        if v < 0.0:
+            raise ConfigError("DensityNegative",
+                              f"plan.density_family values must be >= 0, got {v}")
+    if not (_is_int(plan.trials) and 1 <= plan.trials < mcsim.MAX_TRIALS):
         raise ConfigError("TrialCountInvalid",
                           f"trials must be in [1, 2**32), got {plan.trials}")
-    if plan.seed < 0:
+    if not (_is_int(plan.seed) and plan.seed >= 0):
         raise ConfigError("SeedInvalid", f"seed must be >= 0, got {plan.seed}")
-    if not (isinstance(plan.workers, (int, np.integer)) and plan.workers >= 0):
+    if not (_is_int(plan.workers) and plan.workers >= 0):
         raise ConfigError("WorkersInvalid", f"workers must be an integer >= 0, "
                           f"got {plan.workers!r}")
     validate(plan.config)
@@ -254,6 +263,8 @@ _RUNNERS = {
     "nakagami_sweep": _run_nakagami_sweep,
 }
 
+KINDS = tuple(_RUNNERS)
+
 
 def _summary_value(value):
     if isinstance(value, bool):
@@ -291,33 +302,30 @@ def run_plan(plan):
 # power) are REQUIRED placeholders that loading refuses until the user sets
 # them.
 
-FIGURE_IDS = ("fig3", "fig5", "fig6", "fig7", "fig8")
-
-_FIGURE_NOTES = {
-    "fig3": "# LOS ball radius vs network radius; sweep r_net over [1, 20],\n"
-            "# density family {0.5, 1, 2, 3, 5} per curve.\n",
-    "fig5": "# Mean LOS interferer count vs density; sweep lambda over\n"
-            "# {1, 2, 3, 4, 5}; analytic curve plus Monte Carlo estimates.\n",
-    "fig6": "# Spectral-efficiency CDF, full model vs LOS-ball reduction.\n",
-    "fig7": "# SINR CCDF, analytic bound vs LOS-ball simulation.\n",
-    "fig8": "# Ergodic spectral efficiency vs Nakagami order; sweep m over\n"
-            "# {1, 2, 4, 8, 16}.\n",
+_FIGURES = {  # figure id: (comment lines, values that differ by figure)
+    "fig3": ("# LOS ball radius vs network radius; sweep r_net over [1, 20],\n"
+             "# density family {0.5, 1, 2, 3, 5} per curve.\n",
+             {"lambda": 3, "p_t": 1, "m": 1}),
+    "fig5": ("# Mean LOS interferer count vs density; sweep lambda over\n"
+             "# {1, 2, 3, 4, 5}; analytic curve plus Monte Carlo estimates.\n",
+             {"lambda": 3, "p_t": 1, "m": 1}),
+    "fig6": ("# Spectral-efficiency CDF, full model vs LOS-ball reduction.\n",
+             {"lambda": 3, "p_t": 1, "m": 1}),
+    "fig7": ("# SINR CCDF, analytic bound vs LOS-ball simulation.\n",
+             {"lambda": 3, "p_t": 0.8, "m": 3}),
+    "fig8": ("# Ergodic spectral efficiency vs Nakagami order; sweep m over\n"
+             "# {1, 2, 4, 8, 16}.\n",
+             {"lambda": 2, "p_t": 1, "m": 1}),
 }
 
-_FIGURE_VALUES = {
-    "fig3": {"lambda": 3, "p_t": 1, "m": 1},
-    "fig5": {"lambda": 3, "p_t": 1, "m": 1},
-    "fig6": {"lambda": 3, "p_t": 1, "m": 1},
-    "fig7": {"lambda": 3, "p_t": 0.8, "m": 3},
-    "fig8": {"lambda": 2, "p_t": 1, "m": 1},
-}
+FIGURE_IDS = tuple(_FIGURES)
 
 _FIGURE_COMMON = {
     "W": 0.3, "r_net": 10,
     "Gt_dB": 6, "gt_dB": -0.88, "theta_t_deg": 50,
     "Gr_dB": 6, "gr_dB": -0.88, "theta_r_deg": 50,
-    "alpha_L": "REQUIRED", "alpha_N": "REQUIRED",
-    "R0": "REQUIRED", "noise_power": "REQUIRED",
+    "alpha_L": REQUIRED_PLACEHOLDER, "alpha_N": REQUIRED_PLACEHOLDER,
+    "R0": REQUIRED_PLACEHOLDER, "noise_power": REQUIRED_PLACEHOLDER,
     "m_nlos": 1, "power_ratio": 1,
 }
 
@@ -327,12 +335,9 @@ def figure_config_text(figure_id):
     if figure_id not in FIGURE_IDS:
         raise ConfigError("UnknownFigure", f"figure_id must be one of "
                           f"{FIGURE_IDS}, got {figure_id!r}")
-    values = dict(_FIGURE_COMMON)
-    values.update(_FIGURE_VALUES[figure_id])
-    lines = [_FIGURE_NOTES[figure_id]]
-    for key in CONFIG_KEYS:
-        lines.append(f"{key} = {values[key]}\n")
-    return "".join(lines)
+    note, figure_values = _FIGURES[figure_id]
+    values = {**_FIGURE_COMMON, **figure_values}
+    return note + "".join(f"{key} = {values[key]}\n" for key in CONFIG_KEYS)
 
 
 def emit_figure_config(figure_id, path):

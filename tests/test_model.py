@@ -10,12 +10,6 @@ from conftest import BASE_KEYS, make_config
 from wearnet import model
 
 
-def test_db_round_trip():
-    x = np.linspace(-40.0, 40.0, 161)
-    back = model.linear_to_db(model.db_to_linear(x))
-    assert np.max(np.abs(back - x)) < 1e-9
-
-
 def test_db_anchors():
     # 10**(6/10) and 10**(-0.88/10) evaluated independently of the module
     assert abs(model.db_to_linear(6.0) - 3.9810717055349722) < 1e-14
@@ -58,13 +52,6 @@ def test_gain_pair_swap_symmetry():
     assert np.allclose(fwd.q, rev.q[perm], rtol=0.0, atol=1e-15)
     assert np.allclose(fwd.G, rev.G[perm], rtol=0.0, atol=1e-15)
     assert abs(fwd.mean_gain() - rev.mean_gain()) < 1e-15
-
-
-def test_config_round_trip():
-    cfg = make_config()
-    again = model.config_from_keys(model.config_to_key_values(cfg))
-    assert model.config_hash(again) == model.config_hash(cfg)
-    assert again == cfg
 
 
 def test_config_hash_behavior():
