@@ -15,6 +15,7 @@ comment line carrying the config hash and master seed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -82,6 +83,17 @@ def _is_int(value):
     return isinstance(value, (int, np.integer))
 
 
+def _require_finite(name, value):
+    """Refuse a bool, a value that is not a real number (ValueNotReal) and
+    a NaN or infinity (ValueNotFinite) among the values of plan.<name>."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError("ValueNotReal",
+                          f"plan.{name} values must be real numbers, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError("ValueNotFinite",
+                          f"plan.{name} values must be finite, got {value}")
+
+
 def validate_plan(plan):
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
@@ -89,16 +101,12 @@ def validate_plan(plan):
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     for v in plan.grid:
-        if not math.isfinite(v):
-            raise ConfigError("ValueNotFinite",
-                              f"plan.grid values must be finite, got {v}")
+        _require_finite("grid", v)
         if plan.kind == "nakagami_sweep" and not (v >= 1 and int(v) == v):
             raise ConfigError("NakagamiOrderInvalid",
                               f"nakagami_sweep grid must hold integers >= 1, got {v}")
     for v in plan.density_family:
-        if not math.isfinite(v):
-            raise ConfigError("ValueNotFinite",
-                              f"plan.density_family values must be finite, got {v}")
+        _require_finite("density_family", v)
         if v < 0.0:
             raise ConfigError("DensityNegative",
                               f"plan.density_family values must be >= 0, got {v}")

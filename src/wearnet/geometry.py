@@ -11,8 +11,12 @@ that segment.  The set of such centers is a stadium of area
 so with blockage centers forming a PPP of density lambda the link is
 line of sight with probability exp(-lambda |A'(r)|).
 
-sample_ppp_disk draws a deployment, a PPP on a disk around the receiver;
-classify_los decides which of its links the bodies block.
+sample_ppp_disk draws a deployment, a PPP on a disk around the receiver:
+its Poisson count, then its uniforms as one 2 x n block, whose values are
+those of two successive draws of n (numpy fills a block in C order).  The
+transform of those uniforms to polar coordinates, disk_polar, draws
+nothing, so a caller may draw many blocks and transform them in one call.
+classify_los decides which of a deployment's links the bodies block.
 """
 
 from __future__ import annotations
@@ -22,20 +26,28 @@ import math
 import numpy as np
 
 
+def disk_polar(radius, x):
+    """Polar coordinates (r, phi) of uniform points on the disk of given
+    radius centered at the origin, from uniforms x of shape (2, n) or more
+    rows: r = sqrt(radius^2 x[0]) follows the pdf 2r/radius^2 and
+    phi = 2 pi x[1] is uniform on [0, 2*pi).  Elementwise, so one call on
+    the blocks of many deployments side by side gives each deployment's
+    values bit for bit."""
+    return np.sqrt(radius * radius * x[0]), x[1] * (2.0 * math.pi)
+
+
 def sample_ppp_disk(density, radius, rng):
     """Sample a homogeneous PPP on a disk of given radius centered at the origin.
 
     Returns (r, phi): polar coordinates of the points, each shape (n,) with
-    n ~ Poisson(density * pi * radius^2).  Radii follow the pdf 2r/radius^2,
-    angles are uniform on [0, 2*pi).  Zero density yields an empty sample;
-    a radius that is not > 0 raises ValueError.
+    n ~ Poisson(density * pi * radius^2), from one block of 2 x n uniforms
+    (see disk_polar).  Zero density yields an empty sample; a radius that
+    is not > 0 raises ValueError.
     """
     if not radius > 0.0:
         raise ValueError(f"need radius > 0, got {radius}")
     n = rng.poisson(density * (math.pi * (radius * radius))) if density > 0.0 else 0
-    r = np.sqrt(radius * radius * rng.random(n))
-    phi = rng.random(n) * (2.0 * math.pi)
-    return r, phi
+    return disk_polar(radius, rng.random((2, n)))
 
 
 def blocking_area(r, W):

@@ -59,7 +59,10 @@ def los_ball_radius(density, W, r_net):
 
     sqrt(mean_los_interferers / (lambda pi)), evaluated in a form that stays
     finite as density -> 0, where the ball fills the whole network disk.
+    The density is taken as a Python float: a numpy scalar would warn where
+    density^2 overflows, and the correctly rounded radius there is 0.0.
     """
+    density = float(density)
     if density == 0.0:
         return float(r_net)
     x = density * W * r_net

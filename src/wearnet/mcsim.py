@@ -20,15 +20,21 @@ reused generator; a test checks them against numpy's constructors.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
-NLOS fading (FULL only), reference fading.  In LOSBALL the link fading and
-the reference fading are one draw of n + 1 values, the reference last;
-numpy's gamma sampler fills element by element, so the values are those of
-two separate draws.
+NLOS fading (FULL only), reference fading.  A PPP is its Poisson count,
+then its radius and angle uniforms.  Uniforms drawn back to back are one
+block: rng.random((k, n)) fills in C order, so it holds the values of k
+successive draws of n.  In LOSBALL a trial's radius, angle and activity
+uniforms are one 3 x n block, and its link fading and reference fading one
+draw of n + 1 values, the reference last; numpy's gamma sampler fills
+element by element, so the values are those of two separate draws.
 
-Only the draws run trial by trial.  The marks' gains, the path loss and the
-products run once over a chunk of buffered trials, and each trial's
-interference is its own np.add.reduce, the pairwise order np.sum uses, so
-every value is the one a trial-by-trial loop gives.
+Only RNG calls run trial by trial: in LOSBALL the count, the block and the
+fading, nothing else.  The disk transform, the marks' gains, the path loss
+and the products run once over a chunk of buffered trials, and each
+trial's interference is its own np.add.reduce, the pairwise order np.sum
+uses, so every value is the one a trial-by-trial loop gives.  FULL still
+transforms each trial's disks as it draws them, since its classification
+needs each field's points.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh), a
@@ -49,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import nlos_mean_power
-from .geometry import classify_los, sample_ppp_disk
+from .geometry import classify_los, disk_polar, sample_ppp_disk
 from .losball import los_ball_radius
 from .model import validate
 
@@ -112,29 +118,25 @@ def _gains(cfg, u, phi):
     return tx_gain, rx_gain
 
 
-def _interference(cfg, chunk):
-    """Aggregate interference power of each trial in ``chunk``.
+def _interference(cfg, sizes, r, phi, u, h, los):
+    """Aggregate interference power of each trial of a chunk.
 
-    A trial is a tuple (r, phi, u, h, los, ...): link radii and angles,
-    activity uniforms, fading powers and the LOS mask.  Path loss is
-    r^-alpha_L on LOS links and r^-alpha_N on the others; ``los`` None
-    (LOSBALL) means every link is LOS.
+    The columns hold the chunk's links trial after trial, sizes[j] of them
+    for trial j: link radii and angles, activity uniforms, fading powers
+    and the LOS mask.  Path loss is r^-alpha_L on LOS links and r^-alpha_N
+    on the others; ``los`` None (LOSBALL) means every link is LOS.
     """
-    def column(i):
-        return np.concatenate([trial[i] for trial in chunk])
-
     # tx * rx * h * path, rounded left to right, in place to hold fewer
     # chunk-sized temporaries
-    power = np.multiply(*_gains(cfg, column(2), column(1)))
-    power *= column(3)
-    r = column(0)
-    if chunk[0][4] is None:
+    power = np.multiply(*_gains(cfg, u, phi))
+    power *= h
+    if los is None:
         power *= r ** (-cfg.alpha_los)
     else:
-        power *= np.where(column(4), r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
+        power *= np.where(los, r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
     # one reduce per trial keeps np.sum's pairwise order; reduceat or
     # bincount would add in another order and move the last bits
-    ends = np.cumsum([trial[0].size for trial in chunk]).tolist()
+    ends = np.cumsum(sizes).tolist()
     sums = [np.add.reduce(power[a:b]) for a, b in zip([0] + ends, ends)]
     return cfg.power_ratio * np.array(sums)
 
@@ -240,13 +242,13 @@ def _substreams(master_seed, start, stop):
 def _trial_chunks(draw, master_seed, start, stop):
     """draw(rng) for each trial of [start, stop) on its own substream,
     yielded in lists of at most _CHUNK trials.  A list closes early once
-    its trials hold _LINKS links (a trial's first array is its link radii),
-    so a chunk of dense FULL fields stays small."""
+    its trials hold _LINKS links (a trial's first array holds its links
+    along its last axis), so a chunk of dense FULL fields stays small."""
     chunk, links = [], 0
     for _, rng in _substreams(master_seed, start, stop):
         trial = draw(rng)
         chunk.append(trial)
-        links += trial[0].size
+        links += trial[0].shape[-1]
         if len(chunk) == _CHUNK or links >= _LINKS:
             yield chunk
             chunk, links = [], 0
@@ -260,7 +262,8 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
                    * cfg.ref_distance ** (-cfg.alpha_los))
 
-    # a trial is (r, phi, u, h, los, h0); see _interference
+    # A mode is its per-trial draw and the chunk's columns built from the
+    # drawn trials: (r, phi, u, h, los) for _interference, then h0.
     if mode == FULL:
         def draw(rng):
             r, phi, los = sample_full_field(cfg, rng)
@@ -270,19 +273,34 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
                 idx = np.flatnonzero(links)
                 h[idx] = sample_nakagami_power(m, rng, idx.size)
             return r, phi, u, h, los, sample_nakagami_power(cfg.m_los, rng)
+
+        def columns(chunk):
+            r, phi, u, h, los, h0 = zip(*chunk)
+            return (*map(np.concatenate, (r, phi, u, h, los)), np.array(h0))
     else:
+        mean_count = cfg.density * (math.pi * (r_los * r_los))
+
         def draw(rng):
-            r, phi = sample_ppp_disk(cfg.density, r_los, rng)
-            u = rng.random(r.size)
-            # link fading and h0 (last) in one draw; see the module docstring
-            h = sample_nakagami_power(cfg.m_los, rng, r.size + 1)
-            return r, phi, u, h[:-1], None, h[-1]
+            # count, the 3 x n uniforms (radius, angle and activity rows)
+            # and the link fading with h0 last; see the module docstring
+            n = rng.poisson(mean_count) if cfg.density > 0.0 else 0
+            return rng.random((3, n)), sample_nakagami_power(cfg.m_los, rng, n + 1)
+
+        def columns(chunk):
+            blocks, fading = zip(*chunk)
+            x = np.concatenate(blocks, axis=1)
+            fading = np.concatenate(fading)
+            last = np.cumsum([block.shape[1] + 1 for block in blocks]) - 1
+            is_link = np.ones(fading.size, dtype=bool)
+            is_link[last] = False
+            return (*disk_polar(r_los, x), x[2], fading[is_link], None, fading[last])
 
     out = np.empty((stop - start, 2))
     done = 0
     for chunk in _trial_chunks(draw, master_seed, start, stop):
-        interference = _interference(cfg, chunk)
-        h0 = np.array([trial[5] for trial in chunk])
+        sizes = [trial[0].shape[-1] for trial in chunk]
+        *links, h0 = columns(chunk)
+        interference = _interference(cfg, sizes, *links)
         rows = out[done:done + len(chunk)]
         rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
         rows[:, 1] = interference

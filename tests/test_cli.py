@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,19 @@ def test_losball_command(tmp_path):
     lines = (tmp_path / "losball.csv").read_text().splitlines()
     assert lines[1] == "lambda,W,r_net,mean_los,r_los,r_los_limit"
     assert len(lines) == 2 + 6  # two densities x three radii
+
+
+def test_losball_command_at_overflowing_density(tmp_path):
+    # lambda^2 overflows above about 1.3e154; the parsed family holds numpy
+    # scalars, which used to warn there.  The rounded radius is 0.0
+    cfg = _write_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "losball",
+                       "--rnet-grid", "1:3:1", "--lambda-family", "1e300"])
+    assert rc == 0
+    rows = (tmp_path / "losball.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[4] for row in rows] == ["0.0"] * 3
 
 
 def test_coverage_command(tmp_path):

@@ -55,6 +55,27 @@ def test_plan_validation(tmp_path):
             assert err.value.violation == "ValueNotFinite"
 
 
+@pytest.mark.parametrize("bad", ["3", True, np.True_, None, 2j],
+                         ids=["str", "bool", "numpy-bool", "none", "complex"])
+@pytest.mark.parametrize("field", ["grid", "density_family"])
+def test_non_real_plan_values_refused_before_rows(tmp_path, monkeypatch,
+                                                  field, bad):
+    # a bool passes math.isfinite and used to fail only when the CSV was
+    # formatted; a string or None raised a bare TypeError
+    def not_called(*args):
+        raise AssertionError("a row was computed before the plan was refused")
+
+    monkeypatch.setattr(losball, "mean_los_interferers", not_called)
+    plan = _plan(tmp_path, **{field: (1.0, bad)})
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(plan)
+    assert err.value.violation == "ValueNotReal"
+    assert not os.listdir(tmp_path)
+    # numpy scalars and ints are real numbers
+    experiments.validate_plan(_plan(tmp_path, grid=(np.float64(5.0), 10),
+                                    density_family=(np.int64(1), 0.5)))
+
+
 @pytest.mark.parametrize("field, violation", [
     ({"trials": 2.5}, "TrialCountInvalid"),
     ({"seed": 1.5}, "SeedInvalid"),

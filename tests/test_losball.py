@@ -1,6 +1,7 @@
 """Mean LOS interferer count and equivalent LOS ball radius."""
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate
@@ -63,6 +64,20 @@ def test_vanishing_density():
         mean = losball.mean_los_interferers(lam, 0.3, 10.0)
         assert abs(mean - lam * math.pi * 100.0) <= 1e-10 * lam * math.pi * 100.0
         assert abs(losball.los_ball_radius(lam, 0.3, 10.0) - 10.0) <= 1e-10
+
+
+def test_radius_at_overflowing_density_warns_nothing():
+    # lambda^2 overflows above about 1.3e154; a numpy density used to warn
+    # there.  The correctly rounded radius is 0.0, and a numpy density gives
+    # the float's answer everywhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e155, 1e300, np.finfo(float).max):
+            assert losball.los_ball_radius(np.float64(lam), 0.3, 3.0) == 0.0
+            assert losball.los_ball_radius(lam, 0.3, 3.0) == 0.0
+        for lam in (0.0, 1e-300, 1e-4, 3.0, 1e3):
+            assert (losball.los_ball_radius(np.float64(lam), 0.3, 3.0)
+                    == losball.los_ball_radius(lam, 0.3, 3.0))
 
 
 def test_radius_definition_and_bounds():

@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 import oracles
 from conftest import figure_config, make_config
-from wearnet import analytic, experiments, losball, mcsim
+from wearnet import analytic, experiments, geometry, losball, mcsim
 from wearnet.model import ConfigError
 from wearnet.quadrature import QuadratureNotConverged
 
@@ -260,23 +260,52 @@ def test_chunked_engine_matches_trial_loop(mode):
 
 @pytest.mark.parametrize("density", [3.0, 0.0064])
 def test_link_budget_flush_matches_trial_loop(monkeypatch, density):
-    # a budget of 5 links closes full-mode chunks mid-block: after every
-    # trial at lambda = 3 (about 940 links each), after a few at 0.0064
+    # a budget of 5 links closes chunks mid-block, in both modes: after
+    # every trial at lambda = 3 (about 940 full-mode links each, about 19
+    # in the ball), after a few at 0.0064
     sizes = []
     interference = mcsim._interference
 
-    def recording(cfg, chunk):
-        sizes.append(len(chunk))
-        return interference(cfg, chunk)
+    def recording(cfg, trial_sizes, *columns):
+        sizes.append(len(trial_sizes))
+        return interference(cfg, trial_sizes, *columns)
 
     monkeypatch.setattr(mcsim, "_LINKS", 5)
     monkeypatch.setattr(mcsim, "_interference", recording)
     cfg = make_config(**{"lambda": density})
     n = mcsim._CHUNK + 7
-    assert np.array_equal(mcsim.simulate_sinr_samples(mcsim.FULL, cfg, n, 45),
-                          oracles.sinr_samples(mcsim.FULL, cfg, 0, n, 45))
-    assert sum(sizes) == n and max(sizes) < mcsim._CHUNK
-    assert (max(sizes) > 1) == (density < 1.0)
+    for mode in (mcsim.FULL, mcsim.LOSBALL):
+        sizes.clear()
+        assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 45),
+                              oracles.sinr_samples(mode, cfg, 0, n, 45))
+        assert sum(sizes) == n and max(sizes) < mcsim._CHUNK
+        assert (max(sizes) > 1) == (density < 1.0), mode
+
+
+@pytest.mark.parametrize("n", [0, 1, 19, 1000])
+def test_block_draw_equals_successive_draws(n):
+    # a trial draws its k rows of uniforms as one (k, n) block: numpy fills
+    # it in C order, so it holds k successive draws of n and leaves the
+    # substream where they would
+    for k in (1, 2, 3):
+        block_rng, rows_rng = oracles.substream(104, n), oracles.substream(104, n)
+        block = block_rng.random((k, n))
+        assert block.shape == (k, n)
+        for row in block:
+            assert np.array_equal(row, rows_rng.random(n))
+        assert block_rng.bit_generator.state == rows_rng.bit_generator.state
+
+
+def test_disk_polar_of_chunk_equals_per_trial_transforms():
+    # LOSBALL transforms a chunk's concatenated blocks in one call; each
+    # trial's points are those of its own transform, bit for bit
+    rng = oracles.substream(1, 0)
+    radius = losball.los_ball_radius(3.0, 0.3, 10.0)
+    blocks = [rng.random((3, n)) for n in (0, 5, 19, 0, 40, 1, 2048)]
+    r, phi = geometry.disk_polar(radius, np.concatenate(blocks, axis=1))
+    want_r, want_phi = zip(*(geometry.disk_polar(radius, b) for b in blocks))
+    assert np.array_equal(r, np.concatenate(want_r))
+    assert np.array_equal(phi, np.concatenate(want_phi))
 
 
 @pytest.mark.parametrize("links", [8192, 1])
