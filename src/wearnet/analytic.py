@@ -76,11 +76,8 @@ def nlos_mean_power(config, r_los):
     ConfigError DensityTooHigh when the ball is so small that the power is
     not finite (above about 1.03e4 bodies/m^2 at W = 0.3 m, alpha_N = 3.4).
     """
-    if not (config.alpha_nlos > 2.0):
-        # validate() already enforces this; repeated here because the formula
-        # below silently flips sign rather than diverging if violated.
-        raise ConfigError("AlphaNlosTooSmall",
-                          f"alpha_nlos must exceed 2, got {config.alpha_nlos}")
+    # alpha_N <= 2 would flip the sign below; validate refuses it
+    config = validate(config)
     if not (r_los <= config.net_radius):
         raise ValueError(f"r_los {r_los} exceeds net_radius {config.net_radius}")
     if r_los == config.net_radius or config.density == 0.0 or config.tx_probability == 0.0:

@@ -225,13 +225,10 @@ def main(argv=None):
     try:
         if args.seed is None:
             args.seed = _env_int("SEED", 0)
-        if args.seed < 0:
-            raise ConfigError("SeedInvalid", f"seed must be >= 0, got {args.seed}")
         if args.threads is None:
             args.threads = _env_int("THREADS", 1)
-        if args.threads < 0:
-            raise ConfigError("WorkersInvalid",
-                              f"threads must be >= 0, got {args.threads}")
+        # the run counts are refused by name before the config is read
+        mcsim.check_run(getattr(args, "trials", 1), args.seed, args.threads)
         print("\n".join(_COMMANDS[args.command](args)))
         return 0
     except experiments.ToleranceExceeded as exc:

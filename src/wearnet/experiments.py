@@ -14,8 +14,6 @@ comment line carrying the config hash and master seed.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -23,7 +21,8 @@ import numpy as np
 
 from . import analytic, losball, mcsim
 from .model import (CONFIG_KEYS, REQUIRED_PLACEHOLDER, ConfigError,
-                    config_hash, db_to_linear, validate, with_overrides)
+                    check_real, config_hash, db_to_linear, validate,
+                    with_overrides)
 
 
 class IoError(Exception):
@@ -79,46 +78,35 @@ class ExperimentPlan:
     workers: int = 1
 
 
-def _is_int(value):
-    return isinstance(value, (int, np.integer))
-
-
-def _require_finite(name, value):
-    """Refuse a bool, a value that is not a real number (ValueNotReal) and
-    a NaN or infinity (ValueNotFinite) among the values of plan.<name>."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ConfigError("ValueNotReal",
-                          f"plan.{name} values must be real numbers, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError("ValueNotFinite",
-                          f"plan.{name} values must be finite, got {value}")
+# the config field that each sweep kind's grid values stand for
+_SWEPT_FIELD = {"losball_sweep": "net_radius", "mean_count_sweep": "density",
+                "nakagami_sweep": "m_los"}
 
 
 def validate_plan(plan):
+    """Return ``plan``, or raise its first ConfigError before any row runs:
+    each grid value is a real number that obeys the rule of the config field
+    it stands for (a Nakagami order is also integral), each density_family
+    value a density."""
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
-    for v in plan.grid:
-        _require_finite("grid", v)
-        if plan.kind == "nakagami_sweep" and not (v >= 1 and int(v) == v):
-            raise ConfigError("NakagamiOrderInvalid",
-                              f"nakagami_sweep grid must hold integers >= 1, got {v}")
-    for v in plan.density_family:
-        _require_finite("density_family", v)
-        if v < 0.0:
-            raise ConfigError("DensityNegative",
-                              f"plan.density_family values must be >= 0, got {v}")
-    if not (_is_int(plan.trials) and 1 <= plan.trials < mcsim.MAX_TRIALS):
-        raise ConfigError("TrialCountInvalid",
-                          f"trials must be in [1, 2**32), got {plan.trials}")
-    if not (_is_int(plan.seed) and plan.seed >= 0):
-        raise ConfigError("SeedInvalid", f"seed must be >= 0, got {plan.seed}")
-    if not (_is_int(plan.workers) and plan.workers >= 0):
-        raise ConfigError("WorkersInvalid", f"workers must be an integer >= 0, "
-                          f"got {plan.workers!r}")
+    mcsim.check_run(plan.trials, plan.seed, plan.workers)
     validate(plan.config)
+    swept = _SWEPT_FIELD.get(plan.kind)
+    for v in plan.grid:
+        check_real("plan.grid value", v)
+        if swept == "m_los":
+            if int(v) != v:
+                raise ConfigError("NakagamiOrderInvalid", f"nakagami_sweep "
+                                  f"grid must hold integers, got {v}")
+            v = int(v)
+        if swept is not None:
+            with_overrides(plan.config, **{swept: v})
+    for v in plan.density_family:
+        with_overrides(plan.config, density=v)
     return plan
 
 

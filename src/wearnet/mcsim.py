@@ -37,10 +37,10 @@ transforms each trial's disks as it draws them, since its classification
 needs each field's points.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
-config, a config whose run constants do not exist (DensityTooHigh), a
-negative seed or worker count and a trial count outside [1, 2**32) are
-raised in the calling process, so a run split across workers fails
-exactly as a serial run does.  The trial ranges themselves raise nothing.
+config, a config whose run constants do not exist (DensityTooHigh) and
+the run counts that check_run refuses are raised in the calling process,
+so a run split across workers fails exactly as a serial run does.  The
+trial ranges themselves raise nothing.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import nlos_mean_power
+from .analytic import coverage_params
 from .geometry import classify_los, disk_polar, sample_ppp_disk
-from .losball import los_ball_radius
-from .model import validate
+from .model import ConfigError, validate
 
 FULL = "full"
 LOSBALL = "losball"
@@ -316,24 +315,36 @@ def _run_los_count_range(cfg, master_seed, start, stop):
     return out
 
 
+def check_run(n_trials, master_seed, workers):
+    """The trial count, master seed and worker count of a run, as ints.
+
+    ConfigError TrialCountInvalid, SeedInvalid or WorkersInvalid unless
+    each is an integer, n_trials in [1, MAX_TRIALS) and the others >= 0.
+    """
+    checked = []
+    for violation, name, value, low, high in (
+            ("TrialCountInvalid", "trial count", n_trials, 1, MAX_TRIALS),
+            ("SeedInvalid", "seed", master_seed, 0, math.inf),
+            ("WorkersInvalid", "workers", workers, 0, math.inf)):
+        try:
+            checked.append(operator.index(value))
+        except TypeError:
+            checked.append(None)
+        if checked[-1] is None or not low <= checked[-1] < high:
+            raise ConfigError(violation, f"{name} must be an integer in "
+                              f"[{low}, {high}), got {value!r}")
+    return tuple(checked)
+
+
 def _map_trials(run_range, n_trials, master_seed, workers, *args):
     """run_range(*args, master_seed, start, stop) over the trials
     [0, n_trials), one contiguous range per worker (0 = one per CPU), with
     the parts concatenated in trial order.
 
-    Refuses a non-integral count, seed or worker count (TypeError), a count
-    outside [1, MAX_TRIALS), a negative seed and a negative worker count
-    (ValueError) before anything is allocated or a worker starts.
+    check_run refuses the three counts before anything is allocated or a
+    worker starts.
     """
-    n_trials = operator.index(n_trials)
-    if not 1 <= n_trials < MAX_TRIALS:
-        raise ValueError(f"trial count must be in [1, 2**32), got {n_trials}")
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    workers = operator.index(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    n_trials, master_seed, workers = check_run(n_trials, master_seed, workers)
     if workers == 0:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, n_trials))
@@ -350,20 +361,19 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
 
     Trial k is fully determined by (mode, config, master_seed, k), so any
     worker split returns the identical array.  Every refusal is raised here,
-    before any worker starts: ValueError for an unknown mode, a negative
-    master_seed or workers, or n_trials outside [1, 2**32); TypeError for a
-    non-integral n_trials, seed or workers; ConfigError for an invalid
-    config, and DensityTooHigh in LOSBALL when the mean power outside the
-    LOS ball is not finite.
+    before any worker starts: ValueError for an unknown mode; ConfigError
+    for an invalid config, in LOSBALL DensityTooHigh when the mean power
+    outside the LOS ball is not finite, and the check_run refusals of
+    n_trials, master_seed and workers.
     """
     if mode not in (FULL, LOSBALL):
         raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
     cfg = validate(config)
-    r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
-    # LOSBALL replaces everything outside the ball by its mean power.
-    sigma2 = cfg.noise_power
+    r_los, sigma2 = None, cfg.noise_power
     if mode == LOSBALL:
-        sigma2 += nlos_mean_power(cfg, r_los)
+        # the closed form's LOS ball, everything outside it as its mean power
+        params = coverage_params(cfg)
+        r_los, sigma2 = params.r_los, params.sigma2_total
     return _map_trials(_run_sinr_range, n_trials, master_seed, workers,
                        mode, cfg, r_los, sigma2)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -113,13 +114,18 @@ class GainPairTable:
 MAX_NAKAGAMI_M = 64
 
 
-def _check_finite(name, value):
+def check_real(name, value):
+    """Refuse a bool or a value that is not a real number (ValueNotReal) and
+    a NaN or infinity (ValueNotFinite); numpy scalars are real numbers."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ConfigError("ValueNotReal",
+                          f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError("ValueNotFinite", f"{name} must be finite, got {value}")
 
 
 def _check_pattern(pat, side):
-    _check_finite(f"{side} main-lobe gain", pat.main_gain)
+    check_real(f"{side} main-lobe gain", pat.main_gain)
     if not (pat.side_gain > 0.0):
         raise ConfigError("SideGainNotPositive",
                           f"{side} side-lobe gain must be > 0, got {pat.side_gain}")
@@ -135,13 +141,14 @@ def validate(config):
     """Check every model invariant; return ``config`` unchanged if all hold.
 
     Raises ConfigError with a named violation for the first failed invariant;
-    an infinite or NaN length, exponent, power or gain is ``ValueNotFinite``.
+    a length, exponent, power or gain that is not a real number is
+    ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``.
     density = 0 is accepted and means an empty network (no interferers and
     no blockages), which is a well-defined degenerate case.
     """
     for name in ("density", "blockage_diameter", "net_radius", "alpha_los",
                  "alpha_nlos", "ref_distance", "noise_power", "power_ratio"):
-        _check_finite(name, getattr(config, name))
+        check_real(name, getattr(config, name))
     if not (config.density >= 0.0):
         raise ConfigError("DensityNegative", f"density must be >= 0, got {config.density}")
     if not (config.blockage_diameter > 0.0):

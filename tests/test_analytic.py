@@ -1,5 +1,6 @@
 """Closed-form coverage bound, weak-interference power, spectral efficiency."""
 
+import dataclasses
 import math
 import warnings
 
@@ -48,6 +49,10 @@ def test_nlos_mean_power_trivial_cases():
         with pytest.raises(model.ConfigError) as err:
             analytic.nlos_mean_power(cfg, r_los)
         assert err.value.violation == "DensityTooHigh"
+    # alpha_N <= 2 would flip the sign of the formula; validate refuses it
+    with pytest.raises(model.ConfigError) as err:
+        analytic.nlos_mean_power(dataclasses.replace(cfg, alpha_nlos=2.0), 1.0)
+    assert err.value.violation == "AlphaNlosTooSmall"
 
 
 def test_nlos_mean_power_matches_quadrature():

@@ -210,6 +210,16 @@ def test_negative_threads_exit_code(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: WorkersInvalid") and "Traceback" not in err
         assert not out.exists()
+    # so is a trial count out of range, before the config file is read
+    monkeypatch.delenv("WEARNET_THREADS")
+    missing = str(tmp_path / "missing.cfg")
+    for command in ("simulate", "se-cdf"):
+        rc = cli.main(["--config", missing, "--out-dir", str(out), command,
+                       "--mode", "full", "--trials", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TrialCountInvalid") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -48,6 +48,15 @@ def test_plan_validation(tmp_path):
         with pytest.raises(model.ConfigError) as err:
             experiments.validate_plan(_plan(tmp_path, density_family=family))
         assert err.value.violation == violation
+    # a sweep value obeys the rule of the config field it stands for
+    for kind, grid, violation in (
+            ("mean_count_sweep", (1.0, -1.0), "DensityNegative"),
+            ("nakagami_sweep", (1, 65), "NakagamiOrderTooLarge"),
+            ("losball_sweep", (-1.0,), "NetRadiusTooSmall"),
+            ("losball_sweep", (0.3,), "NetRadiusTooSmall")):
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, kind=kind, grid=grid))
+        assert err.value.violation == violation
     for kind in experiments.KINDS:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(model.ConfigError) as err:
@@ -79,14 +88,22 @@ def test_non_real_plan_values_refused_before_rows(tmp_path, monkeypatch,
 @pytest.mark.parametrize("field, violation", [
     ({"trials": 2.5}, "TrialCountInvalid"),
     ({"seed": 1.5}, "SeedInvalid"),
-], ids=["trials", "seed"])
+    # a bad sweep value is refused before the first row runs
+    ({"kind": "mean_count_sweep", "grid": (1.0, 2.0, -1.0)}, "DensityNegative"),
+    ({"kind": "nakagami_sweep", "grid": (1, 2, 4, 8, 16, 65)},
+     "NakagamiOrderTooLarge"),
+], ids=["trials", "seed", "mean-count-grid", "nakagami-grid"])
 def test_non_integral_trials_or_seed_refused_before_work(tmp_path, monkeypatch,
                                                           field, violation):
     def not_called(*args):
-        raise AssertionError("the analytic curve ran before the plan was refused")
+        raise AssertionError("a row was computed before the plan was refused")
 
-    monkeypatch.setattr(analytic, "coverage_ccdf", not_called)
-    plan = _plan(tmp_path, kind="coverage_compare", grid=(0.0, 10.0), **field)
+    for module, name in ((analytic, "coverage_ccdf"),
+                         (analytic, "ergodic_spectral_efficiency"),
+                         (mcsim, "estimate_mean_los_count")):
+        monkeypatch.setattr(module, name, not_called)
+    plan = _plan(tmp_path, **{"kind": "coverage_compare", "grid": (0.0, 10.0),
+                              **field})
     with pytest.raises(model.ConfigError) as err:
         experiments.run_plan(plan)
     assert err.value.violation == violation

@@ -189,16 +189,20 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         for n, seed in ((5, -1), (2 ** 32, 0), (2 ** 40, 0), (0, 0)):
             with pytest.raises(ValueError):
                 run(n, seed)
-        for n, seed in ((5, 1.5), (2.5, 0)):
-            with pytest.raises(TypeError):
+        # a non-integral count or seed is refused by name, like a bad range
+        for n, seed, violation in ((5, 1.5, "SeedInvalid"),
+                                   (2.5, 0, "TrialCountInvalid")):
+            with pytest.raises(ConfigError) as err:
                 run(n, seed)
+            assert err.value.violation == violation
         # 0 means one worker per CPU; a negative count means nothing
         for workers in (-1, -3):
             with pytest.raises(ValueError):
                 run(5, 0, workers=workers)
         for workers in (1.5, 2.0, "2"):
-            with pytest.raises(TypeError):
+            with pytest.raises(ConfigError) as err:
                 run(5, 0, workers=workers)
+            assert err.value.violation == "WorkersInvalid"
         with pytest.raises(ConfigError) as err:
             run(5, 0, config=dataclasses.replace(cfg, density=-1.0))
         assert err.value.violation == "DensityNegative"

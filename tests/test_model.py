@@ -125,6 +125,12 @@ def test_validation_violations():
     _expect_violation("RefDistanceNotPositive", R0=0.0)
     _expect_violation("NoisePowerNegative", noise_power=-1.0)
     _expect_violation("PowerRatioNotPositive", power_ratio=0.0)
+    # past the file parser, a number field must hold a real number
+    cfg = make_config()
+    for value in ("3", None, True):
+        with pytest.raises(model.ConfigError) as err:
+            model.validate(dataclasses.replace(cfg, density=value))
+        assert err.value.violation == "ValueNotReal"
 
 
 # -inf dB is a finite linear gain (0), so Gt_dB takes only inf and nan
