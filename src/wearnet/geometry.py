@@ -67,87 +67,215 @@ def blockage_probability(r, density, W):
     return float(out) if out.ndim == 0 else out
 
 
-def classify_los(r, phi, d, psi, W):
-    """LOS mask for many links against many blockage centers.
+# Angle buckets per field, each 2*pi / _BUCKETS wide: the shadow pre-pass
+# marks them, and the window search reads its candidates from them.
+_BUCKETS = 512
+_PER_RAD = _BUCKETS / (2.0 * math.pi)
+
+
+def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
+    """LOS masks of the links of one or more fields, in one call.
 
     Links run from the origin to the polar points (r[i], phi[i]); blockage
     centers sit at (d[j], psi[j]) with blocking diameter W; angles lie in
-    [0, 2*pi).  Returns a bool array, True where no center lies within W/2
-    of the link segment (contact counts as blocked).  Centers with
-    d <= W/2 cover the origin and block every link.
+    [0, 2*pi).  The arrays hold the fields one after another: field f has
+    link_counts[f] links and body_counts[f] centers, and its centers block
+    only its own links.  By default all of them are one field.  Returns a
+    bool array, True where no center of the link's field lies within W/2 of
+    the link segment (contact counts as blocked).  A field with a center at
+    d <= W/2 is all NLOS: that center covers the origin.
 
     A center at d > W/2 can only reach the segment toward angle phi when
-    |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so a sorted-angle window
-    search finds the candidate pairs and only those get the exact
-    segment-distance test.  Centers are swept nearest first, in distance
-    bands whose edges double from 2 / (lambda W), with lambda =
-    len(d) / (pi max(d)^2) the density the sample shows; a band's centers
-    block most links beyond them.  Each band is searched only against
+    |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so a window search finds
+    the candidate pairs and only those get the exact segment-distance test.
+    Each field's centers are swept nearest first, in distance bands whose
+    edges double from 2 / (lambda W), with lambda = n / (pi max(d)^2) the
+    density the field's sample shows.  Each band is searched only against
     links still LOS with r >= band_lo - W/2: a center at d > band_lo lies
-    at least d - r > W/2 from a shorter link and cannot block it.  Every
-    pair still tested gets the same arithmetic on the same values, so the
-    bands change the cost, never the mask.
+    at least d - r > W/2 from a shorter link and cannot block it.
+
+    Before the sweep, a shadow pre-pass settles most blocked links without
+    a pair test.  Each center marks the angle buckets (_BUCKETS per field)
+    that lie entirely inside its inner window arcsin((W / 2d)(1 - 1e-6)),
+    and a link in a marked bucket that is longer than the marking center's
+    band edge times 1 + 1e-9 is NLOS.  Such a link passes within
+    (W/2)(1 - 1e-6) of that center, with the foot of the perpendicular
+    strictly inside the segment, and lies inside the center's search window
+    by more than 1e-9 rad, since a window that holds a whole bucket is that
+    wide.  Rounding errors are far below both margins, so the sweep would
+    block every such link too: the pre-pass only skips pairs whose outcome
+    it knows.  Every pair still tested gets the same window predicate and
+    arithmetic on the same values, so neither the bands, the shadow nor
+    the number of fields in a call changes a mask.
     """
     r, phi, d, psi = (np.asarray(v, dtype=float) for v in (r, phi, d, psi))
-    los = np.ones(r.size, dtype=bool)
-    if r.size == 0 or d.size == 0:
-        return los
+    if link_counts is None:
+        link_counts, body_counts = [r.size], [d.size]
+    n_fields = len(link_counts)
+    link_field = np.repeat(np.arange(n_fields), link_counts)
+    body_field = np.repeat(np.arange(n_fields), body_counts)
     half_w = 0.5 * W
-    if np.any(d <= half_w):
-        los[:] = False
+    los = np.ones(r.size, dtype=bool)
+    near = d <= half_w
+    if near.any():
+        over = np.bincount(body_field[near], minlength=n_fields) > 0
+        los = ~over[link_field]
+        kept = ~over[body_field]
+        d, psi, body_field = d[kept], psi[kept], body_field[kept]
+    if not (d.size and los.any()):
         return los
 
-    px = r * np.cos(phi)
-    py = r * np.sin(phi)
-    seg_sq = px * px + py * py
-    cx = d * np.cos(psi)
-    cy = d * np.sin(psi)
-    # Widen the window by a few ulps so the exact test below, not angle
-    # rounding, decides grazing contacts.
-    half_window = np.arcsin(np.minimum(1.0, half_w / d)) + 1e-12
-    win_lo = np.mod(psi - half_window, 2.0 * math.pi)
-    win_hi = win_lo + 2.0 * half_window
+    band, d, psi, body_field, edges = _bands(d, psi, body_field, n_fields, W)
+    band_ends = np.cumsum(np.bincount(band)).tolist()
+    _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w)
+    rest = np.flatnonzero(los)
+    if not rest.size:
+        return los
 
-    d_max = d.max()
-    # one band when d_max^2 underflows, so the doubling always reaches d_max
-    band_lo, edge = 0.0, 2.0 * math.pi * d_max * d_max / (d.size * W) or d_max
-    while band_lo < d_max and los.any():
-        band = np.flatnonzero((d > band_lo) & (d <= edge))
+    links, bodies = _search_rows(rest, r, phi, link_field, d, psi, body_field,
+                                 half_w, n_fields)
+    live = np.empty(r.size, dtype=bool)
+    band_lo = np.zeros(n_fields)
+    for b, (start, end) in enumerate(zip([0] + band_ends, band_ends)):
         # the 1e-9 m of slack leaves limit cases to the exact pair test
-        live = np.flatnonzero(los & (r >= band_lo - half_w - 1e-9))
-        if band.size and live.size:
-            _block_band(los, live, phi, px, py, seg_sq, cx[band], cy[band],
-                        win_lo[band], win_hi[band], half_w)
-        band_lo, edge = edge, 2.0 * edge
+        np.greater_equal(r, (band_lo - half_w - 1e-9)[link_field], out=live)
+        live &= los
+        if not live.any():
+            break
+        if end > start:
+            _block_band(los, live, slice(start, end), links, bodies, half_w)
+        band_lo = edges[b]
     return los
 
 
-def _block_band(los, live, phi, px, py, seg_sq, cx, cy, win_lo, win_hi, half_w):
-    """Clear los[i] for each link i in ``live`` blocked by a center (cx, cy)
-    whose angular window [win_lo, win_hi] holds phi[i]."""
-    order = live[np.argsort(phi[live])]
-    phi_sorted = phi[order]
-    # Duplicating the sorted angles shifted by 2*pi turns the circular window
-    # search into a plain interval search: a window [lo, hi] with lo in
-    # [0, 2*pi] and hi - lo < pi lands entirely inside the duplicated array.
-    ext = np.concatenate((phi_sorted, phi_sorted + 2.0 * math.pi))
-    start = np.searchsorted(ext, win_lo, side="left")
-    counts = np.searchsorted(ext, win_hi, side="right") - start
+def _bands(d, psi, body_field, n_fields, W):
+    """The centers (band k, d, psi, field) in band order, and the band
+    edges by band and field.
+
+    A field's first edge is its sample edge, or d_max when d_max^2
+    underflows, so the doubling always reaches d_max; a field without
+    centers has no finite edge.  Band k holds edge 2^(k-1) < d <= edge 2^k,
+    or d <= edge for k = 0, the doubled edges exact.  frexp reads k off the
+    ratio d / edge: rounded correctly, it is a power of two 2^k only when
+    d <= edge 2^k, and above 2^(k-1) only when d > edge 2^(k-1).
+    """
+    n = np.bincount(body_field, minlength=n_fields)
+    has = n > 0
+    d_max = np.zeros(n_fields)
+    d_max[has] = np.maximum.reduceat(d, (np.cumsum(n) - n)[has])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = 2.0 * math.pi * d_max * d_max / (n * W)
+        edge = np.where(first > 0.0, first, np.where(has, d_max, math.inf))
+        mantissa, band = np.frexp(d / edge[body_field])
+        band = np.maximum(band - (mantissa == 0.5), 0)
+        edges = np.ldexp(edge, np.arange(band.max() + 1)[:, None])
+    order = np.argsort(band)
+    return band[order], d[order], psi[order], body_field[order], edges
+
+
+def _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w):
+    """Clear los[i] for each link i in an angle bucket that lies entirely
+    inside the inner window of a center whose band edge, times 1 + 1e-9,
+    the link is longer than.  Centers come in band order."""
+    with np.errstate(over="ignore"):
+        beyond = edges * (1.0 + 1e-9)
+    # only the bands whose edge some link passes can shadow it
+    n_bands = int(np.count_nonzero(beyond.min(axis=1) < r.max()))
+    if not n_bands:
+        return
+    n_fields = edges.shape[1]
+    near = slice(0, int(np.searchsorted(band, n_bands)))
+    band, body_field, psi = band[near], body_field[near], psi[near]
+    inner = np.arcsin(half_w / d[near] * (1.0 - 1e-6))
+    lo = np.ceil((psi - inner) * _PER_RAD).astype(np.intp)
+    full = np.floor((psi + inner) * _PER_RAD).astype(np.intp) - lo
+    fits = full > 0
+    # each center's buckets as a run on a row of one turn per band and
+    # field, split in two where it wraps past 2 pi
+    row = _BUCKETS * (band * n_fields + body_field)[fits]
+    lo = lo[fits] % _BUCKETS
+    hi = lo + full[fits]
+    wraps = hi > _BUCKETS
+    size = _BUCKETS * n_bands * n_fields + 1
+    ramp = np.bincount(np.concatenate((row + lo, row[wraps])), minlength=size)
+    ramp -= np.bincount(np.concatenate((row + np.minimum(hi, _BUCKETS),
+                                        row[wraps] + hi[wraps] - _BUCKETS)),
+                        minlength=size)
+    covered = (np.cumsum(ramp[:-1], out=ramp[:-1]) > 0).reshape(n_bands, n_fields, _BUCKETS)
+    # per field and bucket, the length past which a marking center blocks
+    reach = np.where(covered, beyond[:n_bands, :, None], math.inf).min(axis=0)
+    bucket = (np.minimum(phi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
+              + _BUCKETS * link_field)
+    los[r > reach.ravel()[bucket]] = False
+
+
+def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields):
+    """The links ``rest`` and every center as _block_band searches them.
+
+    Each field has a row of two turns of angle buckets, and each link sits
+    in it twice: in its angle's bucket, and a turn later with angle + 2 pi,
+    the value the window predicate reads then.  A window [lo, hi], lo in
+    [0, 2 pi] and hi - lo < pi, widened by 1e-9 rad against rounding,
+    covers one run of its field's row, whose links are a superset of its
+    pairs; the predicate keeps exactly them.  Returns (link, angle, px,
+    py) by row position and (d, psi, win_lo, win_hi, run start, run stop)
+    by center.
+    """
+    # Widen the window by a few ulps so the exact test, not angle rounding,
+    # decides grazing contacts.  Every center here has d > W/2, and
+    # psi - half_window lies in (-pi, 2 pi), where this is
+    # np.mod(psi - half_window, 2 pi), value for value.
+    half_window = np.arcsin(half_w / d) + 1e-12
+    win_lo = psi - half_window
+    win_lo = np.where(win_lo < 0.0, win_lo + 2.0 * math.pi, win_lo)
+    win_hi = win_lo + 2.0 * half_window
+    lr, lphi = r[rest], phi[rest]
+    slot = (np.minimum(lphi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
+            + 2 * _BUCKETS * link_field[rest])
+    slots = np.concatenate((slot, slot + _BUCKETS))
+    order = np.argsort(slots)
+    px, py = lr * np.cos(lphi), lr * np.sin(lphi)
+    links = (np.concatenate((rest, rest))[order],
+             np.concatenate((lphi, lphi + 2.0 * math.pi))[order],
+             np.concatenate((px, px))[order],
+             np.concatenate((py, py))[order])
+    run = np.zeros(2 * _BUCKETS * n_fields + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slots, minlength=run.size - 1), out=run[1:])
+    row = 2 * _BUCKETS * body_field
+    return links, (d, psi, win_lo, win_hi,
+                   run[row + (np.maximum(win_lo - 1e-9, 0.0) * _PER_RAD).astype(np.intp)],
+                   run[row + ((win_hi + 1e-9) * _PER_RAD).astype(np.intp) + 1])
+
+
+def _block_band(los, live, band, links, bodies, half_w):
+    """Clear los[i] for each link i with live[i] that a center in the slice
+    ``band`` blocks, testing exactly the pairs whose center's angular
+    window [win_lo, win_hi] holds phi[i] or phi[i] + 2*pi; a center's run
+    of buckets holds links of its own field only."""
+    link, angle, px, py = links
+    d, psi, win_lo, win_hi, first, stop = (a[band] for a in bodies)
+    counts = stop - first
     total = int(counts.sum())
     if total == 0:
         return
-    body_idx = np.repeat(np.arange(cx.size), counts)
-    offsets = np.cumsum(counts) - counts
-    link_idx = order[(np.arange(total) + np.repeat(start - offsets, counts)) % order.size]
+    body_idx = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(total) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    a = angle[pos]
+    keep = live[link[pos]] & (win_lo[body_idx] <= a) & (a <= win_hi[body_idx])
+    pos, body_idx = pos[keep], body_idx[keep]
 
     # squared distance from each center to its link segment [0, (px, py)];
-    # a zero-length link degenerates to the origin
-    lpx, lpy, lseg = px[link_idx], py[link_idx], seg_sq[link_idx]
-    bcx, bcy = cx[body_idx], cy[body_idx]
+    # a zero-length link degenerates to the origin.  np.clip is this
+    # maximum and minimum.
+    lpx, lpy = px[pos], py[pos]
+    lseg = lpx * lpx + lpy * lpy
+    bd, bpsi = d[body_idx], psi[body_idx]
+    bcx, bcy = bd * np.cos(bpsi), bd * np.sin(bpsi)
     dot = bcx * lpx + bcy * lpy
-    t = np.where(lseg > 0.0, dot / np.where(lseg > 0.0, lseg, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
+    on = lseg > 0.0
+    t = np.where(on, dot / np.where(on, lseg, 1.0), 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
     dx = bcx - t * lpx
     dy = bcy - t * lpy
     hit = dx * dx + dy * dy <= half_w * half_w
-    los[link_idx[hit]] = False
+    los[link[pos[hit]]] = False

@@ -32,9 +32,16 @@ Only RNG calls run trial by trial: in LOSBALL the count, the block and the
 fading, nothing else.  The disk transform, the marks' gains, the path loss
 and the products run once over a chunk of buffered trials, and each
 trial's interference is its own np.add.reduce, the pairwise order np.sum
-uses, so every value is the one a trial-by-trial loop gives.  FULL still
-transforms each trial's disks as it draws them, since its classification
-needs each field's points.
+uses, so every value is the one a trial-by-trial loop gives.
+
+A FULL trial's fading draws need its LOS count, so its draws come in two
+passes around one classify_los call for the whole chunk.  The first pass
+sets each trial's substream, draws its two PPPs and activity uniforms and
+saves the generator state; the chunk's fields are then classified at once;
+the second pass restores each saved state and draws the LOS fading, the
+NLOS fading and the reference fading.  A restored state continues the
+stream exactly where the first pass left it, so the draws and their order
+are those of a trial-by-trial loop.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh) and
@@ -86,14 +93,35 @@ def sample_nakagami_power(m, rng, size=None):
     return rng.gamma(m, 1.0 / m, size)
 
 
-def sample_full_field(cfg, rng):
-    """One FULL-mode deployment: interferers (r, phi) on the network disk,
-    then blockage centers on the disk of radius r_net + W/2 (so no edge
-    interferer's blocking region is truncated); returns (r, phi, los mask)."""
+def _draw_field(cfg, rng):
+    """One FULL-mode deployment's points: interferers (r, phi) on the
+    network disk, then blockage centers (d, psi) on the disk of radius
+    r_net + W/2, so no edge interferer's blocking region is truncated."""
     r, phi = sample_ppp_disk(cfg.density, cfg.net_radius, rng)
-    br, bphi = sample_ppp_disk(cfg.density,
-                               cfg.net_radius + 0.5 * cfg.blockage_diameter, rng)
-    return r, phi, classify_los(r, phi, br, bphi, cfg.blockage_diameter)
+    d, psi = sample_ppp_disk(cfg.density,
+                             cfg.net_radius + 0.5 * cfg.blockage_diameter, rng)
+    return r, phi, d, psi
+
+
+def _check_field_counts(cfg):
+    """ConfigError DensityTooHigh unless numpy can draw a deployment's
+    Poisson counts; the blockage disk, of radius r_net + W/2, has the
+    larger mean."""
+    radius = cfg.net_radius + 0.5 * cfg.blockage_diameter
+    mean = cfg.density * (math.pi * (radius * radius))
+    try:
+        np.random.Generator(np.random.PCG64(0)).poisson(mean)
+    except ValueError:
+        raise ConfigError("DensityTooHigh",
+                          f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
+                          f"blockage centers on the deployment disk, more than "
+                          f"numpy can draw") from None
+
+
+def sample_full_field(cfg, rng):
+    """One FULL-mode deployment (see _draw_field): (r, phi, los mask)."""
+    r, phi, d, psi = _draw_field(cfg, rng)
+    return r, phi, classify_los(r, phi, d, psi, cfg.blockage_diameter)
 
 
 def _gains(cfg, u, phi):
@@ -129,10 +157,10 @@ def _interference(cfg, sizes, r, phi, u, h, los):
     # chunk-sized temporaries
     power = np.multiply(*_gains(cfg, u, phi))
     power *= h
-    if los is None:
-        power *= r ** (-cfg.alpha_los)
-    else:
-        power *= np.where(los, r ** (-cfg.alpha_los), r ** (-cfg.alpha_nlos))
+    # one power per link, with the exponent that applies to it; pow is
+    # elementwise, so each value is the one a scalar exponent gives
+    alpha = cfg.alpha_los if los is None else np.where(los, cfg.alpha_los, cfg.alpha_nlos)
+    power *= r ** -alpha
     # one reduce per trial keeps np.sum's pairwise order; reduceat or
     # bincount would add in another order and move the last bits
     ends = np.cumsum(sizes).tolist()
@@ -143,10 +171,13 @@ def _interference(cfg, sizes, r, phi, u, h, los):
 # --- per-trial substreams -------------------------------------------------
 
 _CHUNK = 256    # trials per block of substream states and per flush
-# Buffered links that close a chunk early.  This bounds its memory: at
-# 2048 the peak RSS of fig6 full and fig7 losball runs stays within
-# 0.4 MB of a trial-by-trial loop; 8192 added about 0.9 MB.
-_LINKS = 2048
+# Buffered links that close a chunk early.  A FULL chunk is classified in
+# one classify_los call, whose fixed cost is paid per call, so the budget
+# holds about 8 fig6 fields of about 950 links.  It also bounds a chunk's
+# memory: raising it from 2048 to 8192 took the peak RSS of a 2500-trial
+# fig6 full run from 41.2 to 42.4 MB and of a 40000-trial fig7 losball run
+# from 39.2 to 39.7 MB.
+_LINKS = 8192
 
 # The trial index k enters numpy's seed hash as one 32-bit word.
 MAX_TRIALS = 2 ** 32
@@ -264,18 +295,31 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     # A mode is its per-trial draw and the chunk's columns built from the
     # drawn trials: (r, phi, u, h, los) for _interference, then h0.
     if mode == FULL:
+        fading_rng = np.random.Generator(np.random.PCG64(0))
+
         def draw(rng):
-            r, phi, los = sample_full_field(cfg, rng)
-            u = rng.random(r.size)
-            h = np.empty(r.size)
-            for links, m in ((los, cfg.m_los), (~los, cfg.m_nlos)):
-                idx = np.flatnonzero(links)
-                h[idx] = sample_nakagami_power(m, rng, idx.size)
-            return r, phi, u, h, los, sample_nakagami_power(cfg.m_los, rng)
+            # the points and activity uniforms; the fading waits for the
+            # chunk's classification, from the state saved here
+            r, phi, d, psi = _draw_field(cfg, rng)
+            return r, phi, d, psi, rng.random(r.size), rng.bit_generator.state
 
         def columns(chunk):
-            r, phi, u, h, los, h0 = zip(*chunk)
-            return (*map(np.concatenate, (r, phi, u, h, los)), np.array(h0))
+            r, phi, d, psi, u, states = zip(*chunk)
+            sizes = [x.size for x in r]
+            r, phi, u = map(np.concatenate, (r, phi, u))
+            los = classify_los(r, phi, np.concatenate(d), np.concatenate(psi),
+                               cfg.blockage_diameter, sizes, [x.size for x in d])
+            h, h0 = np.empty(r.size), np.empty(len(chunk))
+            end = 0
+            for j, (state, size) in enumerate(zip(states, sizes)):
+                fading_rng.bit_generator.state = state
+                field, gains = los[end:end + size], h[end:end + size]
+                k = int(np.count_nonzero(field))
+                gains[field] = sample_nakagami_power(cfg.m_los, fading_rng, k)
+                gains[~field] = sample_nakagami_power(cfg.m_nlos, fading_rng, size - k)
+                h0[j] = sample_nakagami_power(cfg.m_los, fading_rng)
+                end += size
+            return r, phi, u, h, los, h0
     else:
         mean_count = cfg.density * (math.pi * (r_los * r_los))
 
@@ -362,15 +406,18 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     Trial k is fully determined by (mode, config, master_seed, k), so any
     worker split returns the identical array.  Every refusal is raised here,
     before any worker starts: ValueError for an unknown mode; ConfigError
-    for an invalid config, in LOSBALL DensityTooHigh when the mean power
-    outside the LOS ball is not finite, and the check_run refusals of
-    n_trials, master_seed and workers.
+    for an invalid config, DensityTooHigh in FULL when numpy cannot draw a
+    deployment's Poisson count and in LOSBALL when the mean power outside
+    the LOS ball is not finite, and the check_run refusals of n_trials,
+    master_seed and workers.
     """
     if mode not in (FULL, LOSBALL):
         raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
     cfg = validate(config)
     r_los, sigma2 = None, cfg.noise_power
-    if mode == LOSBALL:
+    if mode == FULL:
+        _check_field_counts(cfg)
+    else:
         # the closed form's LOS ball, everything outside it as its mean power
         params = coverage_params(cfg)
         r_los, sigma2 = params.r_los, params.sigma2_total
@@ -432,8 +479,12 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
 
     Pure geometry: interferers on the network disk, blockages on the
     enlarged disk, exact classification; no marks or fading involved.
-    An invalid config, count or seed is refused before any worker starts.
+    An invalid config, a density whose Poisson count numpy cannot draw
+    (DensityTooHigh), and a bad count or seed are refused before any
+    worker starts.
     """
+    cfg = validate(config)
+    _check_field_counts(cfg)
     counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
-                         workers, validate(config))
+                         workers, cfg)
     return _mean_and_se(counts.astype(float))

@@ -141,13 +141,16 @@ def validate(config):
     """Check every model invariant; return ``config`` unchanged if all hold.
 
     Raises ConfigError with a named violation for the first failed invariant;
-    a length, exponent, power or gain that is not a real number is
-    ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``.
+    a length, probability, exponent, power or gain that is not a real number
+    is ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``, and a
+    Nakagami order that is a bool or not a positive integer
+    ``NakagamiOrderInvalid``.
     density = 0 is accepted and means an empty network (no interferers and
     no blockages), which is a well-defined degenerate case.
     """
-    for name in ("density", "blockage_diameter", "net_radius", "alpha_los",
-                 "alpha_nlos", "ref_distance", "noise_power", "power_ratio"):
+    for name in ("density", "blockage_diameter", "net_radius", "tx_probability",
+                 "alpha_los", "alpha_nlos", "ref_distance", "noise_power",
+                 "power_ratio"):
         check_real(name, getattr(config, name))
     if not (config.density >= 0.0):
         raise ConfigError("DensityNegative", f"density must be >= 0, got {config.density}")
@@ -171,7 +174,8 @@ def validate(config):
                           f"alpha_nlos must exceed 2 (the mean weak-interferer power "
                           f"diverges otherwise), got {config.alpha_nlos}")
     for name, value in (("m", config.m_los), ("m_nlos", config.m_nlos)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 1):
             raise ConfigError("NakagamiOrderInvalid",
                               f"{name} must be a positive integer, got {value!r}")
         if value > MAX_NAKAGAMI_M:

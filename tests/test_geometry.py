@@ -186,12 +186,14 @@ def _bruteforce_los(r, phi, d, psi, W):
 
 def _record_bands(monkeypatch):
     # (live links, band centers' cx) of every band the sweep searches
+    # exactly, after the shadow pre-pass
     bands = []
     inner = geometry._block_band
 
-    def recording(los, live, phi, px, py, seg_sq, cx, *rest):
-        bands.append((live.copy(), cx.copy()))
-        return inner(los, live, phi, px, py, seg_sq, cx, *rest)
+    def recording(los, live, band, links, bodies, half_w):
+        d, psi = bodies[0][band], bodies[1][band]
+        bands.append((np.flatnonzero(live), d * np.cos(psi)))
+        return inner(los, live, band, links, bodies, half_w)
 
     monkeypatch.setattr(geometry, "_block_band", recording)
     return bands
@@ -294,6 +296,87 @@ def test_classify_los_property(links, centers, W):
     assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
     fewer = geometry.classify_los(r, phi, d[:-1], psi[:-1], W)
     assert not np.any(los & ~fewer)
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _turn(angle):
+    # an angle taken into [0, 2 pi), which % alone can round up to 2 pi
+    return min(angle % _TWO_PI, math.nextafter(_TWO_PI, 0.0))
+
+
+@st.composite
+def _field(draw, W):
+    # random links and centers, plus the limit cases of the sweep and its
+    # shadow pre-pass: a crowd of centers that shadows most links, a center
+    # over the origin (the field is all NLOS), a center just past W/2, a
+    # window wrapping across angle 0, and around a center: links on and
+    # just off its inner window's and its window's edges, short links
+    # inside its window, and links just beyond the first band edge at its
+    # angle
+    half_w = 0.5 * W
+    links = draw(st.lists(st.tuples(_lengths, _angles), max_size=25))
+    # centers out to a drawn distance: dense enough near the receiver, the
+    # band edges fall inside the links' reach and the pre-pass shadows them
+    reach = draw(st.floats(0.5, 12.0))
+    centers = draw(st.lists(st.tuples(st.floats(0.0, reach), _angles), max_size=30))
+    if draw(st.booleans()):
+        # a crowd: a ring of centers whose windows shadow most of the turn
+        n, d, turn = draw(st.integers(8, 48)), draw(st.floats(1.01 * half_w, 6.0)), draw(_angles)
+        centers += [(d * (1.0 + 0.5 * k / n), _turn(turn + _TWO_PI * k / n))
+                    for k in range(n)]
+    kinds = draw(st.lists(st.sampled_from(
+        ("origin", "grazing", "wrap", "window edges", "inside", "band edge")), max_size=5))
+    for kind in kinds:
+        if kind == "origin":
+            # clear of d = W/2, where the oracle's rounding decides contact
+            centers.append((draw(st.floats(0.0, 0.99 * half_w)), draw(_angles)))
+        elif kind == "grazing":
+            centers.append((half_w * (1.0 + 1e-12), draw(_angles)))
+        elif kind == "wrap":
+            psi = draw(st.floats(-0.2, 0.2))
+            centers.append((draw(st.floats(1.01 * half_w, 12.0)), _turn(psi)))
+            links.append((draw(_lengths), _turn(-psi)))
+    around = [c for c in centers if c[0] > half_w]
+    for kind in kinds:
+        if not around:
+            break
+        d, psi = around[draw(st.integers(0, len(around) - 1))]
+        inner = math.asin(half_w / d * (1.0 - 1e-6))
+        if kind == "window edges":
+            off = draw(st.sampled_from((0.0, 1e-9, 1e-6, 1e-3)))
+            length = draw(st.floats(d, d + 12.0))
+            for half in (inner, math.asin(half_w / d)):
+                links += [(length, _turn(psi - half - off)), (length, _turn(psi + half + off))]
+        elif kind == "inside":
+            links += [(d * part, _turn(psi + inner * (2.0 * part - 1.0)))
+                      for part in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))]
+        elif kind == "band edge":
+            dist = np.array(centers)[:, 0]
+            edge = 2.0 * math.pi * dist.max() ** 2 / (dist.size * W)
+            beyond = edge * (1.0 + 1e-9)
+            links += [(length, psi) for length in
+                      (edge, beyond, math.nextafter(beyond, math.inf), 2.0 * beyond)]
+    return links, centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(W=st.floats(0.05, 2.5), data=st.data())
+def test_classify_los_chunk_property(W, data):
+    # one call on a list of fields, empty ones and ones without centers
+    # included, gives each field the oracle's mask and its own call's
+    fields = [tuple(np.array(items, dtype=float).reshape(-1, 2).T for items in field)
+              for field in data.draw(st.lists(_field(W), min_size=1, max_size=5))]
+    (r, phi), (d, psi) = ([np.concatenate(column) for column in zip(*part)]
+                          for part in zip(*fields))
+    los = geometry.classify_los(r, phi, d, psi, W, [f[0][0].size for f in fields],
+                                [f[1][0].size for f in fields])
+    ends = np.cumsum([f[0][0].size for f in fields])[:-1]
+    for got, ((fr, fphi), (fd, fpsi)) in zip(np.split(los, ends), fields):
+        want = _bruteforce_los(fr, fphi, fd, fpsi, W)
+        assert np.array_equal(got, want)
+        assert np.array_equal(geometry.classify_los(fr, fphi, fd, fpsi, W), want)
 
 
 def test_sample_deployment_regions(monkeypatch):

@@ -251,10 +251,17 @@ def test_substreams_match_numpy_constructors():
             assert np.array_equal(first, want.random(4)), (seed, k)
 
 
-@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
-def test_chunked_engine_matches_trial_loop(mode):
-    # two full chunks and a partial one, serial and split at 171 and 343
-    cfg = make_config()
+@pytest.mark.parametrize("mode, orders", [
+    pytest.param(mcsim.FULL, {}, id="full"),
+    pytest.param(mcsim.LOSBALL, {}, id="losball"),
+    pytest.param(mcsim.FULL, {"m": 3, "m_nlos": 2}, id="full-m3-mnlos2"),
+])
+def test_chunked_engine_matches_trial_loop(mode, orders):
+    # two full chunks and a partial one, serial and split at 171 and 343.
+    # With m != m_nlos a FULL trial's fading depends on its LOS count, so
+    # the chunk's classification must come between its draws and its
+    # fading, from each trial's saved substream state
+    cfg = make_config(**orders)
     n = 2 * mcsim._CHUNK + 3
     want = oracles.sinr_samples(mode, cfg, 0, n, 44)
     assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 44), want)

@@ -127,10 +127,17 @@ def test_validation_violations():
     _expect_violation("PowerRatioNotPositive", power_ratio=0.0)
     # past the file parser, a number field must hold a real number
     cfg = make_config()
-    for value in ("3", None, True):
+    for field, values in (("density", ("3", None, True)),
+                          ("tx_probability", ("0.5", None, True))):
+        for value in values:
+            with pytest.raises(model.ConfigError) as err:
+                model.validate(dataclasses.replace(cfg, **{field: value}))
+            assert err.value.violation == "ValueNotReal", (field, value)
+    # a bool is not a Nakagami order, though Python counts True as 1
+    for field in ("m_los", "m_nlos"):
         with pytest.raises(model.ConfigError) as err:
-            model.validate(dataclasses.replace(cfg, density=value))
-        assert err.value.violation == "ValueNotReal"
+            model.validate(dataclasses.replace(cfg, **{field: True}))
+        assert err.value.violation == "NakagamiOrderInvalid"
 
 
 # -inf dB is a finite linear gain (0), so Gt_dB takes only inf and nan
