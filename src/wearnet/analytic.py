@@ -128,8 +128,11 @@ def laplace_term(ell, bt, params):
     bt = 0.
 
     Broadcasts over ``ell`` and ``bt``: every radial integral of the
-    broadcast grid is one integrand of a single batched quadrature.  A
-    float for scalar inputs, else an array of the broadcast shape.
+    broadcast grid is one integrand of a single batched quadrature, with
+    one integrand per distinct joint gain G_i (the main-side and side-main
+    pairs share theirs when the two patterns are equal).  The sum over i
+    still runs pair by pair, in table order.  A float for scalar inputs,
+    else an array of the broadcast shape.
     """
     cfg = params.config
     ell_b, bt_b = np.broadcast_arrays(np.asarray(ell, dtype=float),
@@ -142,8 +145,10 @@ def laplace_term(ell, bt, params):
         scale = ell_b[live] * params.m_tilde * bt_b[live] * cfg.power_ratio
         pairs = [(q_i, G_i) for q_i, G_i in zip(params.gain_table.q, params.gain_table.G)
                  if q_i != 0.0]
-        # one integrand per (gain pair, live point), gain pair outermost
-        c = np.concatenate([scale * G_i for _, G_i in pairs])
+        # pairs with one joint gain share their integrals: one integrand per
+        # (distinct gain, live point), gain outermost
+        gains, which = np.unique([G_i for _, G_i in pairs], return_inverse=True)
+        c = np.concatenate([scale * G for G in gains])
 
         def integrand(index, r):
             # (1 + c r^-aL)^-m r, in place to keep one temporary per level;
@@ -159,9 +164,10 @@ def laplace_term(ell, bt, params):
 
         radial = integrate_batch(integrand, c.size, 0.0, R,
                                  abs_tol=_LAPLACE_ABS_TOL, rel_tol=_LAPLACE_REL_TOL)
+        J = radial.reshape(gains.size, scale.size)
         total = np.zeros(scale.size)
-        for (q_i, _), J_i in zip(pairs, radial.reshape(len(pairs), scale.size)):
-            total += q_i * J_i
+        for (q_i, _), g in zip(pairs, which.tolist()):
+            total += q_i * J[g]
         out[live] = np.exp(-cfg.density * math.pi * cfg.tx_probability
                            * (R * R - 2.0 * total))
     return float(out) if out.ndim == 0 else out

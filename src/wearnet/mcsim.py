@@ -105,8 +105,8 @@ def _draw_field(cfg, rng):
 
 def _check_field_counts(cfg):
     """ConfigError DensityTooHigh unless numpy can draw a deployment's
-    Poisson counts; the blockage disk, of radius r_net + W/2, has the
-    larger mean."""
+    Poisson counts and index its (2, n) float64 coordinate block at their
+    mean; the blockage disk, of radius r_net + W/2, has the larger mean."""
     radius = cfg.net_radius + 0.5 * cfg.blockage_diameter
     mean = cfg.density * (math.pi * (radius * radius))
     try:
@@ -116,6 +116,11 @@ def _check_field_counts(cfg):
                           f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
                           f"blockage centers on the deployment disk, more than "
                           f"numpy can draw") from None
+    if 16.0 * mean > np.iinfo(np.intp).max:
+        raise ConfigError("DensityTooHigh",
+                          f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
+                          f"blockage centers on the deployment disk, more "
+                          f"coordinates than one numpy array can hold")
 
 
 def sample_full_field(cfg, rng):

@@ -8,11 +8,15 @@ difference between the one-panel value and the sum over its two halves.
 
 The rule is batch-native: ``integrate_batch`` integrates many integrands
 over a common interval and evaluates every pending panel of every
-integrand in one vectorized call per bisection level.  A panel's fate
-depends only on the panel itself, never on the order panels are visited
-in or on the other integrands of the batch, and the accepted panels are
-summed with the exactly rounded ``math.fsum``, so a batch gives bit for
-bit the values each integrand would give alone.
+integrand in one vectorized call per bisection level; the first call
+holds each integrand's whole interval and its two halves.  The node sum
+of a call is one axis-0 reduction of a C-ordered (20, panels) block,
+which numpy adds row by row only when there are at least two columns (a
+lone column it sums pairwise); every call has at least two.  So a panel's
+value, and its fate, depend only on the panel itself, never on the order
+panels are visited in or on the other integrands of the batch, and the
+accepted panels are summed with the exactly rounded ``math.fsum``, so a
+batch gives bit for bit the values each integrand would give alone.
 """
 
 from __future__ import annotations
@@ -52,15 +56,17 @@ _GROUP = 256
 def _panels(f, owner, lo, hi):
     """One-panel rule values on [lo[k], hi[k]] for integrand owner[k].
 
-    The weighted node sum runs node by node over contiguous rows, so each
-    panel's value is the same whatever else is in the batch.
+    The weighted node sum is one axis-0 reduction of the C-ordered
+    (20, P) products.  numpy adds the rows of such a block one after the
+    other, as a node-by-node loop would, but only for P >= 2: a single
+    column is one contiguous run that it sums pairwise, in another order.
+    The callers never pass fewer than two panels, so each panel's value
+    is the same whatever else is in the batch.
     """
     half = 0.5 * (hi - lo)
     values = f(owner, 0.5 * (lo + hi) + half * _NODES[:, None])
-    total = _WEIGHTS[0] * values[0]
-    for w, row in zip(_WEIGHTS[1:], values[1:]):
-        total += w * row
-    return half * total
+    return half * np.add.reduce(np.multiply(values, _WEIGHTS[:, None], order="C"),
+                                axis=0)
 
 
 def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
@@ -98,16 +104,16 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol):
     own = np.arange(k)
     lo = np.full(k, float(a))
     hi = np.full(k, float(b))
-    whole = _panels(f, index, lo, hi)
+    mid = 0.5 * (lo + hi)
+    # the whole interval and its two halves in one call of 3k >= 3 panels
+    first = _panels(f, np.concatenate((index, index, index)),
+                    np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
+    whole, halves = first[:k], first[k:]
     tol_density = np.maximum(abs_tol, rel_tol * np.abs(whole)) / (b - a)
-    used = np.ones(k, dtype=np.int64)
+    used = np.full(k, 3, dtype=np.int64)
     done_owner, done_value = [], []     # converged panels, by level
-    while own.size:
-        mid = 0.5 * (lo + hi)
-        halves = _panels(f, index[np.concatenate((own, own))],
-                         np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+    while True:
         left, right = halves[:own.size], halves[own.size:]
-        used += 2 * np.bincount(own, minlength=k)
         refined = left + right
         err = np.abs(refined - whole)
         width = hi - lo
@@ -128,13 +134,22 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol):
                 f"panels on [{a}, {b}]; worst panel error {worst:.3e}",
                 value, worst, int(index[j]))
         own = np.concatenate((own[split], own[split]))
+        if not own.size:
+            break
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         whole = np.concatenate((left[split], right[split]))
-    parts = [[] for _ in range(k)]
-    for j, value in zip(np.concatenate(done_owner).tolist(),
-                        np.concatenate(done_value).tolist()):
-        parts[j].append(value)
-    return np.array([math.fsum(p) for p in parts])
+        mid = 0.5 * (lo + hi)
+        # 2 * pending >= 2 panels
+        halves = _panels(f, index[np.concatenate((own, own))],
+                         np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        used += 2 * np.bincount(own, minlength=k)
+    # each integrand's converged panels side by side, then one exact sum each
+    owner = np.concatenate(done_owner)
+    order = np.argsort(owner, kind="stable")
+    values = np.concatenate(done_value)[order].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+    return np.array([math.fsum(values[start:stop])
+                     for start, stop in zip([0] + ends[:-1], ends)])
 
 
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8):

@@ -7,6 +7,15 @@ every blockage center, with no angular pruning and no distance bands;
 t_factor: the per-interferer Laplace factor whose radial average over the
 LOS ball `analytic.laplace_term` evaluates as one batched integral.
 
+laplace_term: that transform with one radial integral per gain pair,
+duplicate joint gains included; `analytic.laplace_term`, which integrates
+each distinct joint gain once, must give the same bits.
+
+gauss_legendre: the adaptive 20-point rule for one integrand, panel by
+panel, with the weighted node sum added node by node in Python floats;
+`quadrature.integrate_batch`, which sums the nodes of a whole batch of
+panels in one numpy reduction, must give the same bits.
+
 substream / sinr_samples: trial k's generator built by numpy's own
 constructors, and a plain trial-by-trial Monte Carlo loop on it, with
 separate link and reference fading draws; the engine in `mcsim`, which sets
@@ -24,9 +33,10 @@ import math
 import numpy as np
 
 from wearnet import mcsim
-from wearnet.analytic import nlos_mean_power
+from wearnet.analytic import _LAPLACE_ABS_TOL, _LAPLACE_REL_TOL, nlos_mean_power
 from wearnet.losball import los_ball_radius
 from wearnet.model import validate
+from wearnet.quadrature import integrate_batch
 
 
 def segment_dist_sq(px, py, cx, cy):
@@ -73,6 +83,75 @@ def t_factor(gain_r, R, ell, bt, params):
     main = (1.0 + scale * cfg.tx_pattern.main_gain) ** (-cfg.m_los)
     side = (1.0 + scale * cfg.tx_pattern.side_gain) ** (-cfg.m_los)
     return (1.0 - cfg.tx_probability) + cfg.tx_probability * (at * main + (1.0 - at) * side)
+
+
+def laplace_term(ell, bt, params):
+    """exp(-lambda pi p_t (R_LOS^2 - 2 sum_i q_i J_i)), one integral J_i per
+    gain pair with q_i != 0, for array ``ell`` and ``bt`` of one shape."""
+    cfg = params.config
+    ell_b, bt_b = np.broadcast_arrays(np.asarray(ell, dtype=float),
+                                      np.asarray(bt, dtype=float))
+    out = np.ones(ell_b.shape)
+    live = bt_b != 0.0
+    if cfg.density == 0.0 or cfg.tx_probability == 0.0 or not np.any(live):
+        return out
+    R = params.r_los
+    scale = ell_b[live] * params.m_tilde * bt_b[live] * cfg.power_ratio
+    pairs = [(q_i, G_i) for q_i, G_i in zip(params.gain_table.q, params.gain_table.G)
+             if q_i != 0.0]
+    c = np.concatenate([scale * G_i for _, G_i in pairs])
+
+    def integrand(index, r):
+        with np.errstate(over="ignore"):
+            v = r ** (-cfg.alpha_los)
+            v *= c[index]
+        v += 1.0
+        v **= -cfg.m_los
+        v *= r
+        return v
+
+    radial = integrate_batch(integrand, c.size, 0.0, R,
+                             abs_tol=_LAPLACE_ABS_TOL, rel_tol=_LAPLACE_REL_TOL)
+    total = np.zeros(scale.size)
+    for (q_i, _), J_i in zip(pairs, radial.reshape(len(pairs), scale.size)):
+        total += q_i * J_i
+    out[live] = np.exp(-cfg.density * math.pi * cfg.tx_probability
+                       * (R * R - 2.0 * total))
+    return out
+
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _panel(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    values = f(0.5 * (lo + hi) + half * _NODES).tolist()
+    total = float(_WEIGHTS[0]) * values[0]
+    for w, v in zip(_WEIGHTS[1:].tolist(), values[1:]):
+        total += w * v
+    return half * total
+
+
+def gauss_legendre(f, a, b, abs_tol, rel_tol):
+    """The adaptive rule of `quadrature.integrate_batch` for one vectorized
+    ``f`` on [a, b] (a < b), without its panel budget: a panel whose two
+    halves differ from it by more than its share of the tolerance, and
+    that is wider than 16 ulps of its midpoint, is bisected; the accepted
+    halves' sums are added by math.fsum."""
+    whole = _panel(f, a, b)
+    tol_density = max(abs_tol, rel_tol * abs(whole)) / (b - a)
+    pending, done = [(float(a), float(b), whole)], []
+    while pending:
+        lo, hi, whole = pending.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = _panel(f, lo, mid), _panel(f, mid, hi)
+        refined = left + right
+        if (abs(refined - whole) <= tol_density * (hi - lo)
+                or hi - lo <= 16.0 * np.spacing(abs(mid))):
+            done.append(refined)
+        else:
+            pending += [(lo, mid, left), (mid, hi, right)]
+    return math.fsum(done)
 
 
 def substream(master_seed, k):

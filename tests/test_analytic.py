@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from conftest import figure_config, make_config
+import oracles
 from oracles import t_factor
 from wearnet import analytic, model
 
@@ -123,6 +124,41 @@ def test_laplace_term_from_t_factor():
         want = math.exp(-2.0 * math.pi * cfg.density * radial)
         got = analytic.laplace_term(ell, bt, p)
         assert abs(got - want) <= 1e-8 * want, (ell, beta)
+
+
+def _gain_pair_cases():
+    fig8 = figure_config("fig8")
+    # a receive pattern of its own: four distinct joint gains
+    rx = dataclasses.replace(fig8.rx_pattern, main_gain=2.5, side_gain=0.5,
+                             beamwidth=math.radians(30.0))
+    # an omnidirectional receiver: the two receive side-lobe pairs have q = 0
+    omni = dataclasses.replace(fig8.rx_pattern, beamwidth=2.0 * math.pi)
+    return [("fig8", fig8, 3),
+            ("tx != rx", dataclasses.replace(fig8, rx_pattern=rx), 4),
+            ("q_i = 0", dataclasses.replace(fig8, rx_pattern=omni), 2)]
+
+
+@pytest.mark.parametrize("case", _gain_pair_cases(), ids=lambda case: case[0])
+def test_laplace_term_one_integral_per_distinct_gain(monkeypatch, case):
+    # equal tx and rx patterns give main x side and side x main one joint
+    # gain, so 3 radial integrals per live point; distinct patterns give 4;
+    # a pair with q_i = 0 is dropped.  Every bit equals one integral per pair
+    _, cfg, per_point = case
+    params = analytic.coverage_params(dataclasses.replace(cfg, m_los=3))
+    sizes = []
+    original = analytic.integrate_batch
+
+    def recorded(f, n, *args, **kwargs):
+        sizes.append(n)
+        return original(f, n, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "integrate_batch", recorded)
+    ell = np.arange(1.0, 4.0)[:, None]
+    bt = np.array([0.0, 1e-4, 0.03, 2.0, 50.0])
+    got = analytic.laplace_term(ell, bt, params)
+    assert sizes == [per_point * ell.size * np.count_nonzero(bt)]
+    want = oracles.laplace_term(*np.broadcast_arrays(ell, bt), params)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_laplace_term_trivial_and_monotone():

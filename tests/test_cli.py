@@ -330,23 +330,25 @@ def test_overwhelming_density_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_undrawable_density_exit_code(tmp_path, capsys, monkeypatch, threads):
     # lambda = 1e300 puts more blockage centers on the deployment disk than
-    # numpy's Poisson sampler can draw: a named ConfigError raised in the
-    # calling process, before any worker starts, for both geometric runs
+    # numpy's Poisson sampler can draw, and lambda = 1e16 more than one
+    # array can hold: a named ConfigError raised in the calling process,
+    # before any worker starts, for both geometric runs
     class NoPool:
         def __init__(self, *args, **kwargs):
             pytest.fail("a process pool started before the refusal")
 
     monkeypatch.setattr(mcsim, "ProcessPoolExecutor", NoPool)
-    cfg = _write_config(tmp_path, **{"lambda": "1e300"})
     out = tmp_path / "out"
-    for args in (["simulate", "--mode", "full", "--trials", "1"],
-                 ["compare", "--kind", "mean-count", "--trials", "2",
-                  "--lambda-grid", "1e300"]):
-        rc = cli.main(["--config", cfg, "--out-dir", str(out),
-                       "--threads", threads] + args)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: DensityTooHigh") and "Traceback" not in err
+    for density in ("1e300", "1e16"):
+        cfg = _write_config(tmp_path, **{"lambda": density})
+        for args in (["simulate", "--mode", "full", "--trials", "1"],
+                     ["compare", "--kind", "mean-count", "--trials", "2",
+                      "--lambda-grid", density]):
+            rc = cli.main(["--config", cfg, "--out-dir", str(out),
+                           "--threads", threads] + args)
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: DensityTooHigh") and "Traceback" not in err
     assert not out.exists()
 
 

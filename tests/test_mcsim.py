@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
     with pytest.raises(ConfigError) as err:
         sinr(5, 0, config=make_config(**{"lambda": 1e6}))
     assert err.value.violation == "DensityTooHigh"
+    # numpy draws a Poisson count of about 3.2e18 centers at lambda = 1e16
+    # but cannot allocate their (2, n) coordinates: refused before any draw
+    for run in (partial(sinr, mode=mcsim.FULL), count):
+        with pytest.raises(ConfigError) as err:
+            run(1, 0, config=make_config(**{"lambda": 1e16}))
+        assert err.value.violation == "DensityTooHigh"
+        assert "hold" in str(err.value)
 
     monkeypatch.undo()
     for run in (sinr, count):

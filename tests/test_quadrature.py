@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from wearnet import quadrature
 from wearnet.quadrature import (QuadratureNotConverged, adaptive_gauss_legendre,
                                integrate_batch)
@@ -120,3 +121,33 @@ def test_panel_budget_is_per_integrand(monkeypatch):
 def test_empty_batch_and_zero_width():
     assert integrate_batch(lambda index, x: x, 0, 0.0, 1.0).size == 0
     assert integrate_batch(lambda index, x: x, 4, 2.0, 2.0).tolist() == [0.0] * 4
+
+
+def test_panel_node_sum_matches_node_by_node_rule(monkeypatch):
+    # numpy sums a single (20, 1) column pairwise, not node by node; the
+    # rule never hands _panels fewer than 2 panels, so every batch size,
+    # including a last group of one (257 = 256 + 1), gives the bits of a
+    # node-by-node panel sum
+    columns = []
+    original = quadrature._panels
+
+    def recorded(f, owner, lo, hi):
+        columns.append(owner.size)
+        return original(f, owner, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panels", recorded)
+    cs = np.geomspace(1e-6, 1e4, 257)
+
+    def f(index, r):
+        return r / (1.0 + cs[index] * r ** -3.2) ** 4
+
+    want = [oracles.gauss_legendre(lambda r, c=c: r / (1.0 + c * r ** -3.2) ** 4,
+                                   0.0, 10.0, 1e-12, 1e-10) for c in cs]
+    for n in (1, 2, 257):
+        got = integrate_batch(f, n, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
+        assert got.tolist() == want[:n], n
+    for c, value in zip(cs[::32], want[::32]):
+        got = adaptive_gauss_legendre(lambda r: r / (1.0 + c * r ** -3.2) ** 4,
+                                      0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
+        assert got == value
+    assert min(columns) >= 2
