@@ -8,8 +8,9 @@ the same way (e.g. WEARNET_LAMBDA=2 or WEARNET_ALPHA_L=2.0), with explicit
 file values losing to the environment and flags beating both.
 
 Exit status: 0 success, 1 a comparison missed its tolerance, 2 bad
-configuration/arguments or unwritable output, 3 a numerical failure (an
-ArithmeticError such as QuadratureNotConverged).
+configuration/arguments, unwritable output or a run that does not fit in
+memory (MemoryError), 3 a numerical failure (an ArithmeticError such as
+QuadratureNotConverged).
 """
 
 from __future__ import annotations
@@ -236,6 +237,10 @@ def main(argv=None):
         return 1
     except (ValueError, experiments.IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a run too large for this machine is a bad argument, not a failed gate
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

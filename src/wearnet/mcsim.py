@@ -14,9 +14,11 @@ Reproducibility: trial k of a run with master seed s draws from a PCG64
 generator seeded with SeedSequence((s, k)).  That per-trial substream rule
 makes results independent of how trials are split across workers; counts
 and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
-The substream states are computed in bulk, _CHUNK trials at a time, by
-numpy's own SeedSequence hash and PCG64 seeding rule, and set in turn on one
-reused generator; a test checks them against numpy's constructors.
+The substream states are computed in bulk, _STATES trials at a time, by
+numpy's own SeedSequence hash and PCG64 seeding rule (its 128-bit LCG steps
+on 32-bit limbs in uint64 arrays), and set in turn on one reused generator
+through its public state setter; a test checks them against numpy's
+constructors.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
@@ -28,11 +30,15 @@ uniforms are one 3 x n block, and its link fading and reference fading one
 draw of n + 1 values, the reference last; numpy's gamma sampler fills
 element by element, so the values are those of two separate draws.
 
-Only RNG calls run trial by trial: in LOSBALL the count, the block and the
-fading, nothing else.  The disk transform, the marks' gains, the path loss
-and the products run once over a chunk of buffered trials, and each
-trial's interference is its own np.add.reduce, the pairwise order np.sum
-uses, so every value is the one a trial-by-trial loop gives.
+One flat loop sets each trial's state and draws; only RNG calls run trial
+by trial: in LOSBALL the count, the block and the fading, nothing else.
+The loop flushes a chunk of at most _CHUNK buffered trials (fewer once they
+hold _LINKS links), and the disk transform, the marks' gains, the path
+loss and the products run once over it.  A trial's interference is the
+np.add.reduce of its own links, the pairwise order np.sum uses: the
+chunk's trials of one link count are summed by one reduce along the rows
+of a block that holds one trial per row, which adds each row as its own
+1-D reduce does, so every value is the one a trial-by-trial loop gives.
 
 A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
@@ -166,16 +172,29 @@ def _interference(cfg, sizes, r, phi, u, h, los):
     # elementwise, so each value is the one a scalar exponent gives
     alpha = cfg.alpha_los if los is None else np.where(los, cfg.alpha_los, cfg.alpha_nlos)
     power *= r ** -alpha
-    # one reduce per trial keeps np.sum's pairwise order; reduceat or
-    # bincount would add in another order and move the last bits
-    ends = np.cumsum(sizes).tolist()
-    sums = [np.add.reduce(power[a:b]) for a, b in zip([0] + ends, ends)]
-    return cfg.power_ratio * np.array(sums)
+    # np.sum's pairwise order, trial by trial, with one reduce per link
+    # count: the trials of a count are gathered as the rows of one
+    # C-contiguous block, and a reduce along its rows sums each row as its
+    # own 1-D reduce would.  reduceat or bincount would add in another
+    # order and move the last bits
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")
+    counts = sizes[order]
+    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), sizes.size]
+    sums = np.zeros(sizes.size)
+    for a, b in zip(cuts, cuts[1:]):
+        if counts[a]:
+            trials = order[a:b]
+            block = power[starts[trials, None] + np.arange(counts[a])]
+            sums[trials] = np.add.reduce(block, axis=1)
+    return cfg.power_ratio * sums
 
 
 # --- per-trial substreams -------------------------------------------------
 
-_CHUNK = 256    # trials per block of substream states and per flush
+_STATES = 4096  # trials per block of substream states
+_CHUNK = 256    # trials per flush
 # Buffered links that close a chunk early.  A FULL chunk is classified in
 # one classify_los call, whose fixed cost is paid per call, so the budget
 # holds about 8 fig6 fields of about 950 links.  It also bounds a chunk's
@@ -188,15 +207,16 @@ _LINKS = 8192
 MAX_TRIALS = 2 ** 32
 
 # numpy's SeedSequence is O'Neill's seed_seq hash on 32-bit words; these are
-# its constants, then PCG64's 128-bit LCG multiplier.  They stay masked
-# Python ints: numpy uint32 scalars warn on overflow.
+# its constants, then PCG64's 128-bit LCG multiplier as 32-bit limbs, least
+# significant first.  They stay masked Python ints: numpy uint32 scalars
+# warn on overflow.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)     # INIT_A, MULT_A
 _GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT = tuple(0x2360ED051FC65DA44385DF649FCCF645 >> s & _M32
+                    for s in range(0, 128, 32))
 
 
 def _seed_words(seed):
@@ -226,6 +246,38 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+def _add128(x, y):
+    """x + y mod 2**128 on four 32-bit limbs per value, least significant
+    first, each limb a uint64 array (y's limbs may be Python ints)."""
+    out, carry = [], 0
+    for a, b in zip(x, y):
+        a = a + b + carry
+        out.append(a & _M32)
+        carry = a >> 32
+    return out
+
+
+def _mul128(x, c):
+    """x * c mod 2**128 on 32-bit limbs as in _add128.  Each product of two
+    limbs fits 64 bits; its low half goes to its column and its high half to
+    the next, and no column of at most seven halves and a carry overflows."""
+    columns = [0] * 4
+    for i, a in enumerate(x):
+        for j, b in enumerate(c[:4 - i]):
+            product = a * b
+            columns[i + j] = columns[i + j] + (product & _M32)
+            if i + j < 3:
+                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
+    return _add128(columns, (0, 0, 0, 0))  # carry the columns
+
+
+def _ints(x):
+    """Python ints of 128-bit values on 32-bit limbs as in _add128: the one
+    step that runs value by value."""
+    return [hi << 64 | lo for hi, lo in zip((x[2] | x[3] << 32).tolist(),
+                                            (x[0] | x[1] << 32).tolist())]
+
+
 def _pcg64_states(words, lo, hi):
     """(state, inc) of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
     words = _seed_words(s), hi <= MAX_TRIALS; vectorized over k."""
@@ -243,52 +295,38 @@ def _pcg64_states(words, lo, hi):
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
     # generate_state(4, uint64): eight words cycled from the pool, paired
-    # low word first
+    # low word first into four uint64s, which are initstate's high and low
+    # halves, then initseq's
     hashmix = _hasher(*_GENERATE_STATE)
     w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        (w[2 * j] | w[2 * j + 1] << 32).tolist() for j in range(4))
+    seed, seq = w[2:4] + w[0:2], w[6:8] + w[4:6]
     # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps around
     # adding initstate
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
-        yield ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _M128, inc
+    inc = _add128(seq, seq)
+    inc[0] |= 1
+    state = _add128(_mul128(_add128(seed, inc), _PCG64_MULT), inc)
+    return zip(_ints(state), _ints(inc))
 
 
 def _substreams(master_seed, start, stop):
-    """Yield (k, rng) for each trial k in [start, stop), where rng draws
-    exactly what Generator(PCG64(SeedSequence((master_seed, k)))) would.
+    """Yield, once for each trial k in [start, stop) in turn, one reused
+    generator that draws exactly what
+    Generator(PCG64(SeedSequence((master_seed, k)))) would.
 
-    One generator serves every trial: its state is reset for each k, so a
-    yielded rng is valid only until the next one is taken.
+    Its state is reset for each k through the public state setter, from
+    one reused state dict, so a yielded rng is valid only until the next
+    one is taken.
     """
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     words = _seed_words(master_seed)
-    for lo in range(start, stop, _CHUNK):
-        states = _pcg64_states(words, lo, min(lo + _CHUNK, stop))
-        for k, (state, inc) in enumerate(states, lo):
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield k, rng
-
-
-def _trial_chunks(draw, master_seed, start, stop):
-    """draw(rng) for each trial of [start, stop) on its own substream,
-    yielded in lists of at most _CHUNK trials.  A list closes early once
-    its trials hold _LINKS links (a trial's first array holds its links
-    along its last axis), so a chunk of dense FULL fields stays small."""
-    chunk, links = [], 0
-    for _, rng in _substreams(master_seed, start, stop):
-        trial = draw(rng)
-        chunk.append(trial)
-        links += trial[0].shape[-1]
-        if len(chunk) == _CHUNK or links >= _LINKS:
-            yield chunk
-            chunk, links = [], 0
-    if chunk:
-        yield chunk
+    seeded = {}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    for lo in range(start, stop, _STATES):
+        for seeded["state"], seeded["inc"] in _pcg64_states(
+                words, lo, min(lo + _STATES, stop)):
+            bit_generator.state = state
+            yield rng
 
 
 # --- batched, seed-deterministic runs ------------------------------------
@@ -327,12 +365,14 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             return r, phi, u, h, los, h0
     else:
         mean_count = cfg.density * (math.pi * (r_los * r_los))
+        draws_count = cfg.density > 0.0
+        m_los = cfg.m_los
 
         def draw(rng):
             # count, the 3 x n uniforms (radius, angle and activity rows)
             # and the link fading with h0 last; see the module docstring
-            n = rng.poisson(mean_count) if cfg.density > 0.0 else 0
-            return rng.random((3, n)), sample_nakagami_power(cfg.m_los, rng, n + 1)
+            n = rng.poisson(mean_count) if draws_count else 0
+            return rng.random((3, n)), sample_nakagami_power(m_los, rng, n + 1)
 
         def columns(chunk):
             blocks, fading = zip(*chunk)
@@ -344,23 +384,41 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             return (*disk_polar(r_los, x), x[2], fading[is_link], None, fading[last])
 
     out = np.empty((stop - start, 2))
-    done = 0
-    for chunk in _trial_chunks(draw, master_seed, start, stop):
+
+    def flush(chunk, done):
         sizes = [trial[0].shape[-1] for trial in chunk]
         *links, h0 = columns(chunk)
         interference = _interference(cfg, sizes, *links)
         rows = out[done:done + len(chunk)]
-        rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
+        # SINR = +inf where the denominator is 0 (no noise and no
+        # interference); estimate_ergodic_se refuses such samples by name
+        with np.errstate(divide="ignore"):
+            rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
         rows[:, 1] = interference
-        done += len(chunk)
+        return done + len(chunk)
+
+    # one flat loop: set a trial's substream, draw, and flush a chunk once
+    # it holds _CHUNK trials or _LINKS links (a trial's first array holds
+    # its links along its last axis), so a chunk of dense FULL fields stays
+    # small
+    chunk, links, done = [], 0, 0
+    for rng in _substreams(master_seed, start, stop):
+        trial = draw(rng)
+        chunk.append(trial)
+        links += trial[0].shape[-1]
+        if len(chunk) == _CHUNK or links >= _LINKS:
+            done = flush(chunk, done)
+            chunk, links = [], 0
+    if chunk:
+        flush(chunk, done)
     return out
 
 
 def _run_los_count_range(cfg, master_seed, start, stop):
     out = np.empty(stop - start, dtype=np.int64)
-    for k, rng in _substreams(master_seed, start, stop):
+    for j, rng in enumerate(_substreams(master_seed, start, stop)):
         _, _, los = sample_full_field(cfg, rng)
-        out[k - start] = int(np.count_nonzero(los))
+        out[j] = int(np.count_nonzero(los))
     return out
 
 
@@ -469,13 +527,26 @@ def _mean_and_se(values):
     mean = math.fsum(values) / n
     if n < 2:
         return mean, math.inf
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    # squared as Python floats: float ** 2 is libm's pow, the rounding of
+    # the pinned values; numpy's array square is x * x, which differs from
+    # pow in the last bit on about 0.1% of values
+    var = math.fsum([(v - mean) ** 2 for v in values.tolist()]) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
 def estimate_ergodic_se(mode, config, n_trials, master_seed, workers=1):
-    """Monte Carlo mean spectral efficiency; returns (mean, standard error)."""
+    """Monte Carlo mean spectral efficiency; returns (mean, standard error).
+
+    ConfigError SinrUnbounded when a trial's SINR is infinite: with no
+    noise a trial without interference has a zero denominator, and the
+    mean rate of such a run does not exist.
+    """
     samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
+    unbounded = np.count_nonzero(np.isinf(samples[:, 0]))
+    if unbounded:
+        raise ConfigError("SinrUnbounded",
+                          f"{unbounded} of {samples.shape[0]} trials have no noise and no "
+                          f"interference, so an infinite SINR and no finite mean rate")
     return _mean_and_se(np.log2(1.0 + samples[:, 0]))
 
 

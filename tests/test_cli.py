@@ -369,6 +369,36 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not (out / "nakagami_sweep.csv").exists()
 
 
+
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a run numpy cannot allocate (fig6 at lambda = 1e9 asks for TiBs in
+    # one array) is a bad argument, exit 2, not a missed gate: a one-line
+    # message, no traceback.  The command is replaced, nothing is allocated
+    def too_big(args):
+        raise MemoryError("Unable to allocate 4.57 TiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", too_big)
+    cfg = _write_config(tmp_path)
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "simulate",
+                   "--mode", "full", "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: Unable to allocate 4.57 TiB for an array\n"
+
+
+@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
+def test_simulate_without_noise_or_interference(tmp_path, mode):
+    # no noise and a silent network: every SINR is +inf, on purpose and
+    # without a divide-by-zero warning (an error under this suite), so
+    # every threshold is exceeded
+    cfg = _write_config(tmp_path, noise_power=0.0, p_t=0.0)
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "simulate",
+                   "--mode", mode, "--trials", "20", "--beta-grid-dB=0:20:10"])
+    assert rc == 0
+    lines = (tmp_path / f"simulate_{mode}.csv").read_text().splitlines()
+    assert [ln.split(",")[1] for ln in lines[2:]] == ["1.0"] * 3
+
+
 def _run_console_script(exe, out_dir):
     """Run a `wearnet` console script as its own process on this checkout.
 

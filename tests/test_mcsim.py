@@ -245,18 +245,75 @@ def test_errors_survive_pickling(error, text, attrs):
 
 def test_substreams_match_numpy_constructors():
     # every state set in bulk equals the one numpy's own SeedSequence and
-    # PCG64 constructors give, at chunk edges and at the largest k
-    ks = (0, mcsim._CHUNK - 1, mcsim._CHUNK, 2 * mcsim._CHUNK + 1)
+    # PCG64 constructors give, at flush and state-block edges, across a
+    # block edge of a range that starts inside a block, and at the largest k
+    chunk, block = mcsim._CHUNK, mcsim._STATES
+    ks = (0, chunk - 1, chunk, 2 * chunk + 1, block - 1, block, 2 * block + 1)
     for seed in (0, 1, 104, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3):
         got = {k: (rng.bit_generator.state, rng.random(4))
-               for k, rng in mcsim._substreams(seed, 0, max(ks) + 1) if k in ks}
-        k, rng = next(mcsim._substreams(seed, 2**32 - 1, 2**32))
-        got[k] = (rng.bit_generator.state, rng.random(4))
-        assert sorted(got) == sorted(ks + (2**32 - 1,))
+               for k, rng in enumerate(mcsim._substreams(seed, 0, max(ks) + 1))
+               if k in ks}
+        for lo, hi in ((block - 2, block + 2), (2**32 - 1, 2**32)):
+            for k, rng in enumerate(mcsim._substreams(seed, lo, hi), lo):
+                got[k] = (rng.bit_generator.state, rng.random(4))
+        assert sorted(got) == sorted(set(ks) | {block - 2, block + 1, 2**32 - 1})
         for k, (state, first) in got.items():
             want = oracles.substream(seed, k)
             assert state == want.bit_generator.state, (seed, k)
             assert np.array_equal(first, want.random(4)), (seed, k)
+
+
+def test_per_count_sums_match_per_trial_reduces():
+    # _interference sums the trials of one link count as the rows of one
+    # block; each row must be the np.add.reduce of that trial's own links,
+    # for zero-link trials, for counts on both sides of numpy's 8- and
+    # 128-element pairwise blocks, and with counts shared and shuffled
+    cfg = make_config(power_ratio=2.5)
+    rng = np.random.default_rng(47)
+    counts = list(range(301)) + [513, 1000, 1025]
+    sizes = rng.permutation(counts * 2 + [0] * 5 + [3] * 40)
+    n = int(sizes.sum())
+    r, phi, u, h = 0.25 + 10.0 * rng.random(n), 6.3 * rng.random(n), rng.random(n), rng.random(n)
+    for los in (None, rng.random(n) < 0.4):
+        power = np.multiply(*mcsim._gains(cfg, u, phi)) * h
+        power *= r ** -(cfg.alpha_los if los is None
+                        else np.where(los, cfg.alpha_los, cfg.alpha_nlos))
+        ends = np.cumsum(sizes)
+        want = cfg.power_ratio * np.array(
+            [np.add.reduce(power[b - k:b]) for b, k in zip(ends, sizes)])
+        got = mcsim._interference(cfg, sizes.tolist(), r, phi, u, h, los)
+        assert np.array_equal(got, want)
+
+
+def test_losball_engine_matches_trial_loop_at_high_order():
+    # fig8 at m = 16: the gamma sampler's per-value rejection loop makes a
+    # trial's draws longest, across flushes and a state-block edge split
+    cfg = figure_config("fig8", m=16)
+    n = 2 * mcsim._CHUNK + 3
+    want = oracles.sinr_samples(mcsim.LOSBALL, cfg, 0, n, 106)
+    assert np.array_equal(mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, n, 106), want)
+    assert np.array_equal(
+        mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, n, 106, workers=3), want)
+
+
+@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
+def test_zero_denominator_sinr(mode):
+    # no noise and no interference (a silent network, or no interferer at
+    # all) leave SINR = +inf on purpose, without a divide-by-zero warning,
+    # which this suite turns into an error; the mean rate does not exist
+    # and is refused by name rather than returned as (inf, nan)
+    for overrides in ({"p_t": 0.0}, {"lambda": 0.0}):
+        cfg = make_config(noise_power=0.0, **overrides)
+        samples = mcsim.simulate_sinr_samples(mode, cfg, 30, 48)
+        assert np.all(np.isposinf(samples[:, 0])) and np.all(samples[:, 1] == 0.0)
+        with pytest.raises(ConfigError) as err:
+            mcsim.estimate_ergodic_se(mode, cfg, 30, 48)
+        assert err.value.violation == "SinrUnbounded"
+        assert str(err.value).startswith("SinrUnbounded: 30 of 30 trials")
+    # interference in every trial keeps the noiseless rate finite
+    cfg = make_config(noise_power=0.0, **{"lambda": 30.0})
+    mean, se = mcsim.estimate_ergodic_se(mode, cfg, 30, 48)
+    assert math.isfinite(mean) and math.isfinite(se)
 
 
 @pytest.mark.parametrize("mode, orders", [
