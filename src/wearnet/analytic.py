@@ -215,7 +215,15 @@ def ergodic_spectral_efficiency(params):
     The CCDF decays doubly exponentially in t, so the integral is truncated
     at the first power of two where it falls below 1e-6 and evaluated by
     adaptive quadrature; the truncated tail is below t_max * 1e-6.
+    ConfigError SinrUnbounded with no noise and no interference (zero
+    density or p_t = 0): the SINR is then infinite and the mean rate does
+    not exist.
     """
+    cfg = params.config
+    if params.sigma2_total == 0.0 and (cfg.density == 0.0 or cfg.tx_probability == 0.0):
+        raise ConfigError("SinrUnbounded",
+                          "no noise and no interference give an infinite SINR "
+                          "and no finite mean rate")
     t_max = 1.0
     while spectral_efficiency_ccdf(t_max, params) >= _SE_TAIL_CUT:
         t_max *= 2.0

@@ -31,23 +31,29 @@ draw of n + 1 values, the reference last; numpy's gamma sampler fills
 element by element, so the values are those of two separate draws.
 
 One flat loop sets each trial's state and draws; only RNG calls run trial
-by trial: in LOSBALL the count, the block and the fading, nothing else.
-The loop flushes a chunk of at most _CHUNK buffered trials (fewer once they
-hold _LINKS links), and the disk transform, the marks' gains, the path
-loss and the products run once over it.  A trial's interference is the
-np.add.reduce of its own links, the pairwise order np.sum uses: the
-chunk's trials of one link count are summed by one reduce along the rows
-of a block that holds one trial per row, which adds each row as its own
-1-D reduce does, so every value is the one a trial-by-trial loop gives.
+by trial: in LOSBALL the count, the block and the fading, in FULL the
+calls the two passes below make, nothing else.  The loop flushes a chunk
+of at most _CHUNK buffered trials (fewer once they hold _LINKS links), and
+the disk transform, the marks' gains, the path loss and the products run
+once over it.  A trial's interference is the np.add.reduce of its own
+links, the pairwise order np.sum uses: the chunk's trials of one link
+count are summed by one reduce along the rows of a block that holds one
+trial per row, which adds each row as its own 1-D reduce does, so every
+value is the one a trial-by-trial loop gives.
 
 A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
-sets each trial's substream, draws its two PPPs and activity uniforms and
-saves the generator state; the chunk's fields are then classified at once;
-the second pass restores each saved state and draws the LOS fading, the
-NLOS fading and the reference fading.  A restored state continues the
-stream exactly where the first pass left it, so the draws and their order
-are those of a trial-by-trial loop.
+sets each trial's substream, draws its two PPPs' counts and uniform blocks
+(the Poisson means computed once per range) and its activity uniforms, and
+saves the generator state; the chunk's blocks are then transformed to
+points, one disk_polar call per PPP, and its fields classified at once.
+The second pass restores each saved state and draws the LOS fading, the
+NLOS fading and the reference fading, with each trial's LOS count read off
+one cumsum of the chunk's mask; the chunk's LOS and NLOS draws are then
+scattered onto its links by two boolean assignments, which fill them in
+trial order.  A restored state continues the stream exactly where the
+first pass left it, so the draws and their order are those of a
+trial-by-trial loop.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh) and
@@ -68,6 +74,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import coverage_params
+# sample_ppp_disk is the PPP draw that _draw_field repeats; the LOSBALL
+# test oracle and the benchmark's tracer look it up under this module
 from .geometry import classify_los, disk_polar, sample_ppp_disk
 from .model import ConfigError, validate
 
@@ -99,21 +107,48 @@ def sample_nakagami_power(m, rng, size=None):
     return rng.gamma(m, 1.0 / m, size)
 
 
-def _draw_field(cfg, rng):
-    """One FULL-mode deployment's points: interferers (r, phi) on the
-    network disk, then blockage centers (d, psi) on the disk of radius
-    r_net + W/2, so no edge interferer's blocking region is truncated."""
-    r, phi = sample_ppp_disk(cfg.density, cfg.net_radius, rng)
-    d, psi = sample_ppp_disk(cfg.density,
-                             cfg.net_radius + 0.5 * cfg.blockage_diameter, rng)
-    return r, phi, d, psi
+def _field_radii(cfg):
+    """The two disks of a FULL-mode deployment: interferers on the network
+    disk, then blockage centers on the disk of radius r_net + W/2, so no
+    edge interferer's blocking region is truncated."""
+    return cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter
+
+
+def _field_means(cfg):
+    """The Poisson means of a FULL-mode deployment's two PPPs, by
+    sample_ppp_disk's expression; None at zero density, where no count is
+    drawn."""
+    if not cfg.density > 0.0:
+        return None
+    return tuple(cfg.density * (math.pi * (radius * radius)) for radius in _field_radii(cfg))
+
+
+_NO_POINTS = np.empty((2, 0))
+
+
+def _draw_field(means, rng):
+    """One FULL-mode deployment's draws, sample_ppp_disk's on each disk in
+    turn: the interferers' Poisson count and their (2, n) block of radius
+    and angle uniforms, then the blockage centers' (means from
+    _field_means).  The transform, _field_points, draws nothing."""
+    if means is None:
+        return _NO_POINTS, _NO_POINTS
+    links, bodies = means
+    return rng.random((2, rng.poisson(links))), rng.random((2, rng.poisson(bodies)))
+
+
+def _field_points(cfg, x, xb):
+    """(r, phi) and (d, psi) from the uniform blocks of one or more
+    deployments side by side (see disk_polar)."""
+    link_radius, body_radius = _field_radii(cfg)
+    return disk_polar(link_radius, x), disk_polar(body_radius, xb)
 
 
 def _check_field_counts(cfg):
     """ConfigError DensityTooHigh unless numpy can draw a deployment's
     Poisson counts and index its (2, n) float64 coordinate block at their
     mean; the blockage disk, of radius r_net + W/2, has the larger mean."""
-    radius = cfg.net_radius + 0.5 * cfg.blockage_diameter
+    radius = _field_radii(cfg)[1]
     mean = cfg.density * (math.pi * (radius * radius))
     try:
         np.random.Generator(np.random.PCG64(0)).poisson(mean)
@@ -131,7 +166,7 @@ def _check_field_counts(cfg):
 
 def sample_full_field(cfg, rng):
     """One FULL-mode deployment (see _draw_field): (r, phi, los mask)."""
-    r, phi, d, psi = _draw_field(cfg, rng)
+    (r, phi), (d, psi) = _field_points(cfg, *_draw_field(_field_means(cfg), rng))
     return r, phi, classify_los(r, phi, d, psi, cfg.blockage_diameter)
 
 
@@ -150,10 +185,20 @@ def _gains(cfg, u, phi):
                        cfg.tx_pattern.main_gain,
                        np.where(u < cfg.tx_probability,
                                 cfg.tx_pattern.side_gain, 0.0))
-    wrapped = np.mod(phi + math.pi, 2.0 * math.pi) - math.pi
-    rx_gain = np.where(np.abs(wrapped) <= 0.5 * cfg.rx_pattern.beamwidth,
+    rx_gain = np.where(np.abs(_wrap(phi)) <= 0.5 * cfg.rx_pattern.beamwidth,
                        cfg.rx_pattern.main_gain, cfg.rx_pattern.side_gain)
     return tx_gain, rx_gain
+
+
+def _wrap(phi):
+    """np.mod(phi + pi, 2 pi) - pi, bit for bit, for angles phi in
+    [0, 2 pi] as both samplers give them: x = phi + pi lies in [pi, 4 pi),
+    where x - 2 pi for x >= 2 pi is exact (Sterbenz) and is what fmod
+    gives, and x - 0 is x."""
+    x = phi + math.pi
+    x -= np.where(x >= 2.0 * math.pi, 2.0 * math.pi, 0.0)
+    x -= math.pi
+    return x
 
 
 def _interference(cfg, sizes, r, phi, u, h, los):
@@ -196,12 +241,13 @@ def _interference(cfg, sizes, r, phi, u, h, los):
 _STATES = 4096  # trials per block of substream states
 _CHUNK = 256    # trials per flush
 # Buffered links that close a chunk early.  A FULL chunk is classified in
-# one classify_los call, whose fixed cost is paid per call, so the budget
-# holds about 8 fig6 fields of about 950 links.  It also bounds a chunk's
-# memory: raising it from 2048 to 8192 took the peak RSS of a 2500-trial
-# fig6 full run from 41.2 to 42.4 MB and of a 40000-trial fig7 losball run
-# from 39.2 to 39.7 MB.
-_LINKS = 8192
+# one classify_los call, whose fixed cost (about 0.35 ms) is paid per call
+# against about 0.25 ms per fig6 field of about 950 links, so the budget
+# holds about 17 such fields.  It also bounds a chunk's memory: raising it
+# from 8192 to 16384 took the peak RSS of a 2500-trial fig6 full run from
+# 42.3 to 43.4 MB and left a 40000-trial fig7 losball run at 40.8 MB, whose
+# chunks close at _CHUNK trials first.
+_LINKS = 16384
 
 # The trial index k enters numpy's seed hash as one 32-bit word.
 MAX_TRIALS = 2 ** 32
@@ -338,31 +384,39 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     # A mode is its per-trial draw and the chunk's columns built from the
     # drawn trials: (r, phi, u, h, los) for _interference, then h0.
     if mode == FULL:
+        means = _field_means(cfg)
         fading_rng = np.random.Generator(np.random.PCG64(0))
+        m_los, m_nlos = cfg.m_los, cfg.m_nlos
 
         def draw(rng):
-            # the points and activity uniforms; the fading waits for the
-            # chunk's classification, from the state saved here
-            r, phi, d, psi = _draw_field(cfg, rng)
-            return r, phi, d, psi, rng.random(r.size), rng.bit_generator.state
+            # the two uniform blocks and the activity uniforms; the fading
+            # waits for the chunk's classification, from the state saved here
+            x, xb = _draw_field(means, rng)
+            return x, xb, rng.random(x.shape[1]), rng.bit_generator.state
 
         def columns(chunk):
-            r, phi, d, psi, u, states = zip(*chunk)
-            sizes = [x.size for x in r]
-            r, phi, u = map(np.concatenate, (r, phi, u))
-            los = classify_los(r, phi, np.concatenate(d), np.concatenate(psi),
-                               cfg.blockage_diameter, sizes, [x.size for x in d])
-            h, h0 = np.empty(r.size), np.empty(len(chunk))
-            end = 0
-            for j, (state, size) in enumerate(zip(states, sizes)):
+            x, xb, u, states = zip(*chunk)
+            sizes = [block.shape[1] for block in x]
+            (r, phi), (d, psi) = _field_points(cfg, np.concatenate(x, axis=1),
+                                               np.concatenate(xb, axis=1))
+            los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
+                               [block.shape[1] for block in xb])
+            # each trial's LOS count from one cumsum of the chunk's mask
+            seen = np.concatenate(([0], np.cumsum(los)))
+            ends = np.cumsum(sizes)
+            counts = (seen[ends] - seen[ends - sizes]).tolist()
+            h_los, h_nlos, h0 = [], [], []
+            for state, size, k in zip(states, sizes, counts):
                 fading_rng.bit_generator.state = state
-                field, gains = los[end:end + size], h[end:end + size]
-                k = int(np.count_nonzero(field))
-                gains[field] = sample_nakagami_power(cfg.m_los, fading_rng, k)
-                gains[~field] = sample_nakagami_power(cfg.m_nlos, fading_rng, size - k)
-                h0[j] = sample_nakagami_power(cfg.m_los, fading_rng)
-                end += size
-            return r, phi, u, h, los, h0
+                h_los.append(sample_nakagami_power(m_los, fading_rng, k))
+                h_nlos.append(sample_nakagami_power(m_nlos, fading_rng, size - k))
+                h0.append(sample_nakagami_power(m_los, fading_rng))
+            # boolean assignment fills the chunk's LOS (NLOS) links in trial
+            # order, each trial's from its own draw
+            h = np.empty(r.size)
+            h[los] = np.concatenate(h_los)
+            h[~los] = np.concatenate(h_nlos)
+            return r, phi, np.concatenate(u), h, los, np.array(h0)
     else:
         mean_count = cfg.density * (math.pi * (r_los * r_los))
         draws_count = cfg.density > 0.0

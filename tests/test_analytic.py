@@ -328,6 +328,25 @@ def test_ergodic_se_orderings():
             > analytic.ergodic_spectral_efficiency(_params(p_t=1.0)))
 
 
+def test_ergodic_se_unbounded_without_noise_or_interference(monkeypatch):
+    # no noise and no interference: coverage is 1 at every t and the mean
+    # rate does not exist; it is refused by name before any CCDF is
+    # evaluated, where the t_max doubling used to overflow np.exp2
+    def no_ccdf(t, params):
+        raise AssertionError("CCDF evaluated")
+
+    monkeypatch.setattr(analytic, "spectral_efficiency_ccdf", no_ccdf)
+    for overrides in ({"p_t": 0.0}, {"lambda": 0.0}):
+        p = _params(noise_power=0.0, **overrides)
+        with pytest.raises(model.ConfigError) as err:
+            analytic.ergodic_spectral_efficiency(p)
+        assert err.value.violation == "SinrUnbounded"
+    monkeypatch.undo()
+    # noiseless with interference, or noisy and silent: a finite mean
+    for overrides in ({"noise_power": 0.0}, {"p_t": 0.0}):
+        assert math.isfinite(analytic.ergodic_spectral_efficiency(_params(**overrides)))
+
+
 # ergodic SE at the fig8 setup, m = 1, 2, 4, 8, 16, frozen from the
 # one-integral-at-a-time quadrature this package used before its rule was
 # batched

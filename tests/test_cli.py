@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BASE_KEYS
-from wearnet import analytic, cli, mcsim, model
+from conftest import BASE_KEYS, FIGURE_FILLS
+from wearnet import analytic, cli, experiments, mcsim, model
 from wearnet.quadrature import QuadratureNotConverged
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -368,6 +368,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: QuadratureNotConverged") and "Traceback" not in err
     assert not (out / "nakagami_sweep.csv").exists()
 
+
+
+def test_nakagami_compare_without_noise_or_interference(tmp_path, capsys):
+    # fig7 with no noise and a silent network: the analytic mean rate does
+    # not exist and is refused by name, exit 2, before np.exp2 can overflow
+    # in the t_max search (a RuntimeWarning, an error under this suite)
+    values = model.parse_key_values(experiments.figure_config_text("fig7"))
+    values.update(FIGURE_FILLS, noise_power="0.0", p_t="0.0")
+    cfg = tmp_path / "fig7.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(out), "compare",
+                       "--kind", "nakagami", "--trials", "20", "--m-grid", "1,2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SinrUnbounded: ") and "Warning" not in err
+    assert not (out / "nakagami_sweep.csv").exists()
 
 
 def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):

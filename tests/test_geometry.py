@@ -381,16 +381,17 @@ def test_classify_los_chunk_property(W, data):
 
 def test_sample_deployment_regions(monkeypatch):
     # the FULL-mode draw: interferers on the network disk, then blockage
-    # centers on the disk of radius r_net + W/2, both through mcsim's names
+    # centers on the disk of radius r_net + W/2, both transformed through
+    # mcsim's name, and the draws sample_ppp_disk makes on those disks
     calls = []
 
-    def recording_disk(density, radius, rng):
-        r, phi = geometry.sample_ppp_disk(density, radius, rng)
+    def recording_polar(radius, x):
+        r, phi = geometry.disk_polar(radius, x)
         calls.append((radius, r, phi))
         return r, phi
 
-    monkeypatch.setattr(mcsim, "sample_ppp_disk", recording_disk)
-    rng = np.random.default_rng(17)
+    monkeypatch.setattr(mcsim, "disk_polar", recording_polar)
+    rng, twin = np.random.default_rng(17), np.random.default_rng(17)
     W, r_net = 0.3, 10.0
     cfg = make_config(W=W, r_net=r_net)
     max_b = 0.0
@@ -400,6 +401,10 @@ def test_sample_deployment_regions(monkeypatch):
         (r_i, drawn_i, _), (r_b, drawn_b, drawn_bphi) = calls
         assert (r_i, r_b) == (r_net, r_net + W / 2.0)
         assert drawn_i is r
+        for got, want in zip((r, phi, drawn_b, drawn_bphi),
+                             (*geometry.sample_ppp_disk(cfg.density, r_net, twin),
+                              *geometry.sample_ppp_disk(cfg.density, r_net + W / 2.0, twin))):
+            assert np.array_equal(got, want)
         assert np.array_equal(los, geometry.classify_los(r, phi, drawn_b, drawn_bphi, W))
         if r.size:
             assert r.max() <= r_net

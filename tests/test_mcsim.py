@@ -358,6 +358,43 @@ def test_link_budget_flush_matches_trial_loop(monkeypatch, density):
         assert (max(sizes) > 1) == (density < 1.0), mode
 
 
+@pytest.mark.parametrize("density, n", [(0.5, 400), (5.0, 40)])
+def test_fading_scatter_matches_trial_loop(monkeypatch, density, n):
+    # a FULL chunk's LOS and NLOS fading are scattered chunk-wide, each
+    # trial's drawn from its restored state with its LOS count read off one
+    # cumsum of the chunk's mask; over four link-budget flushes, with
+    # fields whose LOS count is 0 (at lambda = 5 about 30% have a body
+    # over the receiver) and m != m_nlos, so a wrong count moves the draws
+    cfg = make_config(m=3, m_nlos=2, **{"lambda": density})
+    want = oracles.sinr_samples(mcsim.FULL, cfg, 0, n, 47)
+    chunks = []
+    classify = mcsim.classify_los
+
+    def recording(r, phi, d, psi, W, link_counts, body_counts):
+        los = classify(r, phi, d, psi, W, link_counts, body_counts)
+        fields = np.split(los, np.cumsum(link_counts)[:-1])
+        chunks.append([int(np.count_nonzero(field)) for field in fields])
+        return los
+
+    monkeypatch.setattr(mcsim, "classify_los", recording)
+    assert np.array_equal(mcsim.simulate_sinr_samples(mcsim.FULL, cfg, n, 47), want)
+    counts = sum(chunks, [])
+    assert len(chunks) >= 4 and len(counts) == n
+    assert 0 in counts and max(counts) > 0
+
+
+def test_wrap_matches_mod():
+    # the receiver-angle wrap of _gains is np.mod(phi + pi, 2 pi) - pi bit
+    # for bit, sign of zero included, at the edge angles and on a sample
+    two_pi = 2.0 * math.pi
+    edges = [0.0, np.nextafter(math.pi, 0.0), math.pi, np.nextafter(two_pi, 0.0),
+             two_pi, 6.3]
+    phi = np.concatenate((edges, oracles.substream(3, 0).random(10000) * two_pi))
+    got, want = mcsim._wrap(phi), np.mod(phi + math.pi, two_pi) - math.pi
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("n", [0, 1, 19, 1000])
 def test_block_draw_equals_successive_draws(n):
     # a trial draws its k rows of uniforms as one (k, n) block: numpy fills
@@ -373,7 +410,7 @@ def test_block_draw_equals_successive_draws(n):
 
 
 def test_disk_polar_of_chunk_equals_per_trial_transforms():
-    # LOSBALL transforms a chunk's concatenated blocks in one call; each
+    # both modes transform a chunk's concatenated blocks in one call; each
     # trial's points are those of its own transform, bit for bit
     rng = oracles.substream(1, 0)
     radius = losball.los_ball_radius(3.0, 0.3, 10.0)
@@ -384,7 +421,7 @@ def test_disk_polar_of_chunk_equals_per_trial_transforms():
     assert np.array_equal(phi, np.concatenate(want_phi))
 
 
-@pytest.mark.parametrize("links", [8192, 1])
+@pytest.mark.parametrize("links", [pytest.param(mcsim._LINKS, id="default"), 1])
 @pytest.mark.parametrize("overrides", [{"lambda": 0.002}, {"p_t": 0.0}],
                          ids=["sparse", "silent"])
 def test_zero_link_trials_cross_flushes(monkeypatch, links, overrides):
