@@ -41,12 +41,13 @@ def sample_ppp_disk(density, radius, rng):
 
     Returns (r, phi): polar coordinates of the points, each shape (n,) with
     n ~ Poisson(density * pi * radius^2), from one block of 2 x n uniforms
-    (see disk_polar).  Zero density yields an empty sample; a radius that
-    is not > 0 raises ValueError.
+    (see disk_polar).  Zero density yields an empty sample and draws
+    nothing; a radius that is not > 0, or a density that is negative or
+    NaN, raises ValueError.
     """
     if not radius > 0.0:
         raise ValueError(f"need radius > 0, got {radius}")
-    n = rng.poisson(density * (math.pi * (radius * radius))) if density > 0.0 else 0
+    n = rng.poisson(density * (math.pi * (radius * radius)))
     return disk_polar(radius, rng.random((2, n)))
 
 

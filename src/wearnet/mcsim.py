@@ -33,7 +33,7 @@ element by element, so the values are those of two separate draws.
 One flat loop sets each trial's state and draws; only RNG calls run trial
 by trial: in LOSBALL the count, the block and the fading, in FULL the
 calls the two passes below make, nothing else.  The loop flushes a chunk
-of at most _CHUNK buffered trials (fewer once they hold _LINKS links), and
+once it holds _LINKS links or _STATES trials, whichever comes first, and
 the disk transform, the marks' gains, the path loss and the products run
 once over it.  A trial's interference is the np.add.reduce of its own
 links, the pairwise order np.sum uses: the chunk's trials of one link
@@ -116,14 +116,19 @@ def _field_radii(cfg):
 
 def _field_means(cfg):
     """The Poisson means of a FULL-mode deployment's two PPPs, by
-    sample_ppp_disk's expression; None at zero density, where no count is
-    drawn."""
-    if not cfg.density > 0.0:
-        return None
-    return tuple(cfg.density * (math.pi * (radius * radius)) for radius in _field_radii(cfg))
+    sample_ppp_disk's expression.
 
-
-_NO_POINTS = np.empty((2, 0))
+    ConfigError DensityTooHigh unless one numpy array can hold the (2, n)
+    float64 coordinates at the larger mean, the blockage disk's; numpy's
+    Poisson sampler takes every mean below that bound.
+    """
+    means = tuple(cfg.density * (math.pi * (radius * radius)) for radius in _field_radii(cfg))
+    if 16.0 * means[1] > np.iinfo(np.intp).max:
+        raise ConfigError("DensityTooHigh",
+                          f"density {cfg.density} puts a Poisson mean of {means[1]:.3g} "
+                          f"blockage centers on the deployment disk, more "
+                          f"coordinates than one numpy array can hold")
+    return means
 
 
 def _draw_field(means, rng):
@@ -131,8 +136,6 @@ def _draw_field(means, rng):
     turn: the interferers' Poisson count and their (2, n) block of radius
     and angle uniforms, then the blockage centers' (means from
     _field_means).  The transform, _field_points, draws nothing."""
-    if means is None:
-        return _NO_POINTS, _NO_POINTS
     links, bodies = means
     return rng.random((2, rng.poisson(links))), rng.random((2, rng.poisson(bodies)))
 
@@ -142,26 +145,6 @@ def _field_points(cfg, x, xb):
     deployments side by side (see disk_polar)."""
     link_radius, body_radius = _field_radii(cfg)
     return disk_polar(link_radius, x), disk_polar(body_radius, xb)
-
-
-def _check_field_counts(cfg):
-    """ConfigError DensityTooHigh unless numpy can draw a deployment's
-    Poisson counts and index its (2, n) float64 coordinate block at their
-    mean; the blockage disk, of radius r_net + W/2, has the larger mean."""
-    radius = _field_radii(cfg)[1]
-    mean = cfg.density * (math.pi * (radius * radius))
-    try:
-        np.random.Generator(np.random.PCG64(0)).poisson(mean)
-    except ValueError:
-        raise ConfigError("DensityTooHigh",
-                          f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
-                          f"blockage centers on the deployment disk, more than "
-                          f"numpy can draw") from None
-    if 16.0 * mean > np.iinfo(np.intp).max:
-        raise ConfigError("DensityTooHigh",
-                          f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
-                          f"blockage centers on the deployment disk, more "
-                          f"coordinates than one numpy array can hold")
 
 
 def sample_full_field(cfg, rng):
@@ -229,24 +212,24 @@ def _interference(cfg, sizes, r, phi, u, h, los):
     cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), sizes.size]
     sums = np.zeros(sizes.size)
     for a, b in zip(cuts, cuts[1:]):
-        if counts[a]:
-            trials = order[a:b]
-            block = power[starts[trials, None] + np.arange(counts[a])]
-            sums[trials] = np.add.reduce(block, axis=1)
+        trials = order[a:b]
+        block = power[starts[trials, None] + np.arange(counts[a])]
+        sums[trials] = np.add.reduce(block, axis=1)
     return cfg.power_ratio * sums
 
 
 # --- per-trial substreams -------------------------------------------------
 
-_STATES = 4096  # trials per block of substream states
-_CHUNK = 256    # trials per flush
-# Buffered links that close a chunk early.  A FULL chunk is classified in
-# one classify_los call, whose fixed cost (about 0.35 ms) is paid per call
-# against about 0.25 ms per fig6 field of about 950 links, so the budget
-# holds about 17 such fields.  It also bounds a chunk's memory: raising it
-# from 8192 to 16384 took the peak RSS of a 2500-trial fig6 full run from
-# 42.3 to 43.4 MB and left a 40000-trial fig7 losball run at 40.8 MB, whose
-# chunks close at _CHUNK trials first.
+# Trials per block of substream states, and the most a chunk buffers: a
+# run of zero-link trials (a sparse or empty field) closes a chunk here.
+_STATES = 4096
+# Buffered links that close a chunk.
+# A FULL chunk is classified in one classify_los call, whose fixed cost
+# (about 0.35 ms) is paid per call against about 0.25 ms per fig6 field of
+# about 950 links, so the budget holds about 17 such fields, and a fig7
+# LOSBALL chunk about 880 trials of about 18.5 links.  It also bounds a
+# chunk's memory: bench/run.py's coverage_fig7 and se_fig6 runs peak at
+# about 44 MB RSS.
 _LINKS = 16384
 
 # The trial index k enters numpy's seed hash as one 32-bit word.
@@ -419,13 +402,12 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             return r, phi, np.concatenate(u), h, los, np.array(h0)
     else:
         mean_count = cfg.density * (math.pi * (r_los * r_los))
-        draws_count = cfg.density > 0.0
         m_los = cfg.m_los
 
         def draw(rng):
             # count, the 3 x n uniforms (radius, angle and activity rows)
             # and the link fading with h0 last; see the module docstring
-            n = rng.poisson(mean_count) if draws_count else 0
+            n = rng.poisson(mean_count)
             return rng.random((3, n)), sample_nakagami_power(m_los, rng, n + 1)
 
         def columns(chunk):
@@ -452,15 +434,14 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
         return done + len(chunk)
 
     # one flat loop: set a trial's substream, draw, and flush a chunk once
-    # it holds _CHUNK trials or _LINKS links (a trial's first array holds
-    # its links along its last axis), so a chunk of dense FULL fields stays
-    # small
+    # it holds _LINKS links (a trial's first array holds its links along its
+    # last axis) or _STATES trials
     chunk, links, done = [], 0, 0
     for rng in _substreams(master_seed, start, stop):
         trial = draw(rng)
         chunk.append(trial)
         links += trial[0].shape[-1]
-        if len(chunk) == _CHUNK or links >= _LINKS:
+        if len(chunk) == _STATES or links >= _LINKS:
             done = flush(chunk, done)
             chunk, links = [], 0
     if chunk:
@@ -523,17 +504,17 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     Trial k is fully determined by (mode, config, master_seed, k), so any
     worker split returns the identical array.  Every refusal is raised here,
     before any worker starts: ValueError for an unknown mode; ConfigError
-    for an invalid config, DensityTooHigh in FULL when numpy cannot draw a
-    deployment's Poisson count and in LOSBALL when the mean power outside
-    the LOS ball is not finite, and the check_run refusals of n_trials,
-    master_seed and workers.
+    for an invalid config, DensityTooHigh in FULL when one numpy array
+    cannot hold a deployment's coordinates at its mean count and in LOSBALL
+    when the mean power outside the LOS ball is not finite, and the
+    check_run refusals of n_trials, master_seed and workers.
     """
     if mode not in (FULL, LOSBALL):
         raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
     cfg = validate(config)
     r_los, sigma2 = None, cfg.noise_power
     if mode == FULL:
-        _check_field_counts(cfg)
+        _field_means(cfg)  # DensityTooHigh here, before any worker starts
     else:
         # the closed form's LOS ball, everything outside it as its mean power
         params = coverage_params(cfg)
@@ -609,12 +590,12 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
 
     Pure geometry: interferers on the network disk, blockages on the
     enlarged disk, exact classification; no marks or fading involved.
-    An invalid config, a density whose Poisson count numpy cannot draw
-    (DensityTooHigh), and a bad count or seed are refused before any
-    worker starts.
+    An invalid config, a density whose deployment coordinates one numpy
+    array cannot hold (DensityTooHigh), and a bad count or seed are refused
+    before any worker starts.
     """
     cfg = validate(config)
-    _check_field_counts(cfg)
+    _field_means(cfg)  # DensityTooHigh here, before any worker starts
     counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
                          workers, cfg)
     return _mean_and_se(counts.astype(float))

@@ -35,6 +35,13 @@ def test_disk_refuses_nonpositive_radius(radius):
         geometry.sample_ppp_disk(1.0, radius, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("density", [-1.0, -1e-300, math.nan])
+def test_disk_refuses_negative_or_nan_density(density):
+    # numpy's Poisson sampler refuses the mean by name
+    with pytest.raises(ValueError, match="lam < 0 or lam is NaN"):
+        geometry.sample_ppp_disk(density, 5.0, np.random.default_rng(0))
+
+
 def test_disk_radial_and_angular_law():
     # with ~1e5 points the empirical CDF should track the exact law to
     # well under 0.01 (KS 1% critical value is ~0.005 here)
@@ -53,11 +60,14 @@ def test_disk_radial_and_angular_law():
 
 
 def test_density_zero_gives_empty_sample():
+    # a Poisson(0) count and a (2, 0) block draw nothing
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     r, phi = geometry.sample_ppp_disk(0.0, 5.0, rng)
     assert r.size == 0 and phi.size == 0
     r, phi, los = mcsim.sample_full_field(make_config(**{"lambda": 0.0}), rng)
     assert r.size == 0 and phi.size == 0 and los.size == 0
+    assert rng.bit_generator.state == state
 
 
 def test_blocking_area_values():

@@ -37,14 +37,20 @@ def test_nakagami_fading_moments():
 
 def test_zero_density_samples():
     # no interferers: SINR = Gt Gr h R0^-aL / noise with h ~ Exp(1) and an
-    # all-zero interference column, in both modes
+    # all-zero interference column, in both modes.  Each PPP's Poisson(0)
+    # count draws nothing, so trial k's h is the first draw of its
+    # substream, bit for bit
     cfg = make_config(**{"lambda": 0.0})
-    coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
-            * cfg.ref_distance ** (-cfg.alpha_los) / cfg.noise_power)
+    assert cfg.m_los == 1
+    gain = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
+            * cfg.ref_distance ** (-cfg.alpha_los))
+    coef = gain / cfg.noise_power
     n = 20000
+    first = np.array([oracles.substream(32, k).gamma(1.0, 1.0) for k in range(n)])
     for mode in (mcsim.FULL, mcsim.LOSBALL):
         samples = mcsim.simulate_sinr_samples(mode, cfg, n, master_seed=32)
         assert np.all(samples[:, 1] == 0.0)
+        assert np.array_equal(samples[:, 0], gain * first / cfg.noise_power)
         h = samples[:, 0] / coef
         assert abs(h.mean() - 1.0) < 3.5 / math.sqrt(n)
         p = np.mean(h > 1.0)
@@ -213,12 +219,14 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         sinr(5, 0, config=make_config(**{"lambda": 1e6}))
     assert err.value.violation == "DensityTooHigh"
     # numpy draws a Poisson count of about 3.2e18 centers at lambda = 1e16
-    # but cannot allocate their (2, n) coordinates: refused before any draw
+    # but cannot allocate their (2, n) coordinates, and at 1e300 cannot draw
+    # the count either: both refused by the one bound, before any draw
     for run in (partial(sinr, mode=mcsim.FULL), count):
-        with pytest.raises(ConfigError) as err:
-            run(1, 0, config=make_config(**{"lambda": 1e16}))
-        assert err.value.violation == "DensityTooHigh"
-        assert "hold" in str(err.value)
+        for density in (1e16, 1e300):
+            with pytest.raises(ConfigError) as err:
+                run(1, 0, config=make_config(**{"lambda": density}))
+            assert err.value.violation == "DensityTooHigh"
+            assert "hold" in str(err.value)
 
     monkeypatch.undo()
     for run in (sinr, count):
@@ -245,10 +253,11 @@ def test_errors_survive_pickling(error, text, attrs):
 
 def test_substreams_match_numpy_constructors():
     # every state set in bulk equals the one numpy's own SeedSequence and
-    # PCG64 constructors give, at flush and state-block edges, across a
-    # block edge of a range that starts inside a block, and at the largest k
-    chunk, block = mcsim._CHUNK, mcsim._STATES
-    ks = (0, chunk - 1, chunk, 2 * chunk + 1, block - 1, block, 2 * block + 1)
+    # PCG64 constructors give, at state-block edges (where a chunk of
+    # zero-link trials is flushed too), across a block edge of a range that
+    # starts inside a block, and at the largest k
+    block = mcsim._STATES
+    ks = (0, 1, block // 2, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1)
     for seed in (0, 1, 104, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3):
         got = {k: (rng.bit_generator.state, rng.random(4))
                for k, rng in enumerate(mcsim._substreams(seed, 0, max(ks) + 1))
@@ -285,11 +294,13 @@ def test_per_count_sums_match_per_trial_reduces():
         assert np.array_equal(got, want)
 
 
-def test_losball_engine_matches_trial_loop_at_high_order():
+def test_losball_engine_matches_trial_loop_at_high_order(monkeypatch):
     # fig8 at m = 16: the gamma sampler's per-value rejection loop makes a
-    # trial's draws longest, across flushes and a state-block edge split
+    # trial's draws longest, across flushes (a 4096-link budget closes a
+    # chunk after about 140 trials of about 29 links) and worker splits
+    monkeypatch.setattr(mcsim, "_LINKS", 4096)
     cfg = figure_config("fig8", m=16)
-    n = 2 * mcsim._CHUNK + 3
+    n = 515
     want = oracles.sinr_samples(mcsim.LOSBALL, cfg, 0, n, 106)
     assert np.array_equal(mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, n, 106), want)
     assert np.array_equal(
@@ -321,13 +332,15 @@ def test_zero_denominator_sinr(mode):
     pytest.param(mcsim.LOSBALL, {}, id="losball"),
     pytest.param(mcsim.FULL, {"m": 3, "m_nlos": 2}, id="full-m3-mnlos2"),
 ])
-def test_chunked_engine_matches_trial_loop(mode, orders):
-    # two full chunks and a partial one, serial and split at 171 and 343.
-    # With m != m_nlos a FULL trial's fading depends on its LOS count, so
-    # the chunk's classification must come between its draws and its
-    # fading, from each trial's saved substream state
+def test_chunked_engine_matches_trial_loop(monkeypatch, mode, orders):
+    # a 4096-link budget gives two full LOSBALL chunks of about 220 trials
+    # and a partial one, and FULL chunks of about 5 fields, serial and
+    # split at 171 and 343.  With m != m_nlos a FULL trial's fading depends
+    # on its LOS count, so the chunk's classification must come between its
+    # draws and its fading, from each trial's saved substream state
+    monkeypatch.setattr(mcsim, "_LINKS", 4096)
     cfg = make_config(**orders)
-    n = 2 * mcsim._CHUNK + 3
+    n = 515
     want = oracles.sinr_samples(mode, cfg, 0, n, 44)
     assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 44), want)
     assert np.array_equal(
@@ -338,24 +351,27 @@ def test_chunked_engine_matches_trial_loop(mode, orders):
 def test_link_budget_flush_matches_trial_loop(monkeypatch, density):
     # a budget of 5 links closes chunks mid-block, in both modes: after
     # every trial at lambda = 3 (about 940 full-mode links each, about 19
-    # in the ball), after a few at 0.0064
-    sizes = []
+    # in the ball), after a few at 0.0064.  Each chunk closes at the first
+    # trial that brings it to the budget, the last one at the range's end
+    chunks = []
     interference = mcsim._interference
 
     def recording(cfg, trial_sizes, *columns):
-        sizes.append(len(trial_sizes))
+        chunks.append(list(trial_sizes))
         return interference(cfg, trial_sizes, *columns)
 
     monkeypatch.setattr(mcsim, "_LINKS", 5)
     monkeypatch.setattr(mcsim, "_interference", recording)
     cfg = make_config(**{"lambda": density})
-    n = mcsim._CHUNK + 7
+    n = 263
     for mode in (mcsim.FULL, mcsim.LOSBALL):
-        sizes.clear()
+        chunks.clear()
         assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 45),
                               oracles.sinr_samples(mode, cfg, 0, n, 45))
-        assert sum(sizes) == n and max(sizes) < mcsim._CHUNK
-        assert (max(sizes) > 1) == (density < 1.0), mode
+        assert sum(map(len, chunks)) == n
+        assert all(sum(sizes[:-1]) < 5 for sizes in chunks)
+        assert all(sum(sizes) >= 5 for sizes in chunks[:-1])
+        assert (max(map(len, chunks)) > 1) == (density < 1.0), mode
 
 
 @pytest.mark.parametrize("density, n", [(0.5, 400), (5.0, 40)])
@@ -422,12 +438,14 @@ def test_disk_polar_of_chunk_equals_per_trial_transforms():
 
 
 @pytest.mark.parametrize("links", [pytest.param(mcsim._LINKS, id="default"), 1])
-@pytest.mark.parametrize("overrides", [{"lambda": 0.002}, {"p_t": 0.0}],
+@pytest.mark.parametrize("overrides, n", [({"lambda": 0.002}, mcsim._STATES + 9),
+                                          ({"p_t": 0.0}, 265)],
                          ids=["sparse", "silent"])
-def test_zero_link_trials_cross_flushes(monkeypatch, links, overrides):
-    # trials with no link (or no active one) at chunk and budget edges
+def test_zero_link_trials_cross_flushes(monkeypatch, links, overrides, n):
+    # trials with no link (or no active one) at budget edges, and sparse
+    # fields (about 0.6 links each) across the state-block edge, where the
+    # default budget's chunk closes
     monkeypatch.setattr(mcsim, "_LINKS", links)
-    n = mcsim._CHUNK + 9
     for mode in (mcsim.FULL, mcsim.LOSBALL):
         cfg = figure_config("fig7", **overrides)
         got = mcsim.simulate_sinr_samples(mode, cfg, n, 46)
