@@ -203,7 +203,9 @@ def spectral_efficiency_ccdf(t, params):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0.0):
         raise ValueError("spectral efficiency thresholds must be >= 0 and not NaN")
-    return coverage_ccdf(np.exp2(t_arr) - 1.0, params)
+    with np.errstate(over="ignore"):  # a large t is the threshold +inf
+        beta = np.exp2(t_arr) - 1.0
+    return coverage_ccdf(beta, params)
 
 
 _SE_TAIL_CUT = 1e-6

@@ -15,10 +15,10 @@ generator seeded with SeedSequence((s, k)).  That per-trial substream rule
 makes results independent of how trials are split across workers; counts
 and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
 The substream states are computed in bulk, _STATES trials at a time, by
-numpy's own SeedSequence hash and PCG64 seeding rule (its 128-bit LCG steps
-on 32-bit limbs in uint64 arrays), and set in turn on one reused generator
-through its public state setter; a test checks them against numpy's
-constructors.
+numpy's own SeedSequence hash (on uint32 arrays) and PCG64 seeding rule
+(its 128-bit LCG steps on Python ints in object arrays), and set in turn on
+one reused generator through its public state setter; a test checks them
+against numpy's constructors.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
@@ -236,16 +236,15 @@ _LINKS = 16384
 MAX_TRIALS = 2 ** 32
 
 # numpy's SeedSequence is O'Neill's seed_seq hash on 32-bit words; these are
-# its constants, then PCG64's 128-bit LCG multiplier as 32-bit limbs, least
-# significant first.  They stay masked Python ints: numpy uint32 scalars
-# warn on overflow.
+# its constants, then PCG64's 128-bit LCG multiplier and modulus mask.  They
+# stay Python ints: numpy uint32 scalars warn on overflow.
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)     # INIT_A, MULT_A
 _GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = tuple(0x2360ED051FC65DA44385DF649FCCF645 >> s & _M32
-                    for s in range(0, 128, 32))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
 
 
 def _seed_words(seed):
@@ -275,41 +274,10 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _add128(x, y):
-    """x + y mod 2**128 on four 32-bit limbs per value, least significant
-    first, each limb a uint64 array (y's limbs may be Python ints)."""
-    out, carry = [], 0
-    for a, b in zip(x, y):
-        a = a + b + carry
-        out.append(a & _M32)
-        carry = a >> 32
-    return out
-
-
-def _mul128(x, c):
-    """x * c mod 2**128 on 32-bit limbs as in _add128.  Each product of two
-    limbs fits 64 bits; its low half goes to its column and its high half to
-    the next, and no column of at most seven halves and a carry overflows."""
-    columns = [0] * 4
-    for i, a in enumerate(x):
-        for j, b in enumerate(c[:4 - i]):
-            product = a * b
-            columns[i + j] = columns[i + j] + (product & _M32)
-            if i + j < 3:
-                columns[i + j + 1] = columns[i + j + 1] + (product >> 32)
-    return _add128(columns, (0, 0, 0, 0))  # carry the columns
-
-
-def _ints(x):
-    """Python ints of 128-bit values on 32-bit limbs as in _add128: the one
-    step that runs value by value."""
-    return [hi << 64 | lo for hi, lo in zip((x[2] | x[3] << 32).tolist(),
-                                            (x[0] | x[1] << 32).tolist())]
-
-
 def _pcg64_states(words, lo, hi):
     """(state, inc) of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
-    words = _seed_words(s), hi <= MAX_TRIALS; vectorized over k."""
+    words = _seed_words(s), hi <= MAX_TRIALS, as Python ints; the hash runs
+    on uint32 arrays over k, the 128-bit seeding step on object arrays."""
     n = hi - lo
     entropy = [np.full(n, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(lo, hi, dtype=np.int64).astype(np.uint32))
@@ -328,13 +296,14 @@ def _pcg64_states(words, lo, hi):
     # halves, then initseq's
     hashmix = _hasher(*_GENERATE_STATE)
     w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seed, seq = w[2:4] + w[0:2], w[6:8] + w[4:6]
-    # PCG64's set_seed: inc = 2 initseq + 1, then two LCG steps around
-    # adding initstate
-    inc = _add128(seq, seq)
-    inc[0] |= 1
-    state = _add128(_mul128(_add128(seed, inc), _PCG64_MULT), inc)
-    return zip(_ints(state), _ints(inc))
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
+    # PCG64's set_seed: inc = 2 initseq + 1 (shifted across the two halves,
+    # which drops its top bit), then two LCG steps around adding initstate,
+    # on Python ints in object arrays
+    seed = seed_hi.astype(object) << 64 | seed_lo
+    inc = (seq_hi << 1 | seq_lo >> 63).astype(object) << 64 | (seq_lo << 1 | 1)
+    state = ((seed + inc) * _PCG64_MULT + inc) & _M128
+    return zip(state.tolist(), inc.tolist())
 
 
 def _substreams(master_seed, start, stop):
@@ -528,8 +497,8 @@ def empirical_ccdf(samples, thresholds):
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.ndim != 1 or thresholds.size == 0:
         raise ValueError("thresholds must be a nonempty 1-d grid")
-    if np.any(np.diff(thresholds) < 0.0):
-        raise ValueError("thresholds must be sorted ascending")
+    if np.any(np.isnan(thresholds)) or np.any(thresholds[1:] < thresholds[:-1]):
+        raise ValueError("thresholds must be sorted ascending and not NaN")
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     exceed = n - np.searchsorted(samples, thresholds, side="right")
@@ -551,9 +520,10 @@ def simulate_se_ccdf(mode, config, n_trials, t_grid, master_seed, workers=1):
     estimate shares every sample with simulate_ccdf.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    with np.errstate(over="ignore"):  # a large t is the threshold +inf
+        beta = np.exp2(t_grid) - 1.0
     return replace(
-        simulate_ccdf(mode, config, n_trials, np.exp2(t_grid) - 1.0,
-                      master_seed, workers),
+        simulate_ccdf(mode, config, n_trials, beta, master_seed, workers),
         thresholds=t_grid)
 
 

@@ -35,8 +35,16 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db):
-    """Convert a power quantity from dB to linear scale."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0) if np.ndim(x_db) else 10.0 ** (x_db / 10.0)
+    """Convert a power quantity from dB to linear scale; a value past the
+    float range is +inf.  A scalar stays a Python float (config_hash reprs
+    every gain)."""
+    if np.ndim(x_db):
+        with np.errstate(over="ignore"):
+            return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,18 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "AlphaNlosTooSmall" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,violation", [("Gt_dB", "ValueNotFinite"),
+                                           ("gt_dB", "MainGainBelowSideGain")])
+def test_overflowing_gain_exit_code(tmp_path, capsys, key, violation):
+    # 4000 dB is a linear gain of +inf, refused by name with exit 2, where
+    # Python's float power used to raise OverflowError (exit 3)
+    cfg = _write_config(tmp_path, **{key: "4000"})
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "coverage"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {violation}") and "Traceback" not in err
+
+
 def test_unreadable_config_exit_code(tmp_path, capsys):
     rc = cli.main(["--config", str(tmp_path / "absent.cfg"),
                    "--out-dir", str(tmp_path), "coverage"])
@@ -262,6 +274,29 @@ def test_non_finite_grid_exit_code(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,csv,columns,at_inf,inf_from", [
+    (["se-cdf", "--mode", "losball", "--trials", "50", "--t-grid", "0:2048:1024"],
+     "se_cdf_losball.csv", [1], 1.0, 1024),
+    (["compare", "--kind", "se", "--trials", "50", "--t-grid", "0:2048:1024"],
+     "se_compare.csv", [1, 3, 5], 1.0, 1024),
+    (["coverage", "--beta-grid-dB", "0:4000:1000"], "coverage.csv", [1], 0.0, 4000),
+    (["simulate", "--mode", "losball", "--trials", "50",
+      "--beta-grid-dB", "0:4000:1000"], "simulate_losball.csv", [1], 0.0, 4000),
+], ids=["se-cdf", "compare-se", "coverage", "simulate"])
+def test_overflowing_threshold_is_plus_inf(tmp_path, capsys, args, csv, columns,
+                                           at_inf, inf_from):
+    # 2^1024 and 10^400 overflow a float to the SINR threshold +inf, which
+    # no SINR exceeds: an answer, without an overflow RuntimeWarning (an
+    # error under this suite)
+    cfg = _write_config(tmp_path)
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path)] + args)
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    body = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)
+    at_plus_inf = body[body[:, 0] >= inf_from][:, columns]
+    assert at_plus_inf.size and np.all(at_plus_inf == at_inf)
+
+
 @pytest.mark.parametrize("args", [
     ["coverage", "--beta-grid-dB", ","],
     ["simulate", "--mode", "losball", "--trials", "50", "--beta-grid-dB", ","],
@@ -372,8 +407,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_nakagami_compare_without_noise_or_interference(tmp_path, capsys):
     # fig7 with no noise and a silent network: the analytic mean rate does
-    # not exist and is refused by name, exit 2, before np.exp2 can overflow
-    # in the t_max search (a RuntimeWarning, an error under this suite)
+    # not exist and is refused by name, exit 2, before the t_max search
+    # reaches t = 1024, the threshold +inf
     values = model.parse_key_values(experiments.figure_config_text("fig7"))
     values.update(FIGURE_FILLS, noise_power="0.0", p_t="0.0")
     cfg = tmp_path / "fig7.cfg"

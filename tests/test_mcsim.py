@@ -113,6 +113,14 @@ def test_empirical_ccdf_rejects_bad_grid():
         mcsim.empirical_ccdf(np.array([1.0]), np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         mcsim.empirical_ccdf(np.array([1.0]), np.array([]))
+    # a NaN passes every order comparison, so it is refused by itself
+    for grid in ([np.nan], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            mcsim.empirical_ccdf(np.array([1.0]), np.array(grid))
+    # +inf thresholds are sorted and exceeded by nothing, with no inf - inf
+    # (a RuntimeWarning, an error under this suite)
+    dist = mcsim.empirical_ccdf(np.array([0.5, 2.0]), np.array([1.0, np.inf, np.inf]))
+    assert np.array_equal(dist.ccdf, [0.5, 0.0, 0.0])
 
 
 def test_simulate_ccdf_zero_threshold():
@@ -258,7 +266,10 @@ def test_substreams_match_numpy_constructors():
     # starts inside a block, and at the largest k
     block = mcsim._STATES
     ks = (0, 1, block // 2, block - 1, block, block + 1, 2 * block - 1, 2 * block + 1)
-    for seed in (0, 1, 104, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3):
+    # seeds of four or more words run the hash's mixing loop over the
+    # entropy beyond its pool of four
+    for seed in (0, 1, 104, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 3, 2**96,
+                 2**200 + 12345):
         got = {k: (rng.bit_generator.state, rng.random(4))
                for k, rng in enumerate(mcsim._substreams(seed, 0, max(ks) + 1))
                if k in ks}

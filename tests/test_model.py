@@ -140,12 +140,13 @@ def test_validation_violations():
         assert err.value.violation == "NakagamiOrderInvalid"
 
 
-# -inf dB is a finite linear gain (0), so Gt_dB takes only inf and nan
+# -inf dB is a finite linear gain (0), and 4000 dB overflows a float to inf
 @pytest.mark.parametrize("key,value", [
     (key, value)
     for key in ("lambda", "W", "r_net", "alpha_L", "alpha_N", "R0",
                 "noise_power", "power_ratio")
-    for value in ("inf", "-inf", "nan")] + [("Gt_dB", "inf"), ("Gt_dB", "nan")])
+    for value in ("inf", "-inf", "nan")] + [("Gt_dB", "inf"), ("Gt_dB", "nan"),
+                                            ("Gt_dB", "4000")])
 def test_non_finite_values_rejected(key, value):
     _expect_violation("ValueNotFinite", **{key: value})
 
