@@ -181,20 +181,26 @@ def coverage_ccdf(beta, params):
     exact compensated summation and the result clamped to [0, 1] (roundoff
     can push it out by a few ulps).  Vectorized over beta of any shape;
     one laplace_term call covers every (ell, beta) pair.  A negative or NaN
-    beta is a ValueError before any integral runs; beta = +inf gives 0.
+    beta is a ValueError before any integral runs.  No SINR exceeds the
+    threshold +inf (the inequality is strict), so a beta whose normalized
+    threshold is +inf gives 0 by rule, and only the finite ones are
+    evaluated.
     """
     cfg = params.config
     beta_arr = np.asarray(beta, dtype=float)
     if not np.all(beta_arr >= 0.0):
         raise ValueError("SINR thresholds must be >= 0 and not NaN")
     bts = np.ravel(beta_tilde(beta_arr, params))
+    finite = np.isfinite(bts)
+    bts = bts[finite]
     m = cfg.m_los
     ell = np.arange(1, m + 1, dtype=float)[:, None]
     coef = np.array([(1.0 if k % 2 == 1 else -1.0) * math.comb(m, k)
                      for k in range(1, m + 1)])[:, None]
     noise_fac = np.exp(-ell * m * params.m_tilde * bts * params.sigma2_total)
     terms = coef * noise_fac * laplace_term(ell, bts, params)
-    out = np.array([min(1.0, max(0.0, math.fsum(col))) for col in terms.T.tolist()])
+    out = np.zeros(finite.size)
+    out[finite] = [min(1.0, max(0.0, math.fsum(col))) for col in terms.T.tolist()]
     return float(out[0]) if beta_arr.ndim == 0 else out.reshape(beta_arr.shape)
 
 
@@ -217,15 +223,16 @@ def ergodic_spectral_efficiency(params):
     The CCDF decays doubly exponentially in t, so the integral is truncated
     at the first power of two where it falls below 1e-6 and evaluated by
     adaptive quadrature; the truncated tail is below t_max * 1e-6.
-    ConfigError SinrUnbounded with no noise and no interference (zero
-    density or p_t = 0): the SINR is then infinite and the mean rate does
-    not exist.
+    ConfigError SinrUnbounded when sigma2_total == 0 (no noise, and no
+    NLOS interference: zero density, p_t = 0, or a LOS ball that fills the
+    network disk): the LOS-ball PPP is then empty with probability
+    exp(-lambda pi p_t R_LOS^2) > 0, where the SINR is infinite, so the
+    mean rate does not exist.
     """
-    cfg = params.config
-    if params.sigma2_total == 0.0 and (cfg.density == 0.0 or cfg.tx_probability == 0.0):
+    if params.sigma2_total == 0.0:
         raise ConfigError("SinrUnbounded",
-                          "no noise and no interference give an infinite SINR "
-                          "and no finite mean rate")
+                          "no noise and no NLOS interference give an infinite SINR "
+                          "with positive probability and no finite mean rate")
     t_max = 1.0
     while spectral_efficiency_ccdf(t_max, params) >= _SE_TAIL_CUT:
         t_max *= 2.0

@@ -4,8 +4,10 @@ Subcommands: losball, coverage, simulate, se-cdf, compare, figure-config.
 Global flags --config/--out-dir/--seed/--threads sit before the subcommand;
 each can also come from the environment (WEARNET_CONFIG, WEARNET_OUT_DIR,
 WEARNET_SEED, WEARNET_THREADS), and any configuration key can be overridden
-the same way (e.g. WEARNET_LAMBDA=2 or WEARNET_ALPHA_L=2.0), with explicit
-file values losing to the environment and flags beating both.
+the same way (e.g. WEARNET_LAMBDA=2 or WEARNET_ALPHA_L=2.0; the gains whose
+names differ only in case keep their spelling, WEARNET_Gt_dB and
+WEARNET_gt_dB), with explicit file values losing to the environment and
+flags beating both.
 
 Exit status: 0 success, 1 a comparison missed its tolerance, 2 bad
 configuration/arguments, unwritable output or a run that does not fit in
@@ -54,8 +56,18 @@ def parse_grid(text):
     return grid[grid <= stop + 1e-9 * max(1.0, abs(stop))]
 
 
+# Each configuration key's environment variable is WEARNET_ + the key in
+# upper case, or + the key as spelled where two keys share that upper case
+# (Gt_dB and gt_dB, Gr_dB and gr_dB): the shared form, by the keys it names.
+_UPPER = [key.upper() for key in CONFIG_KEYS]
+_SHARED = {upper: [key for key in CONFIG_KEYS if key.upper() == upper]
+           for upper in _UPPER if _UPPER.count(upper) > 1}
+
+
 def load_config_with_env(path):
-    """Load a config file, letting WEARNET_<KEY> environment values override."""
+    """Load a config file, letting WEARNET_<KEY> environment values override
+    (see _SHARED).  A set WEARNET_ variable that two keys share, such as
+    WEARNET_GT_DB, is refused by name."""
     if path is None:
         raise ConfigError("MissingConfigKey",
                           "this subcommand needs --config (or WEARNET_CONFIG)")
@@ -64,8 +76,13 @@ def load_config_with_env(path):
             values = parse_key_values(fh.read())
     except OSError as exc:
         raise experiments.IoError(f"cannot read config {path}: {exc}") from exc
+    for upper, keys in _SHARED.items():
+        if "WEARNET_" + upper in os.environ:
+            raise ConfigError("AmbiguousEnvKey",
+                              f"WEARNET_{upper} would set both {' and '.join(keys)}; "
+                              f"set {' or '.join('WEARNET_' + key for key in keys)}")
     for key in CONFIG_KEYS:
-        env = os.environ.get("WEARNET_" + key.upper())
+        env = os.environ.get("WEARNET_" + (key if key.upper() in _SHARED else key.upper()))
         if env is not None:
             values[key] = env
     return config_from_keys(values)

@@ -89,25 +89,26 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     A center at d > W/2 can only reach the segment toward angle phi when
     |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so a window search finds
     the candidate pairs and only those get the exact segment-distance test.
-    Each field's centers are swept nearest first, in distance bands whose
-    edges double from 2 / (lambda W), with lambda = n / (pi max(d)^2) the
-    density the field's sample shows.  Each band is searched only against
-    links still LOS with r >= band_lo - W/2: a center at d > band_lo lies
-    at least d - r > W/2 from a shorter link and cannot block it.
+    A pair is tested only if its link reaches the center's disk,
+    r >= d - W/2 - 1e-9: a shorter link ends more than W/2 + 1e-9 from the
+    center, far above the rounding of the pair test for d up to about 1e6.
 
-    Before the sweep, a shadow pre-pass settles most blocked links without
-    a pair test.  Each center marks the angle buckets (_BUCKETS per field)
-    that lie entirely inside its inner window arcsin((W / 2d)(1 - 1e-6)),
-    and a link in a marked bucket that is longer than the marking center's
-    band edge times 1 + 1e-9 is NLOS.  Such a link passes within
-    (W/2)(1 - 1e-6) of that center, with the foot of the perpendicular
-    strictly inside the segment, and lies inside the center's search window
-    by more than 1e-9 rad, since a window that holds a whole bucket is that
-    wide.  Rounding errors are far below both margins, so the sweep would
-    block every such link too: the pre-pass only skips pairs whose outcome
-    it knows.  Every pair still tested gets the same window predicate and
-    arithmetic on the same values, so neither the bands, the shadow nor
-    the number of fields in a call changes a mask.
+    Before the search, a shadow pre-pass settles most blocked links without
+    a pair test.  Each field's centers fall in distance bands whose edges
+    double from 2 / (lambda W), with lambda = n / (pi max(d)^2) the density
+    its sample shows; the bands set only the shadow's depth and the order
+    of the centers.  Each center marks the angle buckets (_BUCKETS per
+    field) that lie entirely inside its inner window
+    arcsin((W / 2d)(1 - 1e-6)), and a link in a marked bucket that is
+    longer than the marking center's band edge times 1 + 1e-9 is NLOS.
+    Such a link passes within (W/2)(1 - 1e-6) of that center, with the
+    foot of the perpendicular strictly inside the segment, and lies inside
+    the center's search window by more than 1e-9 rad, since a window that
+    holds a whole bucket is that wide.  Rounding errors are far below both
+    margins, so the search would block every such link too.  Every pair
+    still tested gets the same window predicate and arithmetic on the same
+    values, so neither the reach filter, the shadow nor the number of
+    fields in a call changes a mask.
     """
     r, phi, d, psi = (np.asarray(v, dtype=float) for v in (r, phi, d, psi))
     if link_counts is None:
@@ -127,7 +128,6 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
         return los
 
     band, d, psi, body_field, edges = _bands(d, psi, body_field, n_fields, W)
-    band_ends = np.cumsum(np.bincount(band)).tolist()
     _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w)
     rest = np.flatnonzero(los)
     if not rest.size:
@@ -135,23 +135,14 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
 
     links, bodies = _search_rows(rest, r, phi, link_field, d, psi, body_field,
                                  half_w, n_fields)
-    live = np.empty(r.size, dtype=bool)
-    band_lo = np.zeros(n_fields)
-    for b, (start, end) in enumerate(zip([0] + band_ends, band_ends)):
-        # the 1e-9 m of slack leaves limit cases to the exact pair test
-        np.greater_equal(r, (band_lo - half_w - 1e-9)[link_field], out=live)
-        live &= los
-        if not live.any():
-            break
-        if end > start:
-            _block_band(los, live, slice(start, end), links, bodies, half_w)
-        band_lo = edges[b]
+    _block_band(los, links, bodies, half_w)
     return los
 
 
 def _bands(d, psi, body_field, n_fields, W):
     """The centers (band k, d, psi, field) in band order, and the band
-    edges by band and field.
+    edges by band and field, for the shadow pre-pass, which reads its
+    nearest bands off the front.
 
     A field's first edge is its sample edge, or d_max when d_max^2
     underflows, so the doubling always reaches d_max; a field without
@@ -218,9 +209,9 @@ def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields)
     the value the window predicate reads then.  A window [lo, hi], lo in
     [0, 2 pi] and hi - lo < pi, widened by 1e-9 rad against rounding,
     covers one run of its field's row, whose links are a superset of its
-    pairs; the predicate keeps exactly them.  Returns (link, angle, px,
-    py) by row position and (d, psi, win_lo, win_hi, run start, run stop)
-    by center.
+    pairs; the predicate keeps exactly them.  Returns (link, angle, r, px,
+    py) by row position and (d, psi, win_lo, win_hi, run start, run stop) by
+    center.
     """
     # Widen the window by a few ulps so the exact test, not angle rounding,
     # decides grazing contacts.  Every center here has d > W/2, and
@@ -238,6 +229,7 @@ def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields)
     px, py = lr * np.cos(lphi), lr * np.sin(lphi)
     links = (np.concatenate((rest, rest))[order],
              np.concatenate((lphi, lphi + 2.0 * math.pi))[order],
+             np.concatenate((lr, lr))[order],
              np.concatenate((px, px))[order],
              np.concatenate((py, py))[order])
     run = np.zeros(2 * _BUCKETS * n_fields + 1, dtype=np.intp)
@@ -248,21 +240,20 @@ def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields)
                    run[row + ((win_hi + 1e-9) * _PER_RAD).astype(np.intp) + 1])
 
 
-def _block_band(los, live, band, links, bodies, half_w):
-    """Clear los[i] for each link i with live[i] that a center in the slice
-    ``band`` blocks, testing exactly the pairs whose center's angular
-    window [win_lo, win_hi] holds phi[i] or phi[i] + 2*pi; a center's run
-    of buckets holds links of its own field only."""
-    link, angle, px, py = links
-    d, psi, win_lo, win_hi, first, stop = (a[band] for a in bodies)
+def _block_band(los, links, bodies, half_w):
+    """Clear los[i] for each link i still LOS that a center blocks, testing
+    exactly the pairs whose center's angular window [win_lo, win_hi] holds
+    phi[i] or phi[i] + 2*pi and whose link reaches the center's disk,
+    r[i] >= d - W/2 - 1e-9; a center's run of buckets holds links of its
+    own field only."""
+    link, angle, length, px, py = links
+    d, psi, win_lo, win_hi, first, stop = bodies
     counts = stop - first
-    total = int(counts.sum())
-    if total == 0:
-        return
     body_idx = np.repeat(np.arange(counts.size), counts)
-    pos = np.arange(total) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    pos = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
     a = angle[pos]
-    keep = live[link[pos]] & (win_lo[body_idx] <= a) & (a <= win_hi[body_idx])
+    keep = (los[link[pos]] & (win_lo[body_idx] <= a) & (a <= win_hi[body_idx])
+            & (length[pos] >= (d - half_w - 1e-9)[body_idx]))
     pos, body_idx = pos[keep], body_idx[keep]
 
     # squared distance from each center to its link segment [0, (px, py)];

@@ -347,6 +347,20 @@ def test_ergodic_se_unbounded_without_noise_or_interference(monkeypatch):
         assert math.isfinite(analytic.ergodic_spectral_efficiency(_params(**overrides)))
 
 
+def test_ergodic_se_unbounded_when_los_ball_fills_disk():
+    # fig7, no noise, lambda = 1e-300: the LOS ball fills the disk, so no
+    # NLOS interference and sigma2_total == 0, but the network is live.
+    # The ball is empty with probability exp(-lambda pi p_t R^2) > 0, the
+    # SINR then infinite, and the mean rate does not exist; the t_max search
+    # used to stop at t = 1024 only because 2^1024 overflows
+    p = analytic.coverage_params(figure_config("fig7", noise_power=0.0,
+                                               **{"lambda": 1e-300}))
+    assert p.sigma2_total == 0.0 and p.r_los == p.config.net_radius
+    with pytest.raises(model.ConfigError) as err:
+        analytic.ergodic_spectral_efficiency(p)
+    assert err.value.violation == "SinrUnbounded"
+
+
 # ergodic SE at the fig8 setup, m = 1, 2, 4, 8, 16, frozen from the
 # one-integral-at-a-time quadrature this package used before its rule was
 # batched

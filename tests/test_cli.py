@@ -1,5 +1,6 @@
 """Command-line front end: grids, subcommands, env overrides, exit codes."""
 
+import dataclasses
 import importlib.metadata
 import os
 import shutil
@@ -165,6 +166,28 @@ def test_env_config_and_overrides(tmp_path, monkeypatch):
     assert row.startswith("1.0,")
 
 
+def test_env_gain_keys_that_differ_in_case(tmp_path, monkeypatch, capsys):
+    # Gt_dB and gt_dB share an upper-case form: each keeps its exact
+    # spelling, and the shared WEARNET_GT_DB is refused by name
+    cfg = _write_config(tmp_path)
+    base = cli.load_config_with_env(cfg)
+    monkeypatch.setenv("WEARNET_Gt_dB", "7")
+    cfg_env = cli.load_config_with_env(cfg)
+    assert cfg_env.tx_pattern.main_gain == model.db_to_linear(7.0)
+    assert cfg_env == dataclasses.replace(
+        base, tx_pattern=dataclasses.replace(base.tx_pattern,
+                                             main_gain=cfg_env.tx_pattern.main_gain))
+    monkeypatch.delenv("WEARNET_Gt_dB")
+    for shared, pair in (("WEARNET_GT_DB", "WEARNET_Gt_dB or WEARNET_gt_dB"),
+                         ("WEARNET_GR_DB", "WEARNET_Gr_dB or WEARNET_gr_dB")):
+        monkeypatch.setenv(shared, "7")
+        rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "coverage"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: AmbiguousEnvKey: {shared} ") and pair in err
+        monkeypatch.delenv(shared)
+
+
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     args = ["simulate", "--mode", "losball", "--trials", "200",
@@ -295,6 +318,26 @@ def test_overflowing_threshold_is_plus_inf(tmp_path, capsys, args, csv, columns,
     body = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)
     at_plus_inf = body[body[:, 0] >= inf_from][:, columns]
     assert at_plus_inf.size and np.all(at_plus_inf == at_inf)
+
+
+@pytest.mark.parametrize("args,csv", [
+    (["coverage"], "coverage.csv"),
+    (["simulate", "--mode", "losball", "--trials", "50"], "simulate_losball.csv"),
+], ids=["coverage", "simulate"])
+def test_plus_inf_threshold_without_noise_or_nlos_power(tmp_path, capsys, args, csv):
+    # fig7, no noise, lambda = 1e-300: the LOS ball fills the disk, so
+    # sigma2_total == 0 and every finite threshold is exceeded; +inf is
+    # exceeded by none, by rule, without computing inf * 0
+    values = model.parse_key_values(experiments.figure_config_text("fig7"))
+    values.update(FIGURE_FILLS, noise_power="0.0", **{"lambda": "1e-300"})
+    cfg = tmp_path / "fig7.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path)] + args
+                  + ["--beta-grid-dB", "0:4000:1000"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    body = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)
+    assert list(body[:, 1]) == [1.0, 1.0, 1.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("args", [

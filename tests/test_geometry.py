@@ -194,48 +194,26 @@ def _bruteforce_los(r, phi, d, psi, W):
     return los
 
 
-def _record_bands(monkeypatch):
-    # (live links, band centers' cx) of every band the sweep searches
-    # exactly, after the shadow pre-pass
-    bands = []
-    inner = geometry._block_band
-
-    def recording(los, live, band, links, bodies, half_w):
-        d, psi = bodies[0][band], bodies[1][band]
-        bands.append((np.flatnonzero(live), d * np.cos(psi)))
-        return inner(los, live, band, links, bodies, half_w)
-
-    monkeypatch.setattr(geometry, "_block_band", recording)
-    return bands
-
-
-@pytest.mark.parametrize("lam, r_net", [(3.0, 10.0), (5.0, 10.0), (3.0, 20.0),
-                                        (5.0, 20.0)])
-def test_classify_los_dense_fields_match_bruteforce(monkeypatch, lam, r_net):
-    # PPP fields as the full mode draws them, dense enough that the
-    # nearest-first sweep runs several distance bands
-    bands = _record_bands(monkeypatch)
+@pytest.mark.parametrize("lam, r_net", [(1.0, 10.0), (3.0, 10.0), (5.0, 10.0),
+                                        (3.0, 20.0), (5.0, 20.0)])
+def test_classify_los_dense_fields_match_bruteforce(lam, r_net):
+    # PPP fields as the full mode draws them, from sparse (a weak shadow:
+    # its first edge is 2 / (lambda W), 6.7 m at lambda = 1) to dense
     rng = np.random.default_rng(int(lam * 100 + r_net))
     W = 0.3
-    band_counts = []
     for _ in range(3 if r_net < 20.0 else 1):  # the oracle is all-pairs
         r, phi = geometry.sample_ppp_disk(lam, r_net, rng)
         d, psi = geometry.sample_ppp_disk(lam, r_net + W / 2.0, rng)
-        d, psi = d[d > W / 2.0], psi[d > W / 2.0]  # keep the sweep running
-        bands.clear()
+        d, psi = d[d > W / 2.0], psi[d > W / 2.0]  # keep the search running
         los = geometry.classify_los(r, phi, d, psi, W)
         assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
         assert 0 < np.count_nonzero(los) < r.size
-        band_counts.append(len(bands))
-    assert max(band_counts) >= 3
 
 
-def test_classify_los_band_edges(monkeypatch):
+def test_classify_los_band_edges():
     # 500 centers out to d_max = 10 put the first band edge at
     # e = 2 pi d_max^2 / (n W).  One center sits exactly on e and one just
-    # past it; one link ends exactly at e - W/2, the shortest length the
-    # second band still tests, and one just short of that.
-    bands = _record_bands(monkeypatch)
+    # past it; one link ends exactly at e - W/2, and one just short of that.
     W, n, d_max = 0.3, 500, 10.0
     edge = 2.0 * math.pi * d_max ** 2 / (n * W)
     rng = np.random.default_rng(18)
@@ -248,12 +226,29 @@ def test_classify_los_band_edges(monkeypatch):
     assert np.array_equal(los, _bruteforce_los(r, phi, d, psi, W))
     assert list(los) == [False, True, True, False]
 
-    def in_band(k, angle):
-        return np.any(np.isclose(bands[k][1], edge * math.cos(angle), rtol=0.0, atol=1e-9))
 
-    assert in_band(0, 0.5) and not in_band(0, 2.0)
-    assert in_band(1, 2.0) and not in_band(1, 0.5)
-    assert 1 in bands[1][0] and 2 not in bands[1][0]
+def test_classify_los_reach_boundary():
+    # links toward a center at (d, psi) = (5, 1) that end just short of its
+    # disk, d - W/2 - 1e-7, or just inside it, by 1e-10 and by 1e-7.  The
+    # shadow settles none of them (r < d <= the first band edge), so the
+    # pair filter r >= d - W/2 - 1e-9 alone decides which get the exact
+    # test: it must keep both that reach in.
+    W, d = 0.3, 5.0
+    r = d - W / 2.0 + np.array([-1e-7, 1e-10, 1e-7])
+    phi = np.ones(3)
+    want = [True, False, False]
+    los = geometry.classify_los(r, phi, [d], [1.0], W)
+    assert list(los) == want
+    assert np.array_equal(los, _bruteforce_los(r, phi, np.array([d]), np.ones(1), W))
+    # the same field between two dense ones, in one call
+    rng = np.random.default_rng(19)
+    dense = [geometry.sample_ppp_disk(3.0, 10.0, rng) for _ in range(4)]
+    links = [dense[0], (r, phi), dense[1]]
+    bodies = [dense[2], ([d], [1.0]), dense[3]]
+    los = geometry.classify_los(*map(np.concatenate, zip(*links)),
+                                *map(np.concatenate, zip(*bodies)), W,
+                                [len(f[0]) for f in links], [len(f[0]) for f in bodies])
+    assert list(los[dense[0][0].size:][:3]) == want
 
 
 def test_classify_los_window_wraps_across_zero():
