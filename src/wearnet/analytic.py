@@ -111,6 +111,16 @@ def coverage_params(config):
     )
 
 
+def signal_power(cfg):
+    """Gt Gr R0^-alpha_L, the reference link's received power before
+    fading; +inf past the float range, where Python's float power raises."""
+    try:
+        return (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
+                * cfg.ref_distance ** (-cfg.alpha_los))
+    except OverflowError:
+        return math.inf
+
+
 def beta_tilde(beta, params):
     """Normalized threshold beta * R0^alpha_L / (Gt * Gr)."""
     cfg = params.config
@@ -222,26 +232,24 @@ def ergodic_spectral_efficiency(params):
 
     The CCDF decays doubly exponentially in t, so the integral is truncated
     at the first power of two where it falls below 1e-6 and evaluated by
-    adaptive quadrature; the truncated tail is below t_max * 1e-6.
-    ConfigError SinrUnbounded when sigma2_total == 0 (no noise, and no
-    NLOS interference: zero density, p_t = 0, or a LOS ball that fills the
-    network disk): the LOS-ball PPP is then empty with probability
+    adaptive quadrature; the truncated tail is below t_max * 1e-6.  The
+    search ends by t_max = 1024: 2^1024 overflows to the threshold +inf,
+    whose CCDF is 0.
+    ConfigError SinrUnbounded unless signal_power / sigma2_total is a
+    finite float.  With sigma2_total == 0 (no noise, and no NLOS
+    interference: zero density, p_t = 0, or a LOS ball that fills the
+    network disk) the LOS-ball PPP is empty with probability
     exp(-lambda pi p_t R_LOS^2) > 0, where the SINR is infinite, so the
-    mean rate does not exist.
+    mean rate does not exist; past the float range no route computes it.
     """
-    if params.sigma2_total == 0.0:
+    sigma2 = params.sigma2_total
+    if not (sigma2 > 0.0 and math.isfinite(signal_power(params.config) / sigma2)):
         raise ConfigError("SinrUnbounded",
-                          "no noise and no NLOS interference give an infinite SINR "
-                          "with positive probability and no finite mean rate")
+                          "the reference SNR is infinite or past the float range "
+                          "(no noise and no NLOS interference, or an overflow), "
+                          "so the mean rate is not a finite number")
     t_max = 1.0
     while spectral_efficiency_ccdf(t_max, params) >= _SE_TAIL_CUT:
         t_max *= 2.0
-        if t_max > 2.0 ** 20:
-            raise ValueError("spectral-efficiency CCDF does not decay; "
-                             "check noise/interference normalization")
-
-    def integrand(t):
-        return np.asarray(spectral_efficiency_ccdf(t, params), dtype=float)
-
-    return adaptive_gauss_legendre(integrand, 0.0, t_max,
-                                   abs_tol=1e-6, rel_tol=1e-6)
+    return adaptive_gauss_legendre(lambda t: spectral_efficiency_ccdf(t, params),
+                                   0.0, t_max, abs_tol=1e-6, rel_tol=1e-6)

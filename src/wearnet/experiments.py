@@ -85,8 +85,9 @@ _SWEPT_FIELD = {"losball_sweep": "net_radius", "mean_count_sweep": "density",
 
 def validate_plan(plan):
     """Return ``plan``, or raise its first ConfigError before any row runs:
-    each grid value is a real number that obeys the rule of the config field
-    it stands for (a Nakagami order is also integral), each density_family
+    a set tolerance is a finite real number >= 0 (ToleranceNegative), each
+    grid value is a real number that obeys the rule of the config field it
+    stands for (a Nakagami order is also integral), each density_family
     value a density."""
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
@@ -94,6 +95,11 @@ def validate_plan(plan):
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     mcsim.check_run(plan.trials, plan.seed, plan.workers)
+    if plan.tolerance is not None:
+        check_real("plan.tolerance", plan.tolerance)
+        if plan.tolerance < 0.0:
+            raise ConfigError("ToleranceNegative",
+                              f"tolerance must be >= 0, got {plan.tolerance}")
     validate(plan.config)
     swept = _SWEPT_FIELD.get(plan.kind)
     for v in plan.grid:

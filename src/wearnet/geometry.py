@@ -87,8 +87,9 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     d <= W/2 is all NLOS: that center covers the origin.
 
     A center at d > W/2 can only reach the segment toward angle phi when
-    |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so a window search finds
-    the candidate pairs and only those get the exact segment-distance test.
+    |psi - phi| <= arcsin(W / (2 d)) modulo 2*pi, so one window search over
+    the links the shadow pre-pass leaves LOS finds the candidate pairs, and
+    only those get the exact segment-distance test.
     A pair is tested only if its link reaches the center's disk,
     r >= d - W/2 - 1e-9: a shorter link ends more than W/2 + 1e-9 from the
     center, far above the rounding of the pair test for d up to about 1e6.
@@ -135,7 +136,7 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
 
     links, bodies = _search_rows(rest, r, phi, link_field, d, psi, body_field,
                                  half_w, n_fields)
-    _block_band(los, links, bodies, half_w)
+    _sweep(los, links, bodies, half_w)
     return los
 
 
@@ -202,7 +203,7 @@ def _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w):
 
 
 def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields):
-    """The links ``rest`` and every center as _block_band searches them.
+    """The links ``rest`` left LOS and every center as _sweep searches them.
 
     Each field has a row of two turns of angle buckets, and each link sits
     in it twice: in its angle's bucket, and a turn later with angle + 2 pi,
@@ -240,8 +241,8 @@ def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields)
                    run[row + ((win_hi + 1e-9) * _PER_RAD).astype(np.intp) + 1])
 
 
-def _block_band(los, links, bodies, half_w):
-    """Clear los[i] for each link i still LOS that a center blocks, testing
+def _sweep(los, links, bodies, half_w):
+    """Clear los[i] for each link i of the rows that a center blocks, testing
     exactly the pairs whose center's angular window [win_lo, win_hi] holds
     phi[i] or phi[i] + 2*pi and whose link reaches the center's disk,
     r[i] >= d - W/2 - 1e-9; a center's run of buckets holds links of its
@@ -252,7 +253,7 @@ def _block_band(los, links, bodies, half_w):
     body_idx = np.repeat(np.arange(counts.size), counts)
     pos = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
     a = angle[pos]
-    keep = (los[link[pos]] & (win_lo[body_idx] <= a) & (a <= win_hi[body_idx])
+    keep = ((win_lo[body_idx] <= a) & (a <= win_hi[body_idx])
             & (length[pos] >= (d - half_w - 1e-9)[body_idx]))
     pos, body_idx = pos[keep], body_idx[keep]
 

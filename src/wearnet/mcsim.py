@@ -44,7 +44,7 @@ value is the one a trial-by-trial loop gives.
 A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
 sets each trial's substream, draws its two PPPs' counts and uniform blocks
-(the Poisson means computed once per range) and its activity uniforms, and
+(on the disks of one _field_disks call) and its activity uniforms, and
 saves the generator state; the chunk's blocks are then transformed to
 points, one disk_polar call per PPP, and its fields classified at once.
 The second pass restores each saved state and draws the LOS fading, the
@@ -73,7 +73,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import coverage_params
+from .analytic import coverage_params, signal_power
 # sample_ppp_disk is the PPP draw that _draw_field repeats; the LOSBALL
 # test oracle and the benchmark's tracer look it up under this module
 from .geometry import classify_los, disk_polar, sample_ppp_disk
@@ -107,49 +107,45 @@ def sample_nakagami_power(m, rng, size=None):
     return rng.gamma(m, 1.0 / m, size)
 
 
-def _field_radii(cfg):
-    """The two disks of a FULL-mode deployment: interferers on the network
-    disk, then blockage centers on the disk of radius r_net + W/2, so no
-    edge interferer's blocking region is truncated."""
-    return cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter
-
-
-def _field_means(cfg):
-    """The Poisson means of a FULL-mode deployment's two PPPs, by
-    sample_ppp_disk's expression.
+def _field_disks(cfg):
+    """The two disks of a FULL-mode deployment, each as (radius, Poisson
+    mean by sample_ppp_disk's expression): interferers on the network disk,
+    then blockage centers on the disk of radius r_net + W/2, so no edge
+    interferer's blocking region is truncated.
 
     ConfigError DensityTooHigh unless one numpy array can hold the (2, n)
     float64 coordinates at the larger mean, the blockage disk's; numpy's
     Poisson sampler takes every mean below that bound.
     """
-    means = tuple(cfg.density * (math.pi * (radius * radius)) for radius in _field_radii(cfg))
-    if 16.0 * means[1] > np.iinfo(np.intp).max:
+    disks = tuple((radius, cfg.density * (math.pi * (radius * radius)))
+                  for radius in (cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter))
+    mean = disks[1][1]
+    if 16.0 * mean > np.iinfo(np.intp).max:
         raise ConfigError("DensityTooHigh",
-                          f"density {cfg.density} puts a Poisson mean of {means[1]:.3g} "
+                          f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
                           f"blockage centers on the deployment disk, more "
                           f"coordinates than one numpy array can hold")
-    return means
+    return disks
 
 
-def _draw_field(means, rng):
-    """One FULL-mode deployment's draws, sample_ppp_disk's on each disk in
-    turn: the interferers' Poisson count and their (2, n) block of radius
-    and angle uniforms, then the blockage centers' (means from
-    _field_means).  The transform, _field_points, draws nothing."""
-    links, bodies = means
-    return rng.random((2, rng.poisson(links))), rng.random((2, rng.poisson(bodies)))
+def _draw_field(disks, rng):
+    """One FULL-mode deployment's draws, sample_ppp_disk's on each of
+    _field_disks in turn: the interferers' Poisson count and their (2, n)
+    block of radius and angle uniforms, then the blockage centers'.  The
+    transform, _field_points, draws nothing."""
+    return tuple(rng.random((2, rng.poisson(mean))) for _, mean in disks)
 
 
-def _field_points(cfg, x, xb):
+def _field_points(disks, *blocks):
     """(r, phi) and (d, psi) from the uniform blocks of one or more
     deployments side by side (see disk_polar)."""
-    link_radius, body_radius = _field_radii(cfg)
-    return disk_polar(link_radius, x), disk_polar(body_radius, xb)
+    return tuple(disk_polar(radius, x) for (radius, _), x in zip(disks, blocks))
 
 
 def sample_full_field(cfg, rng):
     """One FULL-mode deployment (see _draw_field): (r, phi, los mask)."""
-    (r, phi), (d, psi) = _field_points(cfg, *_draw_field(_field_means(cfg), rng))
+    disks = _field_disks(cfg)
+    (r, phi), (d, psi) = _field_points(disks, *_draw_field(disks, rng))
     return r, phi, classify_los(r, phi, d, psi, cfg.blockage_diameter)
 
 
@@ -330,26 +326,25 @@ def _substreams(master_seed, start, stop):
 # --- batched, seed-deterministic runs ------------------------------------
 
 def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
-    signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
-                   * cfg.ref_distance ** (-cfg.alpha_los))
+    signal_coef = signal_power(cfg)
 
     # A mode is its per-trial draw and the chunk's columns built from the
     # drawn trials: (r, phi, u, h, los) for _interference, then h0.
     if mode == FULL:
-        means = _field_means(cfg)
+        disks = _field_disks(cfg)
         fading_rng = np.random.Generator(np.random.PCG64(0))
         m_los, m_nlos = cfg.m_los, cfg.m_nlos
 
         def draw(rng):
             # the two uniform blocks and the activity uniforms; the fading
             # waits for the chunk's classification, from the state saved here
-            x, xb = _draw_field(means, rng)
+            x, xb = _draw_field(disks, rng)
             return x, xb, rng.random(x.shape[1]), rng.bit_generator.state
 
         def columns(chunk):
             x, xb, u, states = zip(*chunk)
             sizes = [block.shape[1] for block in x]
-            (r, phi), (d, psi) = _field_points(cfg, np.concatenate(x, axis=1),
+            (r, phi), (d, psi) = _field_points(disks, np.concatenate(x, axis=1),
                                                np.concatenate(xb, axis=1))
             los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
                                [block.shape[1] for block in xb])
@@ -396,8 +391,9 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
         interference = _interference(cfg, sizes, *links)
         rows = out[done:done + len(chunk)]
         # SINR = +inf where the denominator is 0 (no noise and no
-        # interference); estimate_ergodic_se refuses such samples by name
-        with np.errstate(divide="ignore"):
+        # interference) or the quotient passes the float range;
+        # estimate_ergodic_se refuses such samples by name
+        with np.errstate(divide="ignore", over="ignore"):
             rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
         rows[:, 1] = interference
         return done + len(chunk)
@@ -483,7 +479,7 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     cfg = validate(config)
     r_los, sigma2 = None, cfg.noise_power
     if mode == FULL:
-        _field_means(cfg)  # DensityTooHigh here, before any worker starts
+        _field_disks(cfg)  # DensityTooHigh here, before any worker starts
     else:
         # the closed form's LOS ball, everything outside it as its mean power
         params = coverage_params(cfg)
@@ -544,14 +540,16 @@ def estimate_ergodic_se(mode, config, n_trials, master_seed, workers=1):
 
     ConfigError SinrUnbounded when a trial's SINR is infinite: with no
     noise a trial without interference has a zero denominator, and the
-    mean rate of such a run does not exist.
+    mean rate of such a run does not exist; a reference SNR past the float
+    range makes every SINR infinite.
     """
     samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
     unbounded = np.count_nonzero(np.isinf(samples[:, 0]))
     if unbounded:
         raise ConfigError("SinrUnbounded",
-                          f"{unbounded} of {samples.shape[0]} trials have no noise and no "
-                          f"interference, so an infinite SINR and no finite mean rate")
+                          f"{unbounded} of {samples.shape[0]} trials have an infinite SINR "
+                          f"(no noise and no interference, or an SNR past the float "
+                          f"range), so the mean rate is not a finite number")
     return _mean_and_se(np.log2(1.0 + samples[:, 0]))
 
 
@@ -565,7 +563,7 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
     before any worker starts.
     """
     cfg = validate(config)
-    _field_means(cfg)  # DensityTooHigh here, before any worker starts
+    _field_disks(cfg)  # DensityTooHigh here, before any worker starts
     counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
                          workers, cfg)
     return _mean_and_se(counts.astype(float))

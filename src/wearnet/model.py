@@ -268,6 +268,7 @@ def config_from_keys(values):
                 raise ConfigError("InvalidNumber",
                                   f"value for '{key}' is not a number: {v!r}") from None
         if key in _INT_KEYS:
+            check_real(key, v)  # int() raises OverflowError on an infinity
             if float(v) != int(v):
                 raise ConfigError("NakagamiOrderInvalid",
                                   f"{key} must be an integer, got {v}")

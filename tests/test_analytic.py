@@ -11,7 +11,7 @@ from scipy import integrate, special
 from conftest import figure_config, make_config
 import oracles
 from oracles import t_factor
-from wearnet import analytic, model
+from wearnet import analytic, mcsim, model
 
 
 def _params(**overrides):
@@ -359,6 +359,34 @@ def test_ergodic_se_unbounded_when_los_ball_fills_disk():
     with pytest.raises(model.ConfigError) as err:
         analytic.ergodic_spectral_efficiency(p)
     assert err.value.violation == "SinrUnbounded"
+
+
+@pytest.mark.parametrize("overrides", [{"R0": 1e-100},
+                                       {"noise_power": 1e-310, "lambda": 0.0}],
+                         ids=["reference-power", "quotient"])
+def test_ergodic_se_refuses_overflowing_snr(overrides):
+    # fig8 with Gt Gr R0^-alpha_L past the float range, or a finite one
+    # over noise_power = 1e-310: every SINR is +inf, so coverage is 1 at
+    # every finite threshold and the mean rate is refused by name, as the
+    # engine refuses it; the t_max search used to return about 1024, the
+    # point where 2^t overflows
+    p = analytic.coverage_params(figure_config("fig8", **overrides))
+    assert np.all(analytic.coverage_ccdf(np.array([0.0, 1.0, 1e10]), p) == 1.0)
+    with pytest.raises(model.ConfigError) as err:
+        analytic.ergodic_spectral_efficiency(p)
+    assert err.value.violation == "SinrUnbounded"
+
+
+def test_ergodic_se_near_the_t_max_bound():
+    # fig8 at noise_power = 1e-300 and lambda = 0: a finite SNR of about
+    # 1.3e303 and a mean rate of about 1006 bit/s/Hz, close to where the
+    # t_max search stops (2^1024 overflows), is answered, not refused, and
+    # agrees with the losball engine
+    cfg = figure_config("fig8", noise_power=1e-300, **{"lambda": 0.0})
+    got = analytic.ergodic_spectral_efficiency(analytic.coverage_params(cfg))
+    assert abs(got - 1006.132) < 1e-3
+    mean, se = mcsim.estimate_ergodic_se(mcsim.LOSBALL, cfg, 200, 1)
+    assert abs(got - mean) < 3.0 * se
 
 
 # ergodic SE at the fig8 setup, m = 1, 2, 4, 8, 16, frozen from the

@@ -123,6 +123,27 @@ def test_compare_tolerance_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, tolerance, violation", [
+    ("coverage", "nan", "ValueNotFinite"), ("coverage", "-1", "ToleranceNegative"),
+    ("mean-count", "nan", "ValueNotFinite"), ("mean-count", "-1", "ToleranceNegative"),
+])
+def test_bad_tolerance_exit_code(tmp_path, capsys, monkeypatch, kind,
+                                 tolerance, violation):
+    # refused by name before any row runs: no simulation, no artifact
+    def not_called(*args, **kwargs):
+        raise AssertionError("simulated before the tolerance was refused")
+
+    monkeypatch.setattr(mcsim, "_map_trials", not_called)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out), "compare",
+                   "--kind", kind, "--trials", "50", f"--tolerance={tolerance}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {violation}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     rc = cli.main(["--out-dir", str(tmp_path), "simulate", "--mode", "losball"])
     assert rc == 2
@@ -146,6 +167,27 @@ def test_overflowing_gain_exit_code(tmp_path, capsys, key, violation):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {violation}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", "inf"), ("m", "-inf"), ("m", "1e400"), ("m", "nan"),
+    ("m_nlos", "inf"), ("WEARNET_M_NLOS", "inf"), ("WEARNET_M", "nan"),
+])
+def test_non_finite_nakagami_order_exit_code(tmp_path, capsys, monkeypatch,
+                                             key, value):
+    # int() of an infinite order raised a bare OverflowError (exit 3), and
+    # of a NaN one a ValueError with no violation name (exit 2)
+    if key.startswith("WEARNET_"):
+        monkeypatch.setenv(key, value)
+        cfg = _write_config(tmp_path)
+    else:
+        cfg = _write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    rc = cli.main(["--config", cfg, "--out-dir", str(out), "coverage"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueNotFinite: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unreadable_config_exit_code(tmp_path, capsys):
@@ -464,6 +506,23 @@ def test_nakagami_compare_without_noise_or_interference(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SinrUnbounded: ") and "Warning" not in err
+    assert not (out / "nakagami_sweep.csv").exists()
+
+
+def test_nakagami_compare_with_overflowing_snr(tmp_path, capsys):
+    # fig8 with R0 = 1e-100: Gt Gr R0^-alpha_L is past the float range,
+    # where the engine's float power raised OverflowError (exit 3); both
+    # routes now refuse the mean rate by name, exit 2
+    values = model.parse_key_values(experiments.figure_config_text("fig8"))
+    values.update(FIGURE_FILLS, R0="1e-100")
+    cfg = tmp_path / "fig8.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(cfg), "--out-dir", str(out), "compare",
+                   "--kind", "nakagami", "--trials", "20", "--m-grid", "1,2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SinrUnbounded: ") and "Traceback" not in err
     assert not (out / "nakagami_sweep.csv").exists()
 
 

@@ -85,6 +85,29 @@ def test_non_real_plan_values_refused_before_rows(tmp_path, monkeypatch,
                                     density_family=(np.int64(1), 0.5)))
 
 
+@pytest.mark.parametrize("tolerance, violation", [
+    (math.nan, "ValueNotFinite"), (math.inf, "ValueNotFinite"),
+    (-1.0, "ToleranceNegative"), (-1e-300, "ToleranceNegative"),
+    ("0.1", "ValueNotReal"), (True, "ValueNotReal"),
+], ids=["nan", "inf", "negative", "tiny-negative", "str", "bool"])
+def test_bad_tolerance_refused_before_rows(tmp_path, monkeypatch, tolerance,
+                                           violation):
+    # a NaN or negative tolerance used to run the whole plan, then fail its
+    # gate (status=FAIL tolerance=nan)
+    def not_called(plan):
+        raise AssertionError("a row was computed before the plan was refused")
+
+    monkeypatch.setitem(experiments._RUNNERS, "coverage_compare", not_called)
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(_plan(tmp_path, kind="coverage_compare",
+                                   tolerance=tolerance))
+    assert err.value.violation == violation
+    assert not os.listdir(tmp_path)
+    # zero and positive tolerances, numpy scalars included, are accepted
+    for ok in (0.0, 0, np.float64(0.5), 3):
+        experiments.validate_plan(_plan(tmp_path, tolerance=ok))
+
+
 @pytest.mark.parametrize("field, violation", [
     ({"trials": 2.5}, "TrialCountInvalid"),
     ({"seed": 1.5}, "SeedInvalid"),

@@ -152,15 +152,18 @@ def test_trial_determinism_and_seed_sensitivity():
 
 
 def test_worker_split_invariance():
+    # workers=0 (the CLI's --threads 0) is one process per os.cpu_count()
     cfg = make_config()
     serial = mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, 600, master_seed=40,
                                          workers=1)
-    split = mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, 600, master_seed=40,
-                                        workers=3)
-    assert np.array_equal(serial, split)
     m1, s1 = mcsim.estimate_mean_los_count(cfg, 200, master_seed=41, workers=1)
-    m3, s3 = mcsim.estimate_mean_los_count(cfg, 200, master_seed=41, workers=3)
-    assert m1 == m3 and s1 == s3
+    for workers in (3, 0):
+        split = mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, 600, master_seed=40,
+                                            workers=workers)
+        assert np.array_equal(serial, split)
+        m3, s3 = mcsim.estimate_mean_los_count(cfg, 200, master_seed=41,
+                                               workers=workers)
+        assert m1 == m3 and s1 == s3
 
 
 def test_estimate_ergodic_se_noise_only():
@@ -336,6 +339,26 @@ def test_zero_denominator_sinr(mode):
     cfg = make_config(noise_power=0.0, **{"lambda": 30.0})
     mean, se = mcsim.estimate_ergodic_se(mode, cfg, 30, 48)
     assert math.isfinite(mean) and math.isfinite(se)
+
+
+@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
+@pytest.mark.parametrize("overrides", [{"R0": 1e-100},
+                                       {"noise_power": 1e-310, "lambda": 0.0}],
+                         ids=["reference-power", "quotient"])
+def test_overflowing_snr_is_plus_inf(mode, overrides):
+    # fig8 with R0 = 1e-100 puts Gt Gr R0^-alpha_L past the float range,
+    # where Python's float power raised OverflowError inside the trial
+    # range; noise_power = 1e-310 overflows the quotient, where numpy
+    # warned (an error under this suite).  Both are SINR = +inf, covered
+    # at every finite threshold, and the mean rate is refused by name
+    cfg = figure_config("fig8", **overrides)
+    samples = mcsim.simulate_sinr_samples(mode, cfg, 30, 48)
+    assert np.all(np.isposinf(samples[:, 0]))
+    assert np.all(mcsim.simulate_ccdf(mode, cfg, 30, [0.0, 1e300], 48).ccdf == 1.0)
+    with pytest.raises(ConfigError) as err:
+        mcsim.estimate_ergodic_se(mode, cfg, 30, 48)
+    assert err.value.violation == "SinrUnbounded"
+    assert str(err.value).startswith("SinrUnbounded: 30 of 30 trials")
 
 
 @pytest.mark.parametrize("mode, orders", [
