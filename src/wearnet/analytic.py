@@ -122,10 +122,22 @@ def signal_power(cfg):
 
 
 def beta_tilde(beta, params):
-    """Normalized threshold beta * R0^alpha_L / (Gt * Gr)."""
+    """Normalized threshold beta * R0^alpha_L / (Gt * Gr).
+
+    R0^alpha_L past the float range is +inf, where Python's float power
+    raises.  A product inf * 0 is the threshold +inf, which nothing
+    exceeds: an infinite SINR does not exceed the threshold +inf, and a
+    zero one does not exceed 0.
+    """
     cfg = params.config
-    return (np.asarray(beta, dtype=float) * cfg.ref_distance ** cfg.alpha_los
-            / (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain))
+    try:
+        scale = cfg.ref_distance ** cfg.alpha_los
+    except OverflowError:
+        scale = math.inf
+    beta = np.asarray(beta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bt = beta * scale / (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain)
+    return np.where(np.isnan(bt) & ~np.isnan(beta), math.inf, bt)
 
 
 def laplace_term(ell, bt, params):

@@ -88,7 +88,9 @@ def validate_plan(plan):
     a set tolerance is a finite real number >= 0 (ToleranceNegative), each
     grid value is a real number that obeys the rule of the config field it
     stands for (a Nakagami order is also integral), each density_family
-    value a density."""
+    value a density.  The threshold and Nakagami grids of coverage_compare,
+    se_compare and nakagami_sweep never go down (GridNotAscending), and a
+    se_compare threshold is >= 0 bits/s/Hz (ThresholdNegative)."""
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
@@ -111,6 +113,14 @@ def validate_plan(plan):
             v = int(v)
         if swept is not None:
             with_overrides(plan.config, **{swept: v})
+        if plan.kind == "se_compare" and v < 0.0:
+            raise ConfigError("ThresholdNegative", "se_compare grid must hold "
+                              f"spectral efficiencies >= 0, got {v}")
+    if plan.kind in ("coverage_compare", "se_compare", "nakagami_sweep"):
+        for a, b in zip(plan.grid, plan.grid[1:]):
+            if b < a:
+                raise ConfigError("GridNotAscending", f"{plan.kind} grid must "
+                                  f"not go down, got {b} after {a}")
     for v in plan.density_family:
         with_overrides(plan.config, density=v)
     return plan

@@ -95,11 +95,12 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     center, far above the rounding of the pair test for d up to about 1e6.
 
     Before the search, a shadow pre-pass settles most blocked links without
-    a pair test.  Each field's centers fall in distance bands whose edges
-    double from 2 / (lambda W), with lambda = n / (pi max(d)^2) the density
-    its sample shows; the bands set only the shadow's depth and the order
-    of the centers.  Each center marks the angle buckets (_BUCKETS per
-    field) that lie entirely inside its inner window
+    a pair test.  The call's centers fall in one ladder of distance bands
+    whose edges double from 2 / (lambda W), lambda the density that all its
+    centers show (see _shadow): a chunk of fields of one density needs no
+    ladder per field, and a one-field call reads its own sample's.  The
+    bands set only the shadow's depth.  Each center marks its field's angle
+    buckets (_BUCKETS per field) that lie entirely inside its inner window
     arcsin((W / 2d)(1 - 1e-6)), and a link in a marked bucket that is
     longer than the marking center's band edge times 1 + 1e-9 is NLOS.
     Such a link passes within (W/2)(1 - 1e-6) of that center, with the
@@ -108,8 +109,8 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     holds a whole bucket is that wide.  Rounding errors are far below both
     margins, so the search would block every such link too.  Every pair
     still tested gets the same window predicate and arithmetic on the same
-    values, so neither the reach filter, the shadow nor the number of
-    fields in a call changes a mask.
+    values, so neither the reach filter, the shadow, its ladder nor the
+    number of fields in a call changes a mask.
     """
     r, phi, d, psi = (np.asarray(v, dtype=float) for v in (r, phi, d, psi))
     if link_counts is None:
@@ -128,61 +129,48 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     if not (d.size and los.any()):
         return los
 
-    band, d, psi, body_field, edges = _bands(d, psi, body_field, n_fields, W)
-    _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w)
+    bucket = np.minimum(phi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
+    _shadow(los, r, bucket, link_field, d, psi, body_field, n_fields, W)
     rest = np.flatnonzero(los)
     if not rest.size:
         return los
 
-    links, bodies = _search_rows(rest, r, phi, link_field, d, psi, body_field,
-                                 half_w, n_fields)
+    links, bodies = _search_rows(rest, r, phi, bucket, link_field, d, psi,
+                                 body_field, half_w, n_fields)
     _sweep(los, links, bodies, half_w)
     return los
 
 
-def _bands(d, psi, body_field, n_fields, W):
-    """The centers (band k, d, psi, field) in band order, and the band
-    edges by band and field, for the shadow pre-pass, which reads its
-    nearest bands off the front.
-
-    A field's first edge is its sample edge, or d_max when d_max^2
-    underflows, so the doubling always reaches d_max; a field without
-    centers has no finite edge.  Band k holds edge 2^(k-1) < d <= edge 2^k,
-    or d <= edge for k = 0, the doubled edges exact.  frexp reads k off the
-    ratio d / edge: rounded correctly, it is a power of two 2^k only when
-    d <= edge 2^k, and above 2^(k-1) only when d > edge 2^(k-1).
-    """
-    n = np.bincount(body_field, minlength=n_fields)
-    has = n > 0
-    d_max = np.zeros(n_fields)
-    d_max[has] = np.maximum.reduceat(d, (np.cumsum(n) - n)[has])
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = 2.0 * math.pi * d_max * d_max / (n * W)
-        edge = np.where(first > 0.0, first, np.where(has, d_max, math.inf))
-        mantissa, band = np.frexp(d / edge[body_field])
-        band = np.maximum(band - (mantissa == 0.5), 0)
-        edges = np.ldexp(edge, np.arange(band.max() + 1)[:, None])
-    order = np.argsort(band)
-    return band[order], d[order], psi[order], body_field[order], edges
-
-
-def _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w):
+def _shadow(los, r, bucket, link_field, d, psi, body_field, n_fields, W):
     """Clear los[i] for each link i in an angle bucket that lies entirely
     inside the inner window of a center whose band edge, times 1 + 1e-9,
-    the link is longer than.  Centers come in band order."""
+    the link is longer than.
+
+    The first edge is 2 / (lambda W), with lambda = n / (pi max(d)^2 m) the
+    density that the n centers show on the m fields that hold them
+    (body_field runs in field order), or max(d) when max(d)^2 underflows,
+    so the doubling always reaches max(d).  Band k holds
+    edge 2^(k-1) < d <= edge 2^k, or d <= edge for k = 0, the doubled edges
+    exact.  frexp reads k off the ratio d / edge: rounded correctly, it is
+    a power of two 2^k only when d <= edge 2^k, and above 2^(k-1) only
+    when d > edge 2^(k-1).
+    """
+    d_max = d.max()
+    sampled = 1 + np.count_nonzero(body_field[1:] != body_field[:-1])
     with np.errstate(over="ignore"):
-        beyond = edges * (1.0 + 1e-9)
+        edge = 2.0 * math.pi * d_max * d_max * sampled / (d.size * W)
+        edge = edge if edge > 0.0 else d_max
+        mantissa, band = np.frexp(d / edge)
+        band = np.maximum(band - (mantissa == 0.5), 0)
+        beyond = np.ldexp(edge, np.arange(band.max() + 1)) * (1.0 + 1e-9)
     # only the bands whose edge some link passes can shadow it
-    n_bands = int(np.count_nonzero(beyond.min(axis=1) < r.max()))
+    n_bands = int(np.count_nonzero(beyond < r.max()))
     if not n_bands:
         return
-    n_fields = edges.shape[1]
-    near = slice(0, int(np.searchsorted(band, n_bands)))
-    band, body_field, psi = band[near], body_field[near], psi[near]
-    inner = np.arcsin(half_w / d[near] * (1.0 - 1e-6))
+    inner = np.arcsin(0.5 * W / d * (1.0 - 1e-6))
     lo = np.ceil((psi - inner) * _PER_RAD).astype(np.intp)
     full = np.floor((psi + inner) * _PER_RAD).astype(np.intp) - lo
-    fits = full > 0
+    fits = np.flatnonzero((full > 0) & (band < n_bands))
     # each center's buckets as a run on a row of one turn per band and
     # field, split in two where it wraps past 2 pi
     row = _BUCKETS * (band * n_fields + body_field)[fits]
@@ -196,13 +184,12 @@ def _shadow(los, r, phi, link_field, d, psi, band, body_field, edges, half_w):
                         minlength=size)
     covered = (np.cumsum(ramp[:-1], out=ramp[:-1]) > 0).reshape(n_bands, n_fields, _BUCKETS)
     # per field and bucket, the length past which a marking center blocks
-    reach = np.where(covered, beyond[:n_bands, :, None], math.inf).min(axis=0)
-    bucket = (np.minimum(phi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
-              + _BUCKETS * link_field)
-    los[r > reach.ravel()[bucket]] = False
+    reach = np.where(covered, beyond[:n_bands, None, None], math.inf).min(axis=0)
+    los[r > reach.ravel()[bucket + _BUCKETS * link_field]] = False
 
 
-def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields):
+def _search_rows(rest, r, phi, bucket, link_field, d, psi, body_field, half_w,
+                 n_fields):
     """The links ``rest`` left LOS and every center as _sweep searches them.
 
     Each field has a row of two turns of angle buckets, and each link sits
@@ -223,8 +210,7 @@ def _search_rows(rest, r, phi, link_field, d, psi, body_field, half_w, n_fields)
     win_lo = np.where(win_lo < 0.0, win_lo + 2.0 * math.pi, win_lo)
     win_hi = win_lo + 2.0 * half_window
     lr, lphi = r[rest], phi[rest]
-    slot = (np.minimum(lphi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
-            + 2 * _BUCKETS * link_field[rest])
+    slot = bucket[rest] + 2 * _BUCKETS * link_field[rest]
     slots = np.concatenate((slot, slot + _BUCKETS))
     order = np.argsort(slots)
     px, py = lr * np.cos(lphi), lr * np.sin(lphi)

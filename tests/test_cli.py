@@ -382,6 +382,47 @@ def test_plus_inf_threshold_without_noise_or_nlos_power(tmp_path, capsys, args, 
     assert list(body[:, 1]) == [1.0, 1.0, 1.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("R0, grid, want", [
+    ("1e-200", "0:4000:1000", [1.0, 1.0, 1.0, 1.0, 0.0]),
+    ("1e100", "-10:30:20", [0.0, 0.0, 0.0]),
+], ids=["tiny", "huge"])
+def test_reference_distance_at_the_ends_of_the_float_range(tmp_path, capsys, R0,
+                                                           grid, want):
+    # R0^alpha_L underflows to 0 at R0 = 1e-200, where the threshold +inf
+    # gave inf * 0 = NaN with a RuntimeWarning (an error under this suite),
+    # and overflows at R0 = 1e100, where Python's float power raised
+    # OverflowError (exit 3).  An infinite SINR exceeds every finite
+    # threshold and not +inf, a vanishing one exceeds none: the analytic
+    # column equals the simulated one
+    cfg = _write_config(tmp_path, R0=R0)
+    columns = []
+    for args, csv in ((["coverage"], "coverage.csv"),
+                      (["simulate", "--mode", "losball", "--trials", "50"],
+                       "simulate_losball.csv")):
+        rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path)] + args
+                      + [f"--beta-grid-dB={grid}"])
+        assert rc == 0
+        columns.append(list(np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)[:, 1]))
+    assert capsys.readouterr().err == ""
+    assert columns == [want, want]
+
+
+@pytest.mark.parametrize("args, csv", [
+    (["--kind", "coverage", "--beta-grid-dB=-10:30:20"], "coverage_compare.csv"),
+    (["--kind", "nakagami", "--m-grid", "1,2"], "nakagami_sweep.csv"),
+], ids=["coverage", "nakagami"])
+def test_compare_with_vanishing_signal_power(tmp_path, capsys, args, csv):
+    # R0 = 1e100 used to end both comparisons in a bare OverflowError,
+    # exit 3; both routes give 0 and the gate holds
+    cfg = _write_config(tmp_path, R0="1e100")
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "compare",
+                   "--trials", "50"] + args)
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    body = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=2)
+    assert np.all(body[:, 1:3] == 0.0)
+
+
 @pytest.mark.parametrize("args", [
     ["coverage", "--beta-grid-dB", ","],
     ["simulate", "--mode", "losball", "--trials", "50", "--beta-grid-dB", ","],

@@ -108,6 +108,29 @@ def test_bad_tolerance_refused_before_rows(tmp_path, monkeypatch, tolerance,
         experiments.validate_plan(_plan(tmp_path, tolerance=ok))
 
 
+@pytest.mark.parametrize("kind, grid, violation", [
+    ("nakagami_sweep", (4, 2, 1), "GridNotAscending"),
+    ("coverage_compare", (10.0, 0.0), "GridNotAscending"),
+    ("se_compare", (2.0, 1.0), "GridNotAscending"),
+    ("se_compare", (-1.0, 0.0, 1.0), "ThresholdNegative"),
+], ids=["nakagami", "coverage", "se", "se-negative"])
+def test_bad_grid_order_refused_before_rows(tmp_path, monkeypatch, kind, grid,
+                                            violation):
+    # a grid that goes down used to run every row, then fail the nakagami
+    # gate (analytic nondecreasing False), or stop a comparison on an
+    # unnamed ValueError after its analytic route ran
+    def not_called(plan):
+        raise AssertionError("a row was computed before the plan was refused")
+
+    monkeypatch.setitem(experiments._RUNNERS, kind, not_called)
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid))
+    assert err.value.violation == violation
+    assert not os.listdir(tmp_path)
+    # equal neighbours stay allowed
+    experiments.validate_plan(_plan(tmp_path, kind=kind, grid=(2, 2)))
+
+
 @pytest.mark.parametrize("field, violation", [
     ({"trials": 2.5}, "TrialCountInvalid"),
     ({"seed": 1.5}, "SeedInvalid"),

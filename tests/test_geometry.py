@@ -211,9 +211,10 @@ def test_classify_los_dense_fields_match_bruteforce(lam, r_net):
 
 
 def test_classify_los_band_edges():
-    # 500 centers out to d_max = 10 put the first band edge at
-    # e = 2 pi d_max^2 / (n W).  One center sits exactly on e and one just
-    # past it; one link ends exactly at e - W/2, and one just short of that.
+    # a call's first band edge is its sample edge e = 2 pi d_max^2 m / (n W)
+    # for n centers on m fields, here 500 centers out to d_max = 10 on one.
+    # One center sits exactly on e and one just past it; one link ends
+    # exactly at e - W/2, and one just short of that.
     W, n, d_max = 0.3, 500, 10.0
     edge = 2.0 * math.pi * d_max ** 2 / (n * W)
     rng = np.random.default_rng(18)
@@ -318,8 +319,9 @@ def _field(draw, W):
     # over the origin (the field is all NLOS), a center just past W/2, a
     # window wrapping across angle 0, and around a center: links on and
     # just off its inner window's and its window's edges, short links
-    # inside its window, and links just beyond the first band edge at its
-    # angle
+    # inside its window, and links just beyond the first band edge of the
+    # field's own one-field call at its angle (a call of several fields
+    # shares one ladder, from the density of all their centers)
     half_w = 0.5 * W
     links = draw(st.lists(st.tuples(_lengths, _angles), max_size=25))
     # centers out to a drawn distance: dense enough near the receiver, the
@@ -366,22 +368,92 @@ def _field(draw, W):
     return links, centers
 
 
+def _classify_fields(fields, W):
+    # one classify_los call on a list of ((r, phi), (d, psi)) fields, its
+    # mask split back into one per field
+    (r, phi), (d, psi) = ([np.concatenate(column) for column in zip(*part)]
+                          for part in zip(*fields))
+    sizes = [f[0][0].size for f in fields]
+    los = geometry.classify_los(r, phi, d, psi, W, sizes, [f[1][0].size for f in fields])
+    return np.split(los, np.cumsum(sizes)[:-1])
+
+
+def _assert_fields_match(fields, W):
+    # each field gets the oracle's mask and its own one-field call's
+    for got, ((r, phi), (d, psi)) in zip(_classify_fields(fields, W), fields):
+        want = _bruteforce_los(r, phi, d, psi, W)
+        assert np.array_equal(got, want)
+        assert np.array_equal(geometry.classify_los(r, phi, d, psi, W), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(W=st.floats(0.05, 2.5), data=st.data())
 def test_classify_los_chunk_property(W, data):
     # one call on a list of fields, empty ones and ones without centers
     # included, gives each field the oracle's mask and its own call's
-    fields = [tuple(np.array(items, dtype=float).reshape(-1, 2).T for items in field)
-              for field in data.draw(st.lists(_field(W), min_size=1, max_size=5))]
-    (r, phi), (d, psi) = ([np.concatenate(column) for column in zip(*part)]
-                          for part in zip(*fields))
-    los = geometry.classify_los(r, phi, d, psi, W, [f[0][0].size for f in fields],
-                                [f[1][0].size for f in fields])
-    ends = np.cumsum([f[0][0].size for f in fields])[:-1]
-    for got, ((fr, fphi), (fd, fpsi)) in zip(np.split(los, ends), fields):
-        want = _bruteforce_los(fr, fphi, fd, fpsi, W)
-        assert np.array_equal(got, want)
-        assert np.array_equal(geometry.classify_los(fr, fphi, fd, fpsi, W), want)
+    _assert_fields_match(
+        [tuple(np.array(items, dtype=float).reshape(-1, 2).T for items in field)
+         for field in data.draw(st.lists(_field(W), min_size=1, max_size=5))], W)
+
+
+def _fig6_fields(lam, n, rng, W=0.3, r_net=10.0):
+    # full-mode fields as fig6 draws them, without the centers within W/2
+    # (a field with one is all NLOS, and the shadow never sees it)
+    fields = []
+    for _ in range(n):
+        links = geometry.sample_ppp_disk(lam, r_net, rng)
+        d, psi = geometry.sample_ppp_disk(lam, r_net + W / 2.0, rng)
+        fields.append((links, (d[d > W / 2.0], psi[d > W / 2.0])))
+    return fields
+
+
+def test_classify_los_one_ladder_for_unlike_fields():
+    # one call reads one ladder of band edges, from the density of all its
+    # centers, for fields whose own calls read far apart ones: a sparse and
+    # a dense fig6 field, three far centers, no center, and one center
+    # within W/2 (all NLOS)
+    W = 0.3
+    rng = np.random.default_rng(22)
+    (sparse,), (dense,) = _fig6_fields(0.5, 1, rng), _fig6_fields(5.0, 1, rng)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=30)
+    far = ((np.concatenate(([9.8, 10.0, 9.0], rng.uniform(0.0, 10.0, size=30))),
+            np.concatenate(([1.0, 2.5, 4.0], angles))),
+           (np.array([9.0, 9.5, 10.1]), np.array([1.0, 2.5, 4.0])))
+    empty = ((rng.uniform(0.0, 10.0, size=20), angles[:20]), (np.array([]), np.array([])))
+    near = ((rng.uniform(0.0, 10.0, size=10), angles[:10]), (np.array([0.1]), np.array([2.0])))
+    fields = [sparse, far, empty, dense, near]
+    _assert_fields_match(fields, W)
+    masks = _classify_fields(fields, W)
+    assert list(masks[1][:3]) == [False, False, True]
+    assert masks[2].all() and not masks[4].any()
+    assert 0 < np.count_nonzero(masks[3]) < masks[3].size
+
+
+@pytest.mark.parametrize("per_call", [1, 16])
+def test_classify_los_shadow_settles_most_blocked_links(monkeypatch, per_call):
+    # No mask depends on the shadow pre-pass, so no pinned byte notices a
+    # shadow that settles nothing, though the window search then takes
+    # about 5x as long on fig6.  At lambda = 3 the shadow settles about
+    # 0.93 of the NLOS links before the search sees them, one field per
+    # call and 16
+    W = 0.3
+    searched = []
+    search_rows = geometry._search_rows
+
+    def recording(rest, *args):
+        searched.append(rest)
+        return search_rows(rest, *args)
+
+    monkeypatch.setattr(geometry, "_search_rows", recording)
+    fields = _fig6_fields(3.0, 48, np.random.default_rng(23))
+    blocked = unsettled = 0
+    for k in range(0, len(fields), per_call):
+        searched.clear()
+        los = np.concatenate(_classify_fields(fields[k:k + per_call], W))
+        blocked += np.count_nonzero(~los)
+        if searched:
+            unsettled += np.count_nonzero(~los[searched[0]])
+    assert unsettled < 0.1 * blocked
 
 
 def test_sample_deployment_regions(monkeypatch):
