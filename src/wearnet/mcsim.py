@@ -16,9 +16,13 @@ makes results independent of how trials are split across workers; counts
 and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
 The substream states are computed in bulk, _STATES trials at a time, by
 numpy's own SeedSequence hash (on uint32 arrays) and PCG64 seeding rule
-(its 128-bit LCG steps on Python ints in object arrays), and set in turn on
-one reused generator through its public state setter; a test checks them
-against numpy's constructors.
+(its 128-bit LCG steps on Python ints in object arrays), as one row of four
+uint64 words per trial, the halves of the 128-bit state and increment.  A
+trial's row is written in turn into one reused generator's state memory,
+through numpy's bit_generator.ctypes.state, in the word order numpy's own
+state setter was seen to use (once per process), with the buffered uint32
+cleared, so the generator is left as that setter leaves it; a test checks
+the states against numpy's constructors.
 
 Per-trial draw order (fixed, part of the reproducibility contract):
 interferer PPP, blockage PPP (FULL only), activity uniforms, LOS fading,
@@ -45,15 +49,16 @@ A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
 sets each trial's substream, draws its two PPPs' counts and uniform blocks
 (on the disks of one _field_disks call) and its activity uniforms, and
-saves the generator state; the chunk's blocks are then transformed to
-points, one disk_polar call per PPP, and its fields classified at once.
-The second pass restores each saved state and draws the LOS fading, the
-NLOS fading and the reference fading, with each trial's LOS count read off
-one cumsum of the chunk's mask; the chunk's LOS and NLOS draws are then
-scattered onto its links by two boolean assignments, which fill them in
-trial order.  A restored state continues the stream exactly where the
-first pass left it, so the draws and their order are those of a
-trial-by-trial loop.
+saves a copy of the generator's four state words; the chunk's blocks are
+then transformed to points, one disk_polar call per PPP, and its fields
+classified at once.  The second pass writes each saved state into a second
+generator and draws the LOS fading, the NLOS fading and the reference
+fading, with each trial's LOS count read off one cumsum of the chunk's
+mask; the chunk's LOS and NLOS draws are then scattered onto its links by
+two boolean assignments, which fill them in trial order.  The first pass
+draws no uint32, so its buffered uint32 stays cleared, and a restored state
+continues the stream exactly where the first pass left it: the draws and
+their order are those of a trial-by-trial loop.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh) and
@@ -64,11 +69,11 @@ trial ranges themselves raise nothing.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -232,15 +237,16 @@ _LINKS = 16384
 MAX_TRIALS = 2 ** 32
 
 # numpy's SeedSequence is O'Neill's seed_seq hash on 32-bit words; these are
-# its constants, then PCG64's 128-bit LCG multiplier and modulus mask.  They
-# stay Python ints: numpy uint32 scalars warn on overflow.
+# its constants, then PCG64's 128-bit LCG multiplier and the mask of one
+# 64-bit half of its state.  They stay Python ints: numpy uint32 scalars
+# warn on overflow.
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)     # INIT_A, MULT_A
 _GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
+_M64 = (1 << 64) - 1
 
 
 def _seed_words(seed):
@@ -271,9 +277,10 @@ def _mix(x, y):
 
 
 def _pcg64_states(words, lo, hi):
-    """(state, inc) of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
-    words = _seed_words(s), hi <= MAX_TRIALS, as Python ints; the hash runs
-    on uint32 arrays over k, the 128-bit seeding step on object arrays."""
+    """The states of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
+    words = _seed_words(s), hi <= MAX_TRIALS, as an (hi - lo, 4) uint64
+    block of state words (see _state_words); the hash runs on uint32 arrays
+    over k, the 128-bit seeding step on object arrays."""
     n = hi - lo
     entropy = [np.full(n, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(lo, hi, dtype=np.int64).astype(np.uint32))
@@ -295,31 +302,85 @@ def _pcg64_states(words, lo, hi):
     seed_hi, seed_lo, seq_hi, seq_lo = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
     # PCG64's set_seed: inc = 2 initseq + 1 (shifted across the two halves,
     # which drops its top bit), then two LCG steps around adding initstate,
-    # on Python ints in object arrays
-    seed = seed_hi.astype(object) << 64 | seed_lo
-    inc = (seq_hi << 1 | seq_lo >> 63).astype(object) << 64 | (seq_lo << 1 | 1)
-    state = ((seed + inc) * _PCG64_MULT + inc) & _M128
-    return zip(state.tolist(), inc.tolist())
+    # on Python ints in object arrays, split back into 64-bit halves (the
+    # high one taken mod 2**64, which is the state mod 2**128) once per block
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    inc = inc_hi.astype(object) << 64 | inc_lo
+    state = ((seed_hi.astype(object) << 64 | seed_lo) + inc) * _PCG64_MULT + inc
+    rows = np.empty((n, 4), dtype=np.uint64)
+    for column, half in zip(_word_order(), (state >> 64 & _M64, state & _M64, inc_hi, inc_lo)):
+        rows[:, column] = half
+    return rows
 
 
-def _substreams(master_seed, start, stop):
+class StateLayoutUnknown(RuntimeError):
+    """numpy's PCG64 does not keep its state where _state_words writes it."""
+
+
+class _PCG64State(ctypes.Structure):
+    """numpy's pcg64_state, which PCG64's ctypes.state points to: the
+    address of its 128-bit state and increment, and the uint32 that
+    next_uint32 buffers from a 64-bit draw."""
+    _fields_ = [("pcg_state", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+@functools.cache
+def _word_order():
+    """Where PCG64 keeps the high and low halves of its state, then of its
+    increment, among its four state words, read off numpy's own state
+    setter: one known state is set and its four halves looked up.
+
+    StateLayoutUnknown unless the four words hold exactly those halves and
+    the buffered uint32's fields what the setter was given.
+    """
+    halves = (0x11, 0x22, 0x33, 0x55)
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": halves[0] << 64 | halves[1],
+                                     "inc": halves[2] << 64 | halves[3]},
+                           "has_uint32": 1, "uinteger": 0x77}
+    fields = _PCG64State.from_address(bit_generator.ctypes.state_address)
+    found = list(fields.pcg_state.contents)
+    if sorted(found) != sorted(halves) or (fields.has_uint32, fields.uinteger) != (1, 0x77):
+        raise StateLayoutUnknown(
+            f"numpy {np.__version__}'s PCG64 state setter wrote the halves "
+            f"{[hex(h) for h in halves]} as the words {[hex(w) for w in found]}")
+    return tuple(found.index(half) for half in halves)
+
+
+def _state_words(bit_generator):
+    """(words, write) for a PCG64: a writable uint64[4] view of its state
+    words, in the order _word_order found, and write(row), which puts a row
+    of four such words there and clears the buffered uint32 (has_uint32 and
+    uinteger 0), so the generator is left as numpy's state setter leaves
+    it.  Both hold a reference to bit_generator: neither outlives it."""
+    fields = _PCG64State.from_address(bit_generator.ctypes.state_address)
+    memory = fields.pcg_state.contents
+    memory.bit_generator = bit_generator  # the view's base keeps it alive
+    words = np.frombuffer(memory, dtype=np.uint64)
+
+    def write(row):
+        words[...] = row
+        fields.has_uint32 = fields.uinteger = 0
+    return words, write
+
+
+def _substreams(master_seed, start, stop, rng=None):
     """Yield, once for each trial k in [start, stop) in turn, one reused
-    generator that draws exactly what
+    generator, rng or a new one, that draws exactly what
     Generator(PCG64(SeedSequence((master_seed, k)))) would.
 
-    Its state is reset for each k through the public state setter, from
-    one reused state dict, so a yielded rng is valid only until the next
-    one is taken.
+    Its state words are written for each k, so a yielded rng is valid only
+    until the next one is taken.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(0))
+    _, write = _state_words(rng.bit_generator)
     words = _seed_words(master_seed)
-    seeded = {}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
     for lo in range(start, stop, _STATES):
-        for seeded["state"], seeded["inc"] in _pcg64_states(
-                words, lo, min(lo + _STATES, stop)):
-            bit_generator.state = state
+        for row in _pcg64_states(words, lo, min(lo + _STATES, stop)):
+            write(row)
             yield rng
 
 
@@ -330,16 +391,19 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
 
     # A mode is its per-trial draw and the chunk's columns built from the
     # drawn trials: (r, phi, u, h, los) for _interference, then h0.
+    rng = np.random.Generator(np.random.PCG64(0))
     if mode == FULL:
         disks = _field_disks(cfg)
+        words, _ = _state_words(rng.bit_generator)
         fading_rng = np.random.Generator(np.random.PCG64(0))
+        _, restore = _state_words(fading_rng.bit_generator)
         m_los, m_nlos = cfg.m_los, cfg.m_nlos
 
         def draw(rng):
             # the two uniform blocks and the activity uniforms; the fading
-            # waits for the chunk's classification, from the state saved here
+            # waits for the chunk's classification, from the words saved here
             x, xb = _draw_field(disks, rng)
-            return x, xb, rng.random(x.shape[1]), rng.bit_generator.state
+            return x, xb, rng.random(x.shape[1]), words.copy()
 
         def columns(chunk):
             x, xb, u, states = zip(*chunk)
@@ -354,7 +418,7 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             counts = (seen[ends] - seen[ends - sizes]).tolist()
             h_los, h_nlos, h0 = [], [], []
             for state, size, k in zip(states, sizes, counts):
-                fading_rng.bit_generator.state = state
+                restore(state)
                 h_los.append(sample_nakagami_power(m_los, fading_rng, k))
                 h_nlos.append(sample_nakagami_power(m_nlos, fading_rng, size - k))
                 h0.append(sample_nakagami_power(m_los, fading_rng))
@@ -402,7 +466,7 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     # it holds _LINKS links (a trial's first array holds its links along its
     # last axis) or _STATES trials
     chunk, links, done = [], 0, 0
-    for rng in _substreams(master_seed, start, stop):
+    for rng in _substreams(master_seed, start, stop, rng):
         trial = draw(rng)
         chunk.append(trial)
         links += trial[0].shape[-1]
@@ -459,6 +523,9 @@ def _map_trials(run_range, n_trials, master_seed, workers, *args):
     if workers == 1:
         return run(0, n_trials)
     bounds = np.linspace(0, n_trials, workers + 1).astype(int).tolist()
+    # looked up here: the pool's imports (multiprocessing, socket,
+    # subprocess, logging) would slow every single-worker start
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])))
 
@@ -503,8 +570,27 @@ def empirical_ccdf(samples, thresholds):
                                  stderr=np.sqrt(p * (1.0 - p) / n))
 
 
+def _check_grid(name, grid):
+    """Refuse a threshold grid before any trial runs: ConfigError
+    MalformedGrid unless it is a nonempty 1-d grid, ThresholdNaN for a NaN
+    in it, GridNotAscending where a value is below the one before it."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError("MalformedGrid", f"{name} grid must be a nonempty "
+                          f"1-d grid, got shape {grid.shape}")
+    if np.any(np.isnan(grid)):
+        raise ConfigError("ThresholdNaN", f"{name} grid must not hold NaN, got {grid}")
+    down = np.flatnonzero(grid[1:] < grid[:-1])
+    if down.size:
+        a, b = grid[down[0]:down[0] + 2].tolist()
+        raise ConfigError("GridNotAscending",
+                          f"{name} grid must not go down, got {b} after {a}")
+
+
 def simulate_ccdf(mode, config, n_trials, thresholds, master_seed, workers=1):
-    """Empirical P(SINR > beta) on the given ascending linear-SINR grid."""
+    """Empirical P(SINR > beta) on the given ascending linear-SINR grid;
+    a malformed, NaN or descending grid is refused first (see _check_grid)."""
+    _check_grid("SINR threshold", thresholds)
     samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
     return empirical_ccdf(samples[:, 0], thresholds)
 
@@ -515,6 +601,7 @@ def simulate_se_ccdf(mode, config, n_trials, t_grid, master_seed, workers=1):
     Exceedance is counted on the equivalent SINR thresholds 2^t - 1, so the
     estimate shares every sample with simulate_ccdf.
     """
+    _check_grid("spectral-efficiency", t_grid)
     t_grid = np.asarray(t_grid, dtype=float)
     with np.errstate(over="ignore"):  # a large t is the threshold +inf
         beta = np.exp2(t_grid) - 1.0

@@ -1,5 +1,6 @@
 """Command-line front end: grids, subcommands, env overrides, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import importlib.metadata
 import os
@@ -498,7 +499,8 @@ def test_undrawable_density_exit_code(tmp_path, capsys, monkeypatch, threads):
         def __init__(self, *args, **kwargs):
             pytest.fail("a process pool started before the refusal")
 
-    monkeypatch.setattr(mcsim, "ProcessPoolExecutor", NoPool)
+    # _map_trials looks the pool up in concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     out = tmp_path / "out"
     for density in ("1e300", "1e16"):
         cfg = _write_config(tmp_path, **{"lambda": density})
@@ -510,6 +512,26 @@ def test_undrawable_density_exit_code(tmp_path, capsys, monkeypatch, threads):
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("error: DensityTooHigh") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_descending_grid_refused_before_trials(tmp_path, capsys, monkeypatch):
+    # a threshold grid that goes down is refused by name before any trial
+    # runs, not after all of them by empirical_ccdf's unnamed ValueError
+    def no_trials(*args, **kwargs):
+        pytest.fail("trials ran before the grid was refused")
+
+    monkeypatch.setattr(mcsim, "_map_trials", no_trials)
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    for args in (["simulate", "--mode", "full", "--trials", "2000",
+                  "--beta-grid-dB", "10,0"],
+                 ["se-cdf", "--mode", "losball", "--trials", "2000",
+                  "--t-grid", "2,1"]):
+        rc = cli.main(["--config", cfg, "--out-dir", str(out)] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: GridNotAscending") and "Traceback" not in err
     assert not out.exists()
 
 

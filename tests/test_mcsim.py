@@ -1,5 +1,6 @@
 """Monte Carlo SINR engine: fading law, trial laws, determinism."""
 
+import concurrent.futures
 import dataclasses
 import math
 import pickle
@@ -7,6 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import oracles
@@ -123,6 +125,27 @@ def test_empirical_ccdf_rejects_bad_grid():
     assert np.array_equal(dist.ccdf, [0.5, 0.0, 0.0])
 
 
+def test_bad_threshold_grid_refused_before_trials(monkeypatch):
+    # an empty or 2-d grid, a NaN (which passes every order comparison) or
+    # a value below the one before it is a named ConfigError raised before
+    # any trial runs
+    def no_trials(*args, **kwargs):
+        pytest.fail("trials ran before the grid was refused")
+
+    monkeypatch.setattr(mcsim, "_map_trials", no_trials)
+    cfg = make_config()
+    for simulate in (mcsim.simulate_ccdf, mcsim.simulate_se_ccdf):
+        for grid, violation in (([2.0, 1.0], "GridNotAscending"),
+                                ([0.0, 3.0, 3.0, 2.5], "GridNotAscending"),
+                                ([np.nan], "ThresholdNaN"),
+                                ([1.0, np.nan, 2.0], "ThresholdNaN"),
+                                ([], "MalformedGrid"),
+                                ([[1.0, 2.0]], "MalformedGrid")):
+            with pytest.raises(ConfigError) as err:
+                simulate(mcsim.LOSBALL, cfg, 100, grid, master_seed=0)
+            assert err.value.violation == violation
+
+
 def test_simulate_ccdf_zero_threshold():
     cfg = make_config()
     dist = mcsim.simulate_ccdf(mcsim.LOSBALL, cfg, 500, np.array([0.0]), master_seed=36)
@@ -194,7 +217,8 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         def __init__(self, *args, **kwargs):
             pytest.fail("a process pool started before the refusal")
 
-    monkeypatch.setattr(mcsim, "ProcessPoolExecutor", NoPool)
+    # _map_trials looks the pool up in concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     cfg = make_config()
 
     def sinr(n, seed, mode=mcsim.LOSBALL, config=cfg, workers=2):
@@ -284,6 +308,83 @@ def test_substreams_match_numpy_constructors():
             want = oracles.substream(seed, k)
             assert state == want.bit_generator.state, (seed, k)
             assert np.array_equal(first, want.random(4)), (seed, k)
+
+
+def _rows(state, inc):
+    # one row of state words, the halves in the order _word_order found
+    row = np.empty(4, dtype=np.uint64)
+    for column, half in zip(mcsim._word_order(),
+                            (state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1)):
+        row[column] = half
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=st.integers(0, 2**128 - 1), inc=st.integers(0, 2**127 - 1).map(lambda i: 2 * i + 1),
+       uinteger=st.integers(0, 2**32 - 1))
+def test_state_words_written_as_the_setter_sets_them(state, inc, uinteger):
+    # written over a generator holding a buffered uint32, the words read
+    # back through the public getter as the dict the setter was given
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {**bit_generator.state, "has_uint32": 1, "uinteger": uinteger}
+    words, write = mcsim._state_words(bit_generator)
+    write(_rows(state, inc))
+    assert bit_generator.state == {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+    assert words.tolist() == _rows(state, inc).tolist()
+
+
+def test_state_words_clear_the_buffered_uint32():
+    # a uint32 draw buffers the other half of its 64-bit draw; trial k's
+    # words written after it must leave nothing of it, so the next uint32
+    # and double draws are those of trial k's own generator
+    rng = np.random.Generator(np.random.PCG64(0))
+    _, write = mcsim._state_words(rng.bit_generator)
+    for seed, k in ((0, 0), (104, 5), (2**64 + 5, 4097)):
+        rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        write(mcsim._pcg64_states(mcsim._seed_words(seed), k, k + 1)[0])
+        want = oracles.substream(seed, k)
+        for draw in (lambda g: g.integers(0, 2**32, dtype=np.uint32),
+                     lambda g: g.integers(0, 2**32, dtype=np.uint32), lambda g: g.random()):
+            assert draw(rng) == draw(want), (seed, k)
+
+
+def test_state_words_keep_their_generator_alive():
+    # the view is the only reference left to its bit generator, whose
+    # memory must stay valid (and keep its state) while the view lives
+    words, write = mcsim._state_words(np.random.PCG64(7))
+    want = np.random.PCG64(7).state["state"]
+    np.random.PCG64(8)  # would reuse freed memory
+    assert words.tolist() == _rows(want["state"], want["inc"]).tolist()
+    write(_rows(1, 3))
+    assert words.tolist() == _rows(1, 3).tolist()
+
+
+def test_unknown_state_layout_refused_by_name(monkeypatch):
+    # a PCG64 whose state setter does not put the known halves where they
+    # are looked up is refused by name, with no other way to set a state
+    class Deaf(np.random.PCG64):
+        @property
+        def state(self):
+            return super().state
+
+        @state.setter
+        def state(self, value):
+            pass
+
+    monkeypatch.setattr(np.random, "PCG64", Deaf)
+    mcsim._word_order.cache_clear()
+    try:
+        with pytest.raises(mcsim.StateLayoutUnknown):
+            mcsim._word_order()
+        with pytest.raises(mcsim.StateLayoutUnknown):
+            next(mcsim._substreams(0, 0, 1))
+    finally:
+        monkeypatch.undo()
+        mcsim._word_order.cache_clear()
+    assert mcsim._word_order() in {(1, 0, 3, 2), (0, 1, 2, 3)}
 
 
 def test_per_count_sums_match_per_trial_reduces():
