@@ -89,14 +89,19 @@ def validate_plan(plan):
     grid value is a real number that obeys the rule of the config field it
     stands for (a Nakagami order is also integral), each density_family
     value a density.  The threshold and Nakagami grids of coverage_compare,
-    se_compare and nakagami_sweep never go down (GridNotAscending), and a
-    se_compare threshold is >= 0 bits/s/Hz (ThresholdNegative)."""
+    se_compare and nakagami_sweep never go down (GridNotAscending), a
+    se_compare threshold is >= 0 bits/s/Hz (ThresholdNegative), and
+    mean_count_sweep and nakagami_sweep, whose gates count standard errors,
+    run at least 2 trials (TooFewTrials): one trial has no standard error."""
     if plan.kind not in KINDS:
         raise ConfigError("UnknownPlanKind",
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     mcsim.check_run(plan.trials, plan.seed, plan.workers)
+    if plan.kind in ("mean_count_sweep", "nakagami_sweep") and plan.trials < 2:
+        raise ConfigError("TooFewTrials", f"{plan.kind} gates on standard "
+                          f"errors, which need at least 2 trials, got {plan.trials}")
     if plan.tolerance is not None:
         check_real("plan.tolerance", plan.tolerance)
         if plan.tolerance < 0.0:

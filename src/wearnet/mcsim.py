@@ -30,16 +30,25 @@ NLOS fading (FULL only), reference fading.  A PPP is its Poisson count,
 then its radius and angle uniforms.  Uniforms drawn back to back are one
 block: rng.random((k, n)) fills in C order, so it holds the values of k
 successive draws of n.  In LOSBALL a trial's radius, angle and activity
-uniforms are one 3 x n block, and its link fading and reference fading one
-draw of n + 1 values, the reference last; numpy's gamma sampler fills
-element by element, so the values are those of two separate draws.
+uniforms are one draw of 3n values, those of rng.random((3, n)) in C
+order, and its link fading and reference fading one draw of n + 1 standard
+gamma values, the reference last; numpy's samplers fill element by
+element, so the values are those of separate draws.
 
 One flat loop sets each trial's state and draws; only RNG calls run trial
-by trial: in LOSBALL the count, the block and the fading, in FULL the
-calls the two passes below make, nothing else.  The loop flushes a chunk
-once it holds _LINKS links or _STATES trials, whichever comes first, and
-the disk transform, the marks' gains, the path loss and the products run
-once over it.  A trial's interference is the np.add.reduce of its own
+by trial: in LOSBALL the count, the uniforms and the fading, in FULL the
+calls the two passes below make, nothing else.  A LOSBALL trial draws its
+uniforms and fading straight into one buffer that the chunk owns, trial
+after trial, with rng.random(out=...) and rng.standard_gamma(m, out=...);
+a trial that overruns the buffer grows it.  The chunk's flush reads the
+radius, angle, activity and fading rows out of it through one gather index
+and h0 from each trial's last value, and scales the fading by 1/m once:
+numpy's gamma(m, 1/m), sample_nakagami_power's law, is 1/m times the
+standard gamma value, value by value, so the bits are those of
+sample_nakagami_power's draws.  The loop flushes a chunk once it holds
+_LINKS links or _STATES trials, whichever comes first, and the disk
+transform, the marks' gains, the path loss and the products run once
+over it.  A trial's interference is the np.add.reduce of its own
 links, the pairwise order np.sum uses: the chunk's trials of one link
 count are summed by one reduce along the rows of a block that holds one
 trial per row, which adds each row as its own 1-D reduce does, so every
@@ -229,8 +238,9 @@ _STATES = 4096
 # (about 0.35 ms) is paid per call against about 0.25 ms per fig6 field of
 # about 950 links, so the budget holds about 17 such fields, and a fig7
 # LOSBALL chunk about 880 trials of about 18.5 links.  It also bounds a
-# chunk's memory: bench/run.py's coverage_fig7 and se_fig6 runs peak at
-# about 44 MB RSS.
+# chunk's memory: on a 2-CPU x86-64 host bench/run.py's runs peak at about
+# 42.3 MB RSS (coverage_fig7), 41.4 MB (nakagami_fig8) and 43.7 MB (se_fig6,
+# its FULL chunks).
 _LINKS = 16384
 
 # The trial index k enters numpy's seed hash as one 32-bit word.
@@ -386,11 +396,21 @@ def _substreams(master_seed, start, stop, rng=None):
 
 # --- batched, seed-deterministic runs ------------------------------------
 
+def _grow(buf, used, need):
+    """A buffer of at least need values, twice buf's size when that is more,
+    holding buf's first used values: room for a trial that overruns buf."""
+    grown = np.empty(max(need, 2 * buf.size))
+    grown[:used] = buf[:used]
+    return grown
+
+
 def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     signal_coef = signal_power(cfg)
 
-    # A mode is its per-trial draw and the chunk's columns built from the
-    # drawn trials: (r, phi, u, h, los) for _interference, then h0.
+    # A mode is its per-trial draw, draw(rng, links, trials), which returns
+    # the trial's link count given the links and trials the chunk holds so
+    # far, and the chunk's columns built from the drawn trials' link counts:
+    # (r, phi, u, h, los) for _interference, then h0.
     rng = np.random.Generator(np.random.PCG64(0))
     if mode == FULL:
         disks = _field_disks(cfg)
@@ -398,16 +418,18 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
         fading_rng = np.random.Generator(np.random.PCG64(0))
         _, restore = _state_words(fading_rng.bit_generator)
         m_los, m_nlos = cfg.m_los, cfg.m_nlos
+        fields = []
 
-        def draw(rng):
+        def draw(rng, links, trials):
             # the two uniform blocks and the activity uniforms; the fading
             # waits for the chunk's classification, from the words saved here
             x, xb = _draw_field(disks, rng)
-            return x, xb, rng.random(x.shape[1]), words.copy()
+            fields.append((x, xb, rng.random(x.shape[1]), words.copy()))
+            return x.shape[1]
 
-        def columns(chunk):
-            x, xb, u, states = zip(*chunk)
-            sizes = [block.shape[1] for block in x]
+        def columns(sizes):
+            x, xb, u, states = zip(*fields)
+            fields.clear()
             (r, phi), (d, psi) = _field_points(disks, np.concatenate(x, axis=1),
                                                np.concatenate(xb, axis=1))
             los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
@@ -431,50 +453,78 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     else:
         mean_count = cfg.density * (math.pi * (r_los * r_los))
         m_los = cfg.m_los
+        # the chunk's draws, trial after trial: a trial of n links drawn
+        # after `links` links of `trials` trials holds the 4n + 1 values
+        # from 4 links + trials on, its 3 x n uniforms in C order, then the
+        # n + 1 standard gamma values of its fading, h0 last.  Room for
+        # _LINKS links and _STATES trials; a trial that overruns it grows it
+        buf = np.empty(4 * _LINKS + _STATES)
 
-        def draw(rng):
-            # count, the 3 x n uniforms (radius, angle and activity rows)
-            # and the link fading with h0 last; see the module docstring
+        def draw(rng, links, trials):
+            nonlocal buf
             n = rng.poisson(mean_count)
-            return rng.random((3, n)), sample_nakagami_power(m_los, rng, n + 1)
+            lo = 4 * links + trials
+            mid, hi = lo + 3 * n, lo + 4 * n + 1
+            if hi > buf.size:
+                buf = _grow(buf, lo, hi)
+            rng.random(out=buf[lo:mid])
+            rng.standard_gamma(m_los, out=buf[mid:hi])
+            return n
 
-        def columns(chunk):
-            blocks, fading = zip(*chunk)
-            x = np.concatenate(blocks, axis=1)
-            fading = np.concatenate(fading)
-            last = np.cumsum([block.shape[1] + 1 for block in blocks]) - 1
-            is_link = np.ones(fading.size, dtype=bool)
-            is_link[last] = False
-            return (*disk_polar(r_los, x), x[2], fading[is_link], None, fading[last])
+        def columns(sizes):
+            # one gather index, read once per row: link i, trial j's
+            # (i - s_j)th with s_j links before trial j, has its radius
+            # uniform at 4 s_j + j + (i - s_j), and its angle uniform,
+            # activity uniform and fading n_j, 2 n_j and 3 n_j further on
+            ends = np.cumsum(sizes)
+            step = np.repeat(sizes, sizes)
+            index = np.repeat(3 * (ends - sizes) + np.arange(sizes.size), sizes)
+            index += np.arange(step.size)
+            x = np.empty((4, step.size))
+            for row in x:
+                # every index is in range; numpy's default mode="raise"
+                # would write through a copy of row
+                np.take(buf, index, out=row, mode="clip")
+                index += step
+            # in place: a new r and phi would add two chunk-sized arrays to
+            # the chunk's memory
+            r, phi = disk_polar(r_los, x, out=x[:2])
+            u, h = x[2:]
+            # sample_nakagami_power's Gamma(m, 1/m) value is 1/m times the
+            # standard gamma value, the product numpy's gamma sampler rounds
+            scale = 1.0 / m_los
+            h *= scale
+            h0 = buf[4 * ends + np.arange(sizes.size)]
+            h0 *= scale
+            return r, phi, u, h, None, h0
 
     out = np.empty((stop - start, 2))
 
-    def flush(chunk, done):
-        sizes = [trial[0].shape[-1] for trial in chunk]
-        *links, h0 = columns(chunk)
+    def flush(sizes, done):
+        sizes = np.array(sizes)
+        *links, h0 = columns(sizes)
         interference = _interference(cfg, sizes, *links)
-        rows = out[done:done + len(chunk)]
+        rows = out[done:done + sizes.size]
         # SINR = +inf where the denominator is 0 (no noise and no
         # interference) or the quotient passes the float range;
         # estimate_ergodic_se refuses such samples by name
         with np.errstate(divide="ignore", over="ignore"):
             rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
         rows[:, 1] = interference
-        return done + len(chunk)
+        return done + sizes.size
 
     # one flat loop: set a trial's substream, draw, and flush a chunk once
-    # it holds _LINKS links (a trial's first array holds its links along its
-    # last axis) or _STATES trials
-    chunk, links, done = [], 0, 0
+    # it holds _LINKS links or _STATES trials
+    sizes, links, done = [], 0, 0
     for rng in _substreams(master_seed, start, stop, rng):
-        trial = draw(rng)
-        chunk.append(trial)
-        links += trial[0].shape[-1]
-        if len(chunk) == _STATES or links >= _LINKS:
-            done = flush(chunk, done)
-            chunk, links = [], 0
-    if chunk:
-        flush(chunk, done)
+        n = draw(rng, links, len(sizes))
+        sizes.append(n)
+        links += n
+        if len(sizes) == _STATES or links >= _LINKS:
+            done = flush(sizes, done)
+            sizes, links = [], 0
+    if sizes:
+        flush(sizes, done)
     return out
 
 

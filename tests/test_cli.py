@@ -589,6 +589,27 @@ def test_nakagami_compare_with_overflowing_snr(tmp_path, capsys):
     assert not (out / "nakagami_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "mean-count", "--lambda-grid", "1,3", "--tolerance", "0.001"],
+    ["--kind", "nakagami", "--m-grid", "1,2"],
+], ids=["mean-count", "nakagami"])
+def test_single_trial_compare_exit_code(tmp_path, capsys, args):
+    # fig8 with one trial wrote stderr=inf and passed (status=PASS
+    # max_z=0.0) though MC read 0.0 against an analytic 52.09; it exits 2
+    # before any row runs and writes nothing
+    values = model.parse_key_values(experiments.figure_config_text("fig8"))
+    values.update(FIGURE_FILLS)
+    cfg = tmp_path / "fig8.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(cfg), "--out-dir", str(out), "compare",
+                   "--trials", "1"] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooFewTrials: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     # a run numpy cannot allocate (fig6 at lambda = 1e9 asks for TiBs in
     # one array) is a bad argument, exit 2, not a missed gate: a one-line

@@ -131,6 +131,27 @@ def test_bad_grid_order_refused_before_rows(tmp_path, monkeypatch, kind, grid,
     experiments.validate_plan(_plan(tmp_path, kind=kind, grid=(2, 2)))
 
 
+@pytest.mark.parametrize("kind, grid", [("mean_count_sweep", (1.0, 3.0)),
+                                        ("nakagami_sweep", (1, 2))],
+                         ids=["mean-count", "nakagami"])
+def test_single_trial_refused_where_gates_count_standard_errors(
+        tmp_path, monkeypatch, kind, grid):
+    # one trial has no standard error: its stderr was inf, which passed
+    # both gates (max_z = 0.0) without testing anything
+    def not_called(plan):
+        raise AssertionError("a row was computed before the plan was refused")
+
+    monkeypatch.setitem(experiments._RUNNERS, kind, not_called)
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid, trials=1))
+    assert err.value.violation == "TooFewTrials"
+    assert not os.listdir(tmp_path)
+    experiments.validate_plan(_plan(tmp_path, kind=kind, grid=grid, trials=2))
+    # the other kinds gate on the empirical CCDF, which one trial has
+    for other in ("losball_sweep", "coverage_compare", "se_compare"):
+        experiments.validate_plan(_plan(tmp_path, kind=other, trials=1))
+
+
 @pytest.mark.parametrize("field, violation", [
     ({"trials": 2.5}, "TrialCountInvalid"),
     ({"seed": 1.5}, "SeedInvalid"),

@@ -570,6 +570,12 @@ def test_disk_polar_of_chunk_equals_per_trial_transforms():
     want_r, want_phi = zip(*(geometry.disk_polar(radius, b) for b in blocks))
     assert np.array_equal(r, np.concatenate(want_r))
     assert np.array_equal(phi, np.concatenate(want_phi))
+    # written over the block's own radius and angle rows, as the LOSBALL
+    # flush does, the values are the same bits
+    x = np.concatenate(blocks, axis=1)
+    got_r, got_phi = geometry.disk_polar(radius, x, out=x[:2])
+    assert np.shares_memory(got_r, x) and np.shares_memory(got_phi, x)
+    assert r.tobytes() == got_r.tobytes() and phi.tobytes() == got_phi.tobytes()
 
 
 @pytest.mark.parametrize("links", [pytest.param(mcsim._LINKS, id="default"), 1])
@@ -586,6 +592,70 @@ def test_zero_link_trials_cross_flushes(monkeypatch, links, overrides, n):
         got = mcsim.simulate_sinr_samples(mode, cfg, n, 46)
         assert np.array_equal(got, oracles.sinr_samples(mode, cfg, 0, n, 46))
         assert np.any(got[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("n", [0, 1, 19])
+def test_nakagami_draw_is_scaled_standard_gamma(m, n):
+    # a LOSBALL trial draws standard gamma values into its chunk's buffer,
+    # scaled by 1/m once per chunk: numpy's gamma(m, 1/m) is that product,
+    # value by value and bit for bit, and leaves the stream in one place
+    gamma_rng, standard_rng = oracles.substream(106, n), oracles.substream(106, n)
+    buf = np.full(n + 2, np.nan)
+    standard_rng.standard_gamma(m, out=buf[1:n + 1])
+    want = mcsim.sample_nakagami_power(m, gamma_rng, n)
+    assert want.tobytes() == (buf[1:n + 1] * (1.0 / m)).tobytes()
+    assert np.isnan(buf[0]) and np.isnan(buf[-1])
+    assert gamma_rng.random() == standard_rng.random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 19, 1000])
+def test_flat_uniform_draw_equals_block_draw(n):
+    # a LOSBALL trial draws its 3 x n uniforms into a slice of its chunk's
+    # buffer: they are the values of rng.random((3, n)) in C order, and the
+    # stream goes on from the same place
+    block_rng, flat_rng = oracles.substream(104, n), oracles.substream(104, n)
+    buf = np.full(3 * n + 2, np.nan)
+    flat_rng.random(out=buf[1:3 * n + 1])
+    assert block_rng.random((3, n)).ravel().tobytes() == buf[1:3 * n + 1].tobytes()
+    assert np.isnan(buf[0]) and np.isnan(buf[-1])
+    assert block_rng.random() == flat_rng.random()
+
+
+def test_losball_buffer_growth_matches_trial_loop(monkeypatch):
+    # a chunk buffer of 4 _LINKS + _STATES = 24 values: at fig7's density
+    # (about 18.8 links a trial) one trial's 4n + 1 values overrun the whole
+    # buffer, which grows; at lambda = 0.01 (about 3.1) a trial overruns
+    # the trials before it in its chunk, whose values the grown buffer
+    # keeps; at 0.002 (about 0.63) most trials have no link, and chunks
+    # close at 8 trials, with zero-link trials at their edges
+    monkeypatch.setattr(mcsim, "_LINKS", 4)
+    monkeypatch.setattr(mcsim, "_STATES", 8)
+    grows, chunks = [], []
+    grow, interference = mcsim._grow, mcsim._interference
+
+    def recording_grow(buf, used, need):
+        grows.append((buf.size, used, need))
+        return grow(buf, used, need)
+
+    def recording_interference(cfg, trial_sizes, *columns):
+        chunks.append(list(trial_sizes))
+        return interference(cfg, trial_sizes, *columns)
+
+    monkeypatch.setattr(mcsim, "_grow", recording_grow)
+    monkeypatch.setattr(mcsim, "_interference", recording_interference)
+    n = 300
+    for overrides in ({}, {"lambda": 0.01}, {"lambda": 0.002}):
+        cfg = figure_config("fig7", **overrides)
+        chunks.clear()
+        got = mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, n, 49)
+        assert np.array_equal(got, oracles.sinr_samples(mcsim.LOSBALL, cfg, 0, n, 49))
+        assert sum(map(len, chunks)) == n
+    assert any(size == 24 and used == 0 and need > 24 for size, used, need in grows)
+    assert any(used > 0 for _, used, _ in grows)
+    closed_by_states = [sizes for sizes in chunks if len(sizes) == 8 and sum(sizes) < 4]
+    assert closed_by_states
+    assert any(sizes[0] == 0 and sizes[-1] == 0 for sizes in closed_by_states)
 
 
 def test_full_mode_blockage_lowers_interference():
