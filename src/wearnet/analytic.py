@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losball import los_ball_radius
-from .model import ConfigError, gain_pairs, validate
+from .model import ConfigError, gain_pairs, rate_to_sinr, validate
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # The alternating binomial sum below loses roughly one digit per doubling of
@@ -231,9 +231,7 @@ def spectral_efficiency_ccdf(t, params):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0.0):
         raise ValueError("spectral efficiency thresholds must be >= 0 and not NaN")
-    with np.errstate(over="ignore"):  # a large t is the threshold +inf
-        beta = np.exp2(t_arr) - 1.0
-    return coverage_ccdf(beta, params)
+    return coverage_ccdf(rate_to_sinr(t_arr), params)
 
 
 _SE_TAIL_CUT = 1e-6

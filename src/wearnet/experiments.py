@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic, losball, mcsim
 from .model import (CONFIG_KEYS, REQUIRED_PLACEHOLDER, ConfigError,
-                    check_real, config_hash, db_to_linear, validate,
+                    check_grid, check_real, config_hash, db_to_linear, validate,
                     with_overrides)
 
 
@@ -122,10 +122,7 @@ def validate_plan(plan):
             raise ConfigError("ThresholdNegative", "se_compare grid must hold "
                               f"spectral efficiencies >= 0, got {v}")
     if plan.kind in ("coverage_compare", "se_compare", "nakagami_sweep"):
-        for a, b in zip(plan.grid, plan.grid[1:]):
-            if b < a:
-                raise ConfigError("GridNotAscending", f"{plan.kind} grid must "
-                                  f"not go down, got {b} after {a}")
+        check_grid(plan.kind, plan.grid)
     for v in plan.density_family:
         with_overrides(plan.config, density=v)
     return plan

@@ -26,19 +26,19 @@ import math
 import numpy as np
 
 
-def disk_polar(radius, x, out=None):
+def disk_polar(radius, x):
     """Polar coordinates (r, phi) of uniform points on the disk of given
     radius centered at the origin, from uniforms x of shape (2, n) or more
     rows: r = sqrt(radius^2 x[0]) follows the pdf 2r/radius^2 and
-    phi = 2 pi x[1] is uniform on [0, 2*pi).  Elementwise, so one call on
-    the blocks of many deployments side by side gives each deployment's
-    values bit for bit.  out, when given, is a pair of arrays to write r
-    and phi into, which may be x's own rows."""
-    if out is None:
-        return np.sqrt(radius * radius * x[0]), x[1] * (2.0 * math.pi)
-    r, phi = out
-    np.multiply(radius * radius, x[0], out=r)
-    return np.sqrt(r, out=r), np.multiply(x[1], 2.0 * math.pi, out=phi)
+    phi = 2 pi x[1] is uniform on [0, 2*pi).  Written over x[0] and x[1],
+    which are returned, so a chunk-sized block adds no chunk-sized array;
+    every caller owns a fresh block.  Elementwise, so one call on the
+    blocks of many deployments side by side gives each deployment's values
+    bit for bit."""
+    r, phi = x[0], x[1]
+    r *= radius * radius
+    phi *= 2.0 * math.pi
+    return np.sqrt(r, out=r), phi
 
 
 def sample_ppp_disk(density, radius, rng):

@@ -13,11 +13,33 @@ disk of equal intensity defines the LOS ball radius
 
 which tends to r_net as lambda -> 0 and, for r_net -> infinity, to the
 closed form sqrt(2) exp(-lambda pi W^2 / 8) / (lambda W).
+
+Every function refuses its arguments up front with model.ConfigError:
+a non-real or non-finite one by model.check_real's names, a negative
+density DensityNegative, a W that is not > 0 BlockageDiameterNotPositive
+and a negative r_net NetRadiusTooSmall.
 """
 
 from __future__ import annotations
 
 import math
+
+from .model import ConfigError, check_real
+
+
+def _check(density, W, r_net=0.0):
+    """The density as a Python float, once the arguments pass: a numpy
+    scalar would warn where a product of it overflows, and the correctly
+    rounded results there are those of the float."""
+    for name, value in (("density", density), ("W", W), ("r_net", r_net)):
+        check_real(name, value)
+    for violation, rule, value, ok in (
+            ("DensityNegative", "density >= 0", density, density >= 0.0),
+            ("BlockageDiameterNotPositive", "W > 0", W, W > 0.0),
+            ("NetRadiusTooSmall", "r_net >= 0", r_net, r_net >= 0.0)):
+        if not ok:
+            raise ConfigError(violation, f"need {rule}, got {value}")
+    return float(density)
 
 
 def _f_over_x_sq(x):
@@ -29,14 +51,13 @@ def _f_over_x_sq(x):
     Callers fold x^2 = (lambda W r_net)^2 into their prefactor: x^2 and
     lambda^2 underflow to 0 for lambda below about 1e-154.
     """
-    if x < 0.0:
-        raise ValueError(f"argument must be >= 0, got {x}")
     return 1.0 / 2.0 + x * (-1.0 / 3.0 + x * (1.0 / 8.0 - x / 30.0))
 
 
 def _one_minus_exp_linear(x):
-    """f(x) = 1 - exp(-x)(1 + x) by its direct form, for x >= 1e-3."""
-    return -math.expm1(-x) - x * math.exp(-x)
+    """f(x) = 1 - exp(-x)(1 + x) by its direct form, for x >= 1e-3; its
+    limit 1 where lambda W r_net overflows to +inf (inf * exp(-inf) is NaN)."""
+    return -math.expm1(-x) - x * math.exp(-x) if x < math.inf else 1.0
 
 
 def mean_los_interferers(density, W, r_net):
@@ -45,6 +66,7 @@ def mean_los_interferers(density, W, r_net):
     Closed form of 2 pi lambda int_0^r_net (1 - p_b(r)) r dr; exact for any
     density >= 0 (zero density gives zero).
     """
+    density = _check(density, W, r_net)
     if density == 0.0:
         return 0.0
     x = density * W * r_net
@@ -59,10 +81,8 @@ def los_ball_radius(density, W, r_net):
 
     sqrt(mean_los_interferers / (lambda pi)), evaluated in a form that stays
     finite as density -> 0, where the ball fills the whole network disk.
-    The density is taken as a Python float: a numpy scalar would warn where
-    density^2 overflows, and the correctly rounded radius there is 0.0.
     """
-    density = float(density)
+    density = _check(density, W, r_net)
     if density == 0.0:
         return float(r_net)
     x = density * W * r_net
@@ -75,6 +95,7 @@ def los_ball_radius(density, W, r_net):
 def los_ball_radius_limit(density, W):
     """Large-network limit of the LOS ball radius,
     sqrt(2) exp(-lambda pi W^2 / 8) / (lambda W).  Infinite at zero density."""
+    density = _check(density, W)
     if density == 0.0:
         return math.inf
     return math.sqrt(2.0) * math.exp(-density * math.pi * W * W / 8.0) / (density * W)

@@ -60,14 +60,16 @@ sets each trial's substream, draws its two PPPs' counts and uniform blocks
 (on the disks of one _field_disks call) and its activity uniforms, and
 saves a copy of the generator's four state words; the chunk's blocks are
 then transformed to points, one disk_polar call per PPP, and its fields
-classified at once.  The second pass writes each saved state into a second
-generator and draws the LOS fading, the NLOS fading and the reference
-fading, with each trial's LOS count read off one cumsum of the chunk's
-mask; the chunk's LOS and NLOS draws are then scattered onto its links by
-two boolean assignments, which fill them in trial order.  The first pass
-draws no uint32, so its buffered uint32 stays cleared, and a restored state
-continues the stream exactly where the first pass left it: the draws and
-their order are those of a trial-by-trial loop.
+classified at once.  The second pass writes each saved state back into
+the same generator and draws the LOS fading, the NLOS fading and the
+reference fading, with each trial's LOS count read off one cumsum of the
+chunk's mask; the chunk's LOS and NLOS draws are then scattered onto its
+links by two boolean assignments, which fill them in trial order.  The
+first pass draws no uint32, so its buffered uint32 stays cleared, and a
+restored state continues the stream exactly where the first pass left it:
+the draws and their order are those of a trial-by-trial loop.  The loop
+writes a full state before each next trial, so the second pass leaves
+nothing behind in the generator.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh) and
@@ -91,7 +93,7 @@ from .analytic import coverage_params, signal_power
 # sample_ppp_disk is the PPP draw that _draw_field repeats; the LOSBALL
 # test oracle and the benchmark's tracer look it up under this module
 from .geometry import classify_los, disk_polar, sample_ppp_disk
-from .model import ConfigError, validate
+from .model import ConfigError, check_grid, rate_to_sinr, validate
 
 FULL = "full"
 LOSBALL = "losball"
@@ -115,9 +117,10 @@ class EmpiricalDistribution:
 
 
 def sample_nakagami_power(m, rng, size=None):
-    """Unit-mean Nakagami-m power gain: Gamma with shape m, scale 1/m."""
-    if m < 1:
-        raise ValueError(f"Nakagami shape must be >= 1, got {m}")
+    """Unit-mean Nakagami-m power gain: Gamma with shape m, scale 1/m.
+    ValueError unless 1 <= m < inf (a NaN is refused too)."""
+    if not 1 <= m < math.inf:
+        raise ValueError(f"Nakagami shape must lie in [1, inf), got {m}")
     return rng.gamma(m, 1.0 / m, size)
 
 
@@ -414,9 +417,7 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     rng = np.random.Generator(np.random.PCG64(0))
     if mode == FULL:
         disks = _field_disks(cfg)
-        words, _ = _state_words(rng.bit_generator)
-        fading_rng = np.random.Generator(np.random.PCG64(0))
-        _, restore = _state_words(fading_rng.bit_generator)
+        words, restore = _state_words(rng.bit_generator)
         m_los, m_nlos = cfg.m_los, cfg.m_nlos
         fields = []
 
@@ -441,9 +442,9 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             h_los, h_nlos, h0 = [], [], []
             for state, size, k in zip(states, sizes, counts):
                 restore(state)
-                h_los.append(sample_nakagami_power(m_los, fading_rng, k))
-                h_nlos.append(sample_nakagami_power(m_nlos, fading_rng, size - k))
-                h0.append(sample_nakagami_power(m_los, fading_rng))
+                h_los.append(sample_nakagami_power(m_los, rng, k))
+                h_nlos.append(sample_nakagami_power(m_nlos, rng, size - k))
+                h0.append(sample_nakagami_power(m_los, rng))
             # boolean assignment fills the chunk's LOS (NLOS) links in trial
             # order, each trial's from its own draw
             h = np.empty(r.size)
@@ -486,9 +487,7 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
                 # would write through a copy of row
                 np.take(buf, index, out=row, mode="clip")
                 index += step
-            # in place: a new r and phi would add two chunk-sized arrays to
-            # the chunk's memory
-            r, phi = disk_polar(r_los, x, out=x[:2])
+            r, phi = disk_polar(r_los, x)
             u, h = x[2:]
             # sample_nakagami_power's Gamma(m, 1/m) value is 1/m times the
             # standard gamma value, the product numpy's gamma sampler rounds
@@ -606,41 +605,21 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
 
 
 def empirical_ccdf(samples, thresholds):
-    """Exceedance counts of ``samples`` on an ascending threshold grid."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.ndim != 1 or thresholds.size == 0:
-        raise ValueError("thresholds must be a nonempty 1-d grid")
-    if np.any(np.isnan(thresholds)) or np.any(thresholds[1:] < thresholds[:-1]):
-        raise ValueError("thresholds must be sorted ascending and not NaN")
+    """Exceedance counts of ``samples`` on an ascending threshold grid; a
+    malformed, NaN or descending grid is refused (see model.check_grid)."""
+    thresholds = check_grid("threshold", thresholds)
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
-    exceed = n - np.searchsorted(samples, thresholds, side="right")
-    p = exceed / n
+    p = (n - np.searchsorted(samples, thresholds, side="right")) / n
     return EmpiricalDistribution(thresholds=thresholds, ccdf=p, n_trials=n,
                                  stderr=np.sqrt(p * (1.0 - p) / n))
 
 
-def _check_grid(name, grid):
-    """Refuse a threshold grid before any trial runs: ConfigError
-    MalformedGrid unless it is a nonempty 1-d grid, ThresholdNaN for a NaN
-    in it, GridNotAscending where a value is below the one before it."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConfigError("MalformedGrid", f"{name} grid must be a nonempty "
-                          f"1-d grid, got shape {grid.shape}")
-    if np.any(np.isnan(grid)):
-        raise ConfigError("ThresholdNaN", f"{name} grid must not hold NaN, got {grid}")
-    down = np.flatnonzero(grid[1:] < grid[:-1])
-    if down.size:
-        a, b = grid[down[0]:down[0] + 2].tolist()
-        raise ConfigError("GridNotAscending",
-                          f"{name} grid must not go down, got {b} after {a}")
-
-
 def simulate_ccdf(mode, config, n_trials, thresholds, master_seed, workers=1):
     """Empirical P(SINR > beta) on the given ascending linear-SINR grid;
-    a malformed, NaN or descending grid is refused first (see _check_grid)."""
-    _check_grid("SINR threshold", thresholds)
+    a malformed, NaN or descending grid is refused before any trial runs
+    (see model.check_grid)."""
+    check_grid("SINR threshold", thresholds)
     samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
     return empirical_ccdf(samples[:, 0], thresholds)
 
@@ -651,13 +630,10 @@ def simulate_se_ccdf(mode, config, n_trials, t_grid, master_seed, workers=1):
     Exceedance is counted on the equivalent SINR thresholds 2^t - 1, so the
     estimate shares every sample with simulate_ccdf.
     """
-    _check_grid("spectral-efficiency", t_grid)
-    t_grid = np.asarray(t_grid, dtype=float)
-    with np.errstate(over="ignore"):  # a large t is the threshold +inf
-        beta = np.exp2(t_grid) - 1.0
-    return replace(
-        simulate_ccdf(mode, config, n_trials, beta, master_seed, workers),
-        thresholds=t_grid)
+    t_grid = check_grid("spectral-efficiency", t_grid)
+    return replace(simulate_ccdf(mode, config, n_trials, rate_to_sinr(t_grid),
+                                 master_seed, workers),
+                   thresholds=t_grid)
 
 
 def _mean_and_se(values):

@@ -47,6 +47,13 @@ def db_to_linear(x_db):
         return math.inf
 
 
+def rate_to_sinr(t):
+    """The SINR threshold 2^t - 1 of each spectral-efficiency threshold t
+    (bits/s/Hz), elementwise; a value past the float range is +inf."""
+    with np.errstate(over="ignore"):
+        return np.exp2(np.asarray(t, dtype=float)) - 1.0
+
+
 @dataclass(frozen=True)
 class SectorPattern:
     """Sectorized antenna pattern: constant main-lobe gain over the beamwidth,
@@ -130,6 +137,25 @@ def check_real(name, value):
                           f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError("ValueNotFinite", f"{name} must be finite, got {value}")
+
+
+def check_grid(name, grid):
+    """A threshold grid as a float array, or ConfigError, which callers
+    raise before any work: MalformedGrid unless it is a nonempty 1-d grid,
+    ThresholdNaN for a NaN in it, GridNotAscending where a value is below
+    the one before it (equal neighbours are allowed)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConfigError("MalformedGrid", f"{name} grid must be a nonempty "
+                          f"1-d grid, got shape {grid.shape}")
+    if np.any(np.isnan(grid)):
+        raise ConfigError("ThresholdNaN", f"{name} grid must not hold NaN, got {grid}")
+    down = np.flatnonzero(grid[1:] < grid[:-1])
+    if down.size:
+        a, b = grid[down[0]:down[0] + 2].tolist()
+        raise ConfigError("GridNotAscending",
+                          f"{name} grid must not go down, got {b} after {a}")
+    return grid
 
 
 def _check_pattern(pat, side):

@@ -4,9 +4,11 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from wearnet import losball
+from wearnet.model import ConfigError
 
 
 def _mean_by_quadrature(lam, W, r_net):
@@ -115,3 +117,37 @@ def test_radius_limit_consistency():
     for lam in (1.0, 3.0):
         r_big = losball.los_ball_radius(lam, 0.3, 1000.0)
         assert abs(r_big - losball.los_ball_radius_limit(lam, 0.3)) <= 1e-6 * limit
+
+
+@pytest.mark.parametrize("density, W, r_net, violation", [
+    (math.nan, 0.3, 10.0, "ValueNotFinite"),
+    (math.inf, 0.3, 10.0, "ValueNotFinite"),
+    (3.0, math.nan, 10.0, "ValueNotFinite"),
+    (3.0, 0.3, math.inf, "ValueNotFinite"),
+    (True, 0.3, 10.0, "ValueNotReal"),
+    ("3", 0.3, 10.0, "ValueNotReal"),
+    (-3.0, 0.3, 10.0, "DensityNegative"),
+    (3.0, 0.0, 10.0, "BlockageDiameterNotPositive"),
+    (3.0, -0.3, 10.0, "BlockageDiameterNotPositive"),
+    (3.0, 0.3, -1.0, "NetRadiusTooSmall"),
+], ids=["density-nan", "density-inf", "W-nan", "r_net-inf", "bool", "str",
+        "density-negative", "W-zero", "W-negative", "r_net-negative"])
+def test_bad_argument_is_named_refusal(density, W, r_net, violation):
+    # each used to give a silent NaN (or an unnamed ValueError about
+    # lambda W r_net); the limit takes no r_net
+    for f in (losball.mean_los_interferers, losball.los_ball_radius):
+        with pytest.raises(ConfigError) as err:
+            f(density, W, r_net)
+        assert err.value.violation == violation
+    if r_net == 10.0:
+        with pytest.raises(ConfigError) as err:
+            losball.los_ball_radius_limit(density, W)
+        assert err.value.violation == violation
+
+
+def test_overflowing_product_gives_limit_not_nan():
+    # lambda W r_net overflows to +inf, where f(x) is its limit 1, not
+    # inf * exp(-inf) = NaN: no interferer is LOS and the ball is a point
+    for lam in (1e308, np.finfo(float).max):
+        assert losball.mean_los_interferers(lam, 0.3, 10.0) == 0.0
+        assert losball.los_ball_radius(lam, 0.3, 10.0) == 0.0

@@ -35,6 +35,11 @@ def test_nakagami_fading_moments():
     assert abs(h64.std() - 0.125) < 0.005
     # scalar draw
     assert np.ndim(mcsim.sample_nakagami_power(3, rng)) == 0
+    # a shape outside [1, inf) is refused; NaN and +inf fail no `m < 1`
+    # test, and numpy's gamma sampler returns NaN for both
+    for m in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Nakagami shape"):
+            mcsim.sample_nakagami_power(m, rng, 2)
 
 
 def test_zero_density_samples():
@@ -111,14 +116,16 @@ def test_empirical_ccdf_hand_case():
 
 
 def test_empirical_ccdf_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        mcsim.empirical_ccdf(np.array([1.0]), np.array([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        mcsim.empirical_ccdf(np.array([1.0]), np.array([]))
-    # a NaN passes every order comparison, so it is refused by itself
-    for grid in ([np.nan], [1.0, np.nan, 2.0]):
-        with pytest.raises(ValueError):
+    # the named refusals of model.check_grid; a NaN passes every order
+    # comparison, so it is refused by itself
+    for grid, violation in (([2.0, 1.0], "GridNotAscending"),
+                            ([], "MalformedGrid"),
+                            ([[1.0, 2.0]], "MalformedGrid"),
+                            ([np.nan], "ThresholdNaN"),
+                            ([1.0, np.nan, 2.0], "ThresholdNaN")):
+        with pytest.raises(ConfigError) as err:
             mcsim.empirical_ccdf(np.array([1.0]), np.array(grid))
+        assert err.value.violation == violation
     # +inf thresholds are sorted and exceeded by nothing, with no inf - inf
     # (a RuntimeWarning, an error under this suite)
     dist = mcsim.empirical_ccdf(np.array([0.5, 2.0]), np.array([1.0, np.inf, np.inf]))
@@ -566,16 +573,18 @@ def test_disk_polar_of_chunk_equals_per_trial_transforms():
     rng = oracles.substream(1, 0)
     radius = losball.los_ball_radius(3.0, 0.3, 10.0)
     blocks = [rng.random((3, n)) for n in (0, 5, 19, 0, 40, 1, 2048)]
-    r, phi = geometry.disk_polar(radius, np.concatenate(blocks, axis=1))
+    x = np.concatenate(blocks, axis=1)
+    u = x.copy()
+    r, phi = geometry.disk_polar(radius, x)
+    # written over the block's own radius and angle rows, which are
+    # returned: the transform adds no chunk-sized array
+    assert r.base is x and phi.base is x
+    assert np.array_equal(x[2], u[2])
+    assert r.tobytes() == np.sqrt(radius * radius * u[0]).tobytes()
+    assert phi.tobytes() == (u[1] * (2.0 * math.pi)).tobytes()
     want_r, want_phi = zip(*(geometry.disk_polar(radius, b) for b in blocks))
     assert np.array_equal(r, np.concatenate(want_r))
     assert np.array_equal(phi, np.concatenate(want_phi))
-    # written over the block's own radius and angle rows, as the LOSBALL
-    # flush does, the values are the same bits
-    x = np.concatenate(blocks, axis=1)
-    got_r, got_phi = geometry.disk_polar(radius, x, out=x[:2])
-    assert np.shares_memory(got_r, x) and np.shares_memory(got_phi, x)
-    assert r.tobytes() == got_r.tobytes() and phi.tobytes() == got_phi.tobytes()
 
 
 @pytest.mark.parametrize("links", [pytest.param(mcsim._LINKS, id="default"), 1])
