@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losball import los_ball_radius
-from .model import ConfigError, gain_pairs, rate_to_sinr, validate
+from .model import ConfigError, check_thresholds, gain_pairs, rate_to_sinr, validate
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # The alternating binomial sum below loses roughly one digit per doubling of
@@ -202,16 +202,14 @@ def coverage_ccdf(beta, params):
     * laplace_term(ell, bt).  The alternating terms are accumulated with
     exact compensated summation and the result clamped to [0, 1] (roundoff
     can push it out by a few ulps).  Vectorized over beta of any shape;
-    one laplace_term call covers every (ell, beta) pair.  A negative or NaN
-    beta is a ValueError before any integral runs.  No SINR exceeds the
-    threshold +inf (the inequality is strict), so a beta whose normalized
-    threshold is +inf gives 0 by rule, and only the finite ones are
-    evaluated.
+    one laplace_term call covers every (ell, beta) pair.  A NaN beta is
+    ConfigError ThresholdNaN, a negative one ThresholdNegative, before any
+    integral runs.  No SINR exceeds the threshold +inf (the inequality is
+    strict), so a beta whose normalized threshold is +inf gives 0 by rule,
+    and only the finite ones are evaluated.
     """
     cfg = params.config
-    beta_arr = np.asarray(beta, dtype=float)
-    if not np.all(beta_arr >= 0.0):
-        raise ValueError("SINR thresholds must be >= 0 and not NaN")
+    beta_arr = check_thresholds("SINR thresholds", beta)
     bts = np.ravel(beta_tilde(beta_arr, params))
     finite = np.isfinite(bts)
     bts = bts[finite]
@@ -227,10 +225,9 @@ def coverage_ccdf(beta, params):
 
 
 def spectral_efficiency_ccdf(t, params):
-    """P(log2(1 + SINR) > t) = coverage_ccdf(2^t - 1).  t in bits/s/Hz."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 0.0):
-        raise ValueError("spectral efficiency thresholds must be >= 0 and not NaN")
+    """P(log2(1 + SINR) > t) = coverage_ccdf(2^t - 1).  t in bits/s/Hz;
+    a NaN or negative t is refused as coverage_ccdf refuses a beta."""
+    t_arr = check_thresholds("spectral efficiency thresholds", t)
     return coverage_ccdf(rate_to_sinr(t_arr), params)
 
 

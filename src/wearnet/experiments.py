@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analytic, losball, mcsim
 from .model import (CONFIG_KEYS, REQUIRED_PLACEHOLDER, ConfigError,
-                    check_grid, check_real, config_hash, db_to_linear, validate,
-                    with_overrides)
+                    check_grid, check_real, check_thresholds, config_hash,
+                    db_to_linear, nakagami_order, validate, with_overrides)
 
 
 class IoError(Exception):
@@ -87,10 +87,11 @@ def validate_plan(plan):
     """Return ``plan``, or raise its first ConfigError before any row runs:
     a set tolerance is a finite real number >= 0 (ToleranceNegative), each
     grid value is a real number that obeys the rule of the config field it
-    stands for (a Nakagami order is also integral), each density_family
-    value a density.  The threshold and Nakagami grids of coverage_compare,
-    se_compare and nakagami_sweep never go down (GridNotAscending), a
-    se_compare threshold is >= 0 bits/s/Hz (ThresholdNegative), and
+    stands for (a Nakagami order is also integral: model.nakagami_order),
+    each density_family value a density.  The threshold and Nakagami grids
+    of coverage_compare, se_compare and nakagami_sweep never go down
+    (GridNotAscending), a se_compare threshold is >= 0 bits/s/Hz
+    (model.check_thresholds: ThresholdNegative), and
     mean_count_sweep and nakagami_sweep, whose gates count standard errors,
     run at least 2 trials (TooFewTrials): one trial has no standard error."""
     if plan.kind not in KINDS:
@@ -110,19 +111,16 @@ def validate_plan(plan):
     validate(plan.config)
     swept = _SWEPT_FIELD.get(plan.kind)
     for v in plan.grid:
-        check_real("plan.grid value", v)
         if swept == "m_los":
-            if int(v) != v:
-                raise ConfigError("NakagamiOrderInvalid", f"nakagami_sweep "
-                                  f"grid must hold integers, got {v}")
-            v = int(v)
+            v = nakagami_order("plan.grid value", v)
+        else:
+            check_real("plan.grid value", v)
         if swept is not None:
             with_overrides(plan.config, **{swept: v})
-        if plan.kind == "se_compare" and v < 0.0:
-            raise ConfigError("ThresholdNegative", "se_compare grid must hold "
-                              f"spectral efficiencies >= 0, got {v}")
     if plan.kind in ("coverage_compare", "se_compare", "nakagami_sweep"):
         check_grid(plan.kind, plan.grid)
+    if plan.kind == "se_compare":
+        check_thresholds("se_compare grid", plan.grid)
     for v in plan.density_family:
         with_overrides(plan.config, density=v)
     return plan

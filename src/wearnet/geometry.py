@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from .model import ConfigError, check_field
+
 
 def disk_polar(radius, x):
     """Polar coordinates (r, phi) of uniform points on the disk of given
@@ -47,29 +49,43 @@ def sample_ppp_disk(density, radius, rng):
     Returns (r, phi): polar coordinates of the points, each shape (n,) with
     n ~ Poisson(density * pi * radius^2), from one block of 2 x n uniforms
     (see disk_polar).  Zero density yields an empty sample and draws
-    nothing; a radius that is not > 0, or a density that is negative or
-    NaN, raises ValueError.
+    nothing; a radius that is not > 0 raises ValueError, and a density
+    that breaks the config field's rule (model.check_field) ConfigError.
     """
     if not radius > 0.0:
         raise ValueError(f"need radius > 0, got {radius}")
-    n = rng.poisson(density * (math.pi * (radius * radius)))
+    n = rng.poisson(check_field("density", density) * (math.pi * (radius * radius)))
     return disk_polar(radius, rng.random((2, n)))
 
 
 def blocking_area(r, W):
     """Area |A'(r)| of the stadium of blockage-center positions that block a
-    link of length r: a W/2-neighborhood of the segment, r*W + pi*W^2/4."""
+    link of length r: a W/2-neighborhood of the segment, r*W + pi*W^2/4.
+
+    Vectorized over r.  ConfigError for a W that breaks the rule of the
+    config field blockage_diameter (model.check_field) and LinkLengthInvalid
+    for an r that is not >= 0, NaN included; r = +inf is allowed.
+    """
+    W = check_field("blockage_diameter", W)
     r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0.0):
+        raise ConfigError("LinkLengthInvalid", "link length r must be >= 0, "
+                          f"got {r[~(r >= 0.0)].flat[0]}")
     out = r * W + math.pi * W * W / 4.0
     return float(out) if out.ndim == 0 else out
+
 
 def blockage_probability(r, density, W):
     """Probability that a link of length r is blocked, 1 - exp(-lambda |A'(r)|).
 
-    Vectorized over r.  Zero density gives probability 0 for every r.
+    Vectorized over r.  Zero density gives probability 0 for every r, and
+    r = +inf probability 1 at any positive density.  Refuses a density as
+    model.check_field does, and r and W as blocking_area does.
     """
-    r = np.asarray(r, dtype=float)
-    out = -np.expm1(-density * blocking_area(r, W))
+    density = check_field("density", density)
+    area = blocking_area(r, W)
+    # not 0 * inf = NaN on an infinite link
+    out = np.zeros_like(area) if density == 0.0 else -np.expm1(-density * area)
     return float(out) if out.ndim == 0 else out
 
 

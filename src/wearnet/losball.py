@@ -15,31 +15,28 @@ which tends to r_net as lambda -> 0 and, for r_net -> infinity, to the
 closed form sqrt(2) exp(-lambda pi W^2 / 8) / (lambda W).
 
 Every function refuses its arguments up front with model.ConfigError:
-a non-real or non-finite one by model.check_real's names, a negative
-density DensityNegative, a W that is not > 0 BlockageDiameterNotPositive
-and a negative r_net NetRadiusTooSmall.
+density and W by the rules of the config fields density and
+blockage_diameter (model.check_field), and an r_net that is not a finite
+real number by model.check_real's names, a negative one NetRadiusTooSmall.
 """
 
 from __future__ import annotations
 
 import math
 
-from .model import ConfigError, check_real
+from .model import ConfigError, check_field, check_real
 
 
 def _check(density, W, r_net=0.0):
     """The density as a Python float, once the arguments pass: a numpy
     scalar would warn where a product of it overflows, and the correctly
     rounded results there are those of the float."""
-    for name, value in (("density", density), ("W", W), ("r_net", r_net)):
-        check_real(name, value)
-    for violation, rule, value, ok in (
-            ("DensityNegative", "density >= 0", density, density >= 0.0),
-            ("BlockageDiameterNotPositive", "W > 0", W, W > 0.0),
-            ("NetRadiusTooSmall", "r_net >= 0", r_net, r_net >= 0.0)):
-        if not ok:
-            raise ConfigError(violation, f"need {rule}, got {value}")
-    return float(density)
+    density = check_field("density", density)
+    check_field("blockage_diameter", W)
+    check_real("r_net", r_net)
+    if not r_net >= 0.0:
+        raise ConfigError("NetRadiusTooSmall", f"r_net must be >= 0, got {r_net}")
+    return density
 
 
 def _f_over_x_sq(x):

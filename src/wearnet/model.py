@@ -21,7 +21,7 @@ TWO_PI = 2.0 * math.pi
 class ConfigError(ValueError):
     """A model parameter or configuration file violates an invariant.
 
-    ``violation`` is a stable machine-readable name (e.g. ``AlphaNlosTooSmall``),
+    ``violation`` is a stable machine-readable name (e.g. ``NetRadiusTooSmall``),
     one per failed invariant, so callers can match on it without parsing text.
     Both constructor arguments stay in ``args``, so the error pickles.
     """
@@ -131,12 +131,63 @@ MAX_NAKAGAMI_M = 64
 
 def check_real(name, value):
     """Refuse a bool or a value that is not a real number (ValueNotReal) and
-    a NaN or infinity (ValueNotFinite); numpy scalars are real numbers."""
+    a NaN, an infinity or an int past the float range (ValueNotFinite);
+    numpy scalars are real numbers."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ConfigError("ValueNotReal",
                           f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # not printed: str() of a long enough int raises
+        finite, value = False, "an integer past the float range"
+    if not finite:
         raise ConfigError("ValueNotFinite", f"{name} must be finite, got {value}")
+
+
+# The rule of each scalar NetworkConfig field that its value alone decides:
+# field -> (violation name, the rule as a message reads it, the test).
+_RANGES = {
+    "density": ("DensityNegative", "be >= 0", lambda v: v >= 0.0),
+    "blockage_diameter": ("BlockageDiameterNotPositive", "be > 0", lambda v: v > 0.0),
+    "tx_probability": ("TxProbabilityOutOfRange", "lie in [0, 1]",
+                       lambda v: 0.0 <= v <= 1.0),
+    "alpha_los": ("AlphaLosNotPositive", "be > 0", lambda v: v > 0.0),
+    "alpha_nlos": ("AlphaNlosTooSmall", "exceed 2 (the mean weak-interferer "
+                   "power diverges otherwise)", lambda v: v > 2.0),
+    "ref_distance": ("RefDistanceNotPositive", "be > 0", lambda v: v > 0.0),
+    "noise_power": ("NoisePowerNegative", "be >= 0", lambda v: v >= 0.0),
+    "power_ratio": ("PowerRatioNotPositive", "be > 0", lambda v: v > 0.0),
+}
+
+
+def check_field(name, value):
+    """``value`` as a float once it passes check_real and the _RANGES rule
+    of the NetworkConfig field ``name``; ConfigError otherwise."""
+    check_real(name, value)
+    violation, rule, ok = _RANGES[name]
+    if not ok(value):
+        raise ConfigError(violation, f"{name} must {rule}, got {value}")
+    return float(value)
+
+
+def nakagami_order(name, value):
+    """A Nakagami order given as a real number, as an int: check_real's
+    refusals, and NakagamiOrderInvalid unless it is integral."""
+    check_real(name, value)
+    if int(value) != value:
+        raise ConfigError("NakagamiOrderInvalid", f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def check_thresholds(name, x):
+    """Thresholds x as a float array of any shape, or ConfigError
+    ThresholdNaN for a NaN in it, else ThresholdNegative for a value < 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
+        if np.any(np.isnan(x)):
+            raise ConfigError("ThresholdNaN", f"{name} must not hold NaN, got {x}")
+        raise ConfigError("ThresholdNegative", f"{name} must be >= 0, got {x.min()}")
+    return x
 
 
 def check_grid(name, grid):
@@ -174,39 +225,25 @@ def _check_pattern(pat, side):
 def validate(config):
     """Check every model invariant; return ``config`` unchanged if all hold.
 
-    Raises ConfigError with a named violation for the first failed invariant;
-    a length, probability, exponent, power or gain that is not a real number
-    is ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``, and a
+    Raises ConfigError with a named violation for the first failed invariant:
+    the fields of _RANGES by check_field, in the table's order, then
+    net_radius, the antenna patterns and the Nakagami orders.  A length,
+    probability, exponent, power or gain that is not a real number is
+    ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``, and a
     Nakagami order that is a bool or not a positive integer
     ``NakagamiOrderInvalid``.
     density = 0 is accepted and means an empty network (no interferers and
     no blockages), which is a well-defined degenerate case.
     """
-    for name in ("density", "blockage_diameter", "net_radius", "tx_probability",
-                 "alpha_los", "alpha_nlos", "ref_distance", "noise_power",
-                 "power_ratio"):
-        check_real(name, getattr(config, name))
-    if not (config.density >= 0.0):
-        raise ConfigError("DensityNegative", f"density must be >= 0, got {config.density}")
-    if not (config.blockage_diameter > 0.0):
-        raise ConfigError("BlockageDiameterNotPositive",
-                          f"blockage diameter must be > 0, got {config.blockage_diameter}")
+    for name in _RANGES:
+        check_field(name, getattr(config, name))
+    check_real("net_radius", config.net_radius)
     if not (config.net_radius > config.blockage_diameter):
         raise ConfigError("NetRadiusTooSmall",
                           f"net_radius must exceed the blockage diameter, got "
                           f"{config.net_radius} <= {config.blockage_diameter}")
     _check_pattern(config.tx_pattern, "transmit")
     _check_pattern(config.rx_pattern, "receive")
-    if not (0.0 <= config.tx_probability <= 1.0):
-        raise ConfigError("TxProbabilityOutOfRange",
-                          f"tx_probability must lie in [0, 1], got {config.tx_probability}")
-    if not (config.alpha_los > 0.0):
-        raise ConfigError("AlphaLosNotPositive",
-                          f"alpha_los must be > 0, got {config.alpha_los}")
-    if not (config.alpha_nlos > 2.0):
-        raise ConfigError("AlphaNlosTooSmall",
-                          f"alpha_nlos must exceed 2 (the mean weak-interferer power "
-                          f"diverges otherwise), got {config.alpha_nlos}")
     for name, value in (("m", config.m_los), ("m_nlos", config.m_nlos)):
         if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
                 or value < 1):
@@ -216,15 +253,6 @@ def validate(config):
             raise ConfigError("NakagamiOrderTooLarge",
                               f"{name} = {value} exceeds the numerically safe maximum "
                               f"{MAX_NAKAGAMI_M}")
-    if not (config.ref_distance > 0.0):
-        raise ConfigError("RefDistanceNotPositive",
-                          f"ref_distance must be > 0, got {config.ref_distance}")
-    if not (config.noise_power >= 0.0):
-        raise ConfigError("NoisePowerNegative",
-                          f"noise_power must be >= 0, got {config.noise_power}")
-    if not (config.power_ratio > 0.0):
-        raise ConfigError("PowerRatioNotPositive",
-                          f"power_ratio must be > 0, got {config.power_ratio}")
     return config
 
 
@@ -293,13 +321,7 @@ def config_from_keys(values):
             except ValueError:
                 raise ConfigError("InvalidNumber",
                                   f"value for '{key}' is not a number: {v!r}") from None
-        if key in _INT_KEYS:
-            check_real(key, v)  # int() raises OverflowError on an infinity
-            if float(v) != int(v):
-                raise ConfigError("NakagamiOrderInvalid",
-                                  f"{key} must be an integer, got {v}")
-            return int(v)
-        return float(v)
+        return nakagami_order(key, v) if key in _INT_KEYS else float(v)
 
     config = NetworkConfig(
         density=num("lambda"),

@@ -308,6 +308,25 @@ def test_bad_thresholds_refused_before_quadrature(monkeypatch):
     assert analytic.spectral_efficiency_ccdf(math.inf, p) == 0.0
 
 
+def test_bad_thresholds_are_named_refusals():
+    # the grid rules' names: a NaN anywhere is ThresholdNaN, else a value
+    # below 0 is ThresholdNegative; -1e-300 bit/s/Hz is refused although
+    # 2^t - 1 rounds to 0 there
+    p = _params(m=3, p_t=0.8)
+    for f, x, violation in (
+            (analytic.coverage_ccdf, math.nan, "ThresholdNaN"),
+            (analytic.coverage_ccdf, np.array([-1.0, math.nan]), "ThresholdNaN"),
+            (analytic.coverage_ccdf, -1.0, "ThresholdNegative"),
+            (analytic.coverage_ccdf, -math.inf, "ThresholdNegative"),
+            (analytic.coverage_ccdf, np.array([[0.5], [-1e-300]]), "ThresholdNegative"),
+            (analytic.spectral_efficiency_ccdf, np.array([0.5, math.nan]), "ThresholdNaN"),
+            (analytic.spectral_efficiency_ccdf, -0.1, "ThresholdNegative"),
+            (analytic.spectral_efficiency_ccdf, -1e-300, "ThresholdNegative")):
+        with pytest.raises(model.ConfigError) as err:
+            f(x, p)
+        assert err.value.violation == violation, (f.__name__, x)
+
+
 def test_ergodic_se_noise_only_closed_form():
     # lambda = 0, m = 1: E[log2(1 + c h)] = exp(1/c) E1(1/c) / ln 2, h ~ Exp(1)
     p = _params(**{"lambda": 0.0, "m": 1})

@@ -64,6 +64,19 @@ def test_plan_validation(tmp_path):
             assert err.value.violation == "ValueNotFinite"
 
 
+def test_int_past_float_range_refused_in_plans(tmp_path):
+    # math.isfinite raises OverflowError on such an int; check_real names it
+    for kind in experiments.KINDS:
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, kind=kind, grid=(1, 10**400)))
+        assert err.value.violation == "ValueNotFinite", kind
+    for field in ("tolerance", "density_family"):
+        value = 10**400 if field == "tolerance" else (10**400,)
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, **{field: value}))
+        assert err.value.violation == "ValueNotFinite", field
+
+
 @pytest.mark.parametrize("bad", ["3", True, np.True_, None, 2j],
                          ids=["str", "bool", "numpy-bool", "none", "complex"])
 @pytest.mark.parametrize("field", ["grid", "density_family"])

@@ -37,9 +37,12 @@ def test_disk_refuses_nonpositive_radius(radius):
 
 @pytest.mark.parametrize("density", [-1.0, -1e-300, math.nan])
 def test_disk_refuses_negative_or_nan_density(density):
-    # numpy's Poisson sampler refuses the mean by name
-    with pytest.raises(ValueError, match="lam < 0 or lam is NaN"):
+    # refused by the density field's rule (model.check_field), by name,
+    # before numpy's Poisson sampler sees the mean
+    with pytest.raises(ValueError) as err:
         geometry.sample_ppp_disk(density, 5.0, np.random.default_rng(0))
+    assert err.value.violation == ("ValueNotFinite" if math.isnan(density)
+                                   else "DensityNegative")
 
 
 def test_disk_radial_and_angular_law():
@@ -94,6 +97,33 @@ def test_blockage_probability_values():
     lam = 1e-8
     area = geometry.blocking_area(1.0, 0.3)
     assert abs(geometry.blockage_probability(1.0, lam, 0.3) - lam * area) < 1e-17
+
+
+@pytest.mark.parametrize("r, W, violation", [
+    (-1.0, 0.3, "LinkLengthInvalid"),
+    (math.nan, 0.3, "LinkLengthInvalid"),
+    (np.array([0.5, -math.inf]), 0.3, "LinkLengthInvalid"),
+    (1.0, -0.3, "BlockageDiameterNotPositive"),
+    (1.0, math.nan, "ValueNotFinite"),
+    (1.0, "0.3", "ValueNotReal"),
+], ids=["r-negative", "r-nan", "r-minus-inf", "W-negative", "W-nan", "W-str"])
+def test_blockage_refusals_are_named(r, W, violation):
+    # each used to give a negative "probability" or area, NaN, or an
+    # unnamed error; a bad density is in test_model's one-name test
+    for call in (lambda: geometry.blocking_area(r, W),
+                 lambda: geometry.blockage_probability(r, 3.0, W)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert err.value.violation == violation
+
+
+def test_infinite_link_is_blocked_unless_no_bodies():
+    assert geometry.blocking_area(math.inf, 0.3) == math.inf
+    assert geometry.blockage_probability(math.inf, 3.0, 0.3) == 1.0
+    # not 0 * inf = NaN: zero density blocks no link
+    assert geometry.blockage_probability(math.inf, 0.0, 0.3) == 0.0
+    got = geometry.blockage_probability(np.array([0.0, 1.0, math.inf]), 0.0, 0.3)
+    assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_blockage_probability_matches_frequency():

@@ -2,10 +2,12 @@
 dependency of the import, and loading it would cost more than the whole
 start-up of a typical run; a single-worker run loads no process pool.  And
 every name the benchmark's tracer patches exists, so a refactor cannot
-silently drop a traced layer."""
+silently drop a traced layer, and README's refusal table names every
+violation that src raises."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +68,19 @@ def test_traced_names_exist():
     missing = [(module, attr) for module, attr, _, _ in tracing.INSTRUMENTS
                if not hasattr(importlib.import_module(module), attr)]
     assert tracing.INSTRUMENTS and missing == []
+
+
+def test_refusal_table_names_every_violation():
+    # every ConfigError name that src raises, and every _RANGES row, has a
+    # row in README's refusal table, and every row names one src raises
+    from wearnet import model
+
+    src = "".join(p.read_text() for p in sorted((SRC_DIR / "wearnet").glob("*.py")))
+    raised = set(re.findall(r'ConfigError\(\s*"(\w+)"', src))
+    raised |= {violation for violation, _, _ in model._RANGES.values()}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Refusals\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert sorted(raised - set(rows)) == []
+    assert sorted(name for name in rows if f'"{name}"' not in src) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import BASE_KEYS, make_config
-from wearnet import model
+from wearnet import experiments, geometry, losball, model
 
 
 def test_db_anchors():
@@ -195,3 +195,87 @@ def test_load_config(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("\n".join(f"{k} = {v}" for k, v in BASE_KEYS.items()))
     assert model.load_config(path) == make_config()
+
+
+@pytest.mark.parametrize("field, value, violation", [
+    ("density", -1.0, "DensityNegative"),
+    ("density", math.nan, "ValueNotFinite"),
+    ("density", 10**400, "ValueNotFinite"),
+    ("blockage_diameter", 0.0, "BlockageDiameterNotPositive"),
+], ids=["density-negative", "density-nan", "density-huge-int", "W-zero"])
+def test_one_input_one_name_at_every_entry_point(tmp_path, field, value, violation):
+    # every function that takes the density or W refuses it by the config
+    # field's one rule, model.check_field
+    cfg = make_config()
+    args = {"density": 3.0, "blockage_diameter": 0.3, field: value}
+    lam, W = args["density"], args["blockage_diameter"]
+    calls = {
+        "validate": lambda: model.with_overrides(cfg, **{field: value}),
+        "mean_los_interferers": lambda: losball.mean_los_interferers(lam, W, 10.0),
+        "los_ball_radius": lambda: losball.los_ball_radius(lam, W, 10.0),
+        "los_ball_radius_limit": lambda: losball.los_ball_radius_limit(lam, W),
+        "blockage_probability": lambda: geometry.blockage_probability(1.0, lam, W),
+    }
+    if field == "density":
+        plan = experiments.ExperimentPlan(kind="losball_sweep", config=cfg,
+                                          grid=(5.0,), out_dir=str(tmp_path),
+                                          density_family=(3.0, value))
+        calls["sample_ppp_disk"] = lambda: geometry.sample_ppp_disk(
+            lam, 5.0, np.random.default_rng(0))
+        calls["validate_plan"] = lambda: experiments.validate_plan(plan)
+    else:
+        calls["blocking_area"] = lambda: geometry.blocking_area(1.0, W)
+    for entry, call in calls.items():
+        with pytest.raises(model.ConfigError) as err:
+            call()
+        assert err.value.violation == violation, entry
+
+
+def test_range_table_rows_refuse_by_their_names():
+    # each _RANGES row: its boundary case is refused by its name alone,
+    # through validate and through check_field, and a passing value
+    # comes back as a float
+    cfg = make_config()
+    for field, bad in (("density", -1e-300), ("blockage_diameter", 0.0),
+                       ("tx_probability", 1.0 + 1e-15), ("alpha_los", 0.0),
+                       ("alpha_nlos", 2.0), ("ref_distance", 0.0),
+                       ("noise_power", -1e-300), ("power_ratio", 0.0)):
+        violation = model._RANGES[field][0]
+        for call in (lambda: model.with_overrides(cfg, **{field: bad}),
+                     lambda: model.check_field(field, bad)):
+            with pytest.raises(model.ConfigError) as err:
+                call()
+            assert err.value.violation == violation, field
+    assert list(model._RANGES) == ["density", "blockage_diameter", "tx_probability",
+                                   "alpha_los", "alpha_nlos", "ref_distance",
+                                   "noise_power", "power_ratio"]
+    value = model.check_field("density", np.float64(3.0))
+    assert value == 3.0 and type(value) is float
+
+
+def test_int_past_float_range_is_not_finite():
+    # math.isfinite raises OverflowError on such an int; it is a named
+    # refusal, and its message does not print the int (str() of an int
+    # of more than 4300 digits raises)
+    for value in (10**400, -10**400, 10**5000):
+        with pytest.raises(model.ConfigError) as err:
+            model.check_real("x", value)
+        assert err.value.violation == "ValueNotFinite"
+        assert "past the float range" in str(err.value)
+    model.check_real("x", 2**1000)  # a large int within the float range
+
+
+def test_nakagami_order_one_integer_rule():
+    assert model.nakagami_order("m", 2.0) == 2 and type(model.nakagami_order("m", 2.0)) is int
+    assert model.nakagami_order("m", np.int64(3)) == 3
+    for value, violation in ((2.5, "NakagamiOrderInvalid"), (math.nan, "ValueNotFinite"),
+                             (math.inf, "ValueNotFinite"), (10**400, "ValueNotFinite"),
+                             ("2", "ValueNotReal"), (True, "ValueNotReal")):
+        with pytest.raises(model.ConfigError) as err:
+            model.nakagami_order("m", value)
+        assert err.value.violation == violation, value
+    # an exact int is integral, even where a float cannot hold it
+    assert model.nakagami_order("m", 2**53 + 1) == 2**53 + 1
+    # a config's orders go through it
+    _expect_violation("NakagamiOrderInvalid", m_nlos="1.5")
+    _expect_violation("ValueNotFinite", m=10**400)
