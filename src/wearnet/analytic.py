@@ -152,9 +152,12 @@ def laplace_term(ell, bt, params):
     Broadcasts over ``ell`` and ``bt``: every radial integral of the
     broadcast grid is one integrand of a single batched quadrature, with
     one integrand per distinct joint gain G_i (the main-side and side-main
-    pairs share theirs when the two patterns are equal).  The sum over i
-    still runs pair by pair, in table order.  A float for scalar inputs,
-    else an array of the broadcast shape.
+    pairs share theirs when the two patterns are equal).  All of them
+    bisect one tree of [0, R_LOS], so r^-aL is taken once per distinct
+    panel of a bisection level and shared by every integrand pending on
+    it; each value is still the one that integrand gives alone.  The sum
+    over i still runs pair by pair, in table order.  A float for scalar
+    inputs, else an array of the broadcast shape.
     """
     cfg = params.config
     ell_b, bt_b = np.broadcast_arrays(np.asarray(ell, dtype=float),
@@ -172,16 +175,17 @@ def laplace_term(ell, bt, params):
         gains, which = np.unique([G_i for _, G_i in pairs], return_inverse=True)
         c = np.concatenate([scale * G for G in gains])
 
-        def integrand(index, r):
-            # (1 + c r^-aL)^-m r, in place to keep one temporary per level;
-            # r^-aL c may overflow to inf near r = 0 in a tiny ball, where
-            # the factor rounds to 0 anyway
+        def integrand(index, nodes, col):
+            # (1 + c r^-aL)^-m r: r^-aL once per distinct panel (a column
+            # of nodes), gathered to each integrand's panels by col and
+            # finished in place; r^-aL c may overflow to inf near r = 0 in
+            # a tiny ball, where the factor rounds to 0 anyway
             with np.errstate(over="ignore"):
-                v = r ** (-cfg.alpha_los)
+                v = np.take(nodes ** (-cfg.alpha_los), col, axis=1)
                 v *= c[index]
             v += 1.0
             v **= -m
-            v *= r
+            v *= np.take(nodes, col, axis=1)
             return v
 
         radial = integrate_batch(integrand, c.size, 0.0, R,

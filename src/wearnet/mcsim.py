@@ -16,7 +16,7 @@ makes results independent of how trials are split across workers; counts
 and exactly rounded sums (math.fsum) make the aggregation order-insensitive.
 The substream states are computed in bulk, _STATES trials at a time, by
 numpy's own SeedSequence hash (on uint32 arrays) and PCG64 seeding rule
-(its 128-bit LCG steps on Python ints in object arrays), as one row of four
+(its 128-bit LCG steps on pairs of uint64 arrays), as one row of four
 uint64 words per trial, the halves of the 128-bit state and increment.  A
 trial's row is written in turn into one reused generator's state memory,
 through numpy's bit_generator.ctypes.state, in the word order numpy's own
@@ -259,7 +259,7 @@ _MIX_ENTROPY = (0x43B0D7E5, 0x931E8875)     # INIT_A, MULT_A
 _GENERATE_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M64 = (1 << 64) - 1
+_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & ((1 << 64) - 1)
 
 
 def _seed_words(seed):
@@ -293,7 +293,7 @@ def _pcg64_states(words, lo, hi):
     """The states of PCG64(SeedSequence((s, k))) for k in [lo, hi), with
     words = _seed_words(s), hi <= MAX_TRIALS, as an (hi - lo, 4) uint64
     block of state words (see _state_words); the hash runs on uint32 arrays
-    over k, the 128-bit seeding step on object arrays."""
+    over k, the 128-bit seeding step on the uint64 arrays of its halves."""
     n = hi - lo
     entropy = [np.full(n, w, dtype=np.uint32) for w in words]
     entropy.append(np.arange(lo, hi, dtype=np.int64).astype(np.uint32))
@@ -315,15 +315,34 @@ def _pcg64_states(words, lo, hi):
     seed_hi, seed_lo, seq_hi, seq_lo = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
     # PCG64's set_seed: inc = 2 initseq + 1 (shifted across the two halves,
     # which drops its top bit), then two LCG steps around adding initstate,
-    # on Python ints in object arrays, split back into 64-bit halves (the
-    # high one taken mod 2**64, which is the state mod 2**128) once per block
+    # state = (initstate + inc) * mult + inc mod 2**128, on 64-bit halves
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    inc = inc_hi.astype(object) << 64 | inc_lo
-    state = ((seed_hi.astype(object) << 64 | seed_lo) + inc) * _PCG64_MULT + inc
+    state = _add128(*_mul128(*_add128(seed_hi, seed_lo, inc_hi, inc_lo)), inc_hi, inc_lo)
     rows = np.empty((n, 4), dtype=np.uint64)
-    for column, half in zip(_word_order(), (state >> 64 & _M64, state & _M64, inc_hi, inc_lo)):
+    for column, half in zip(_word_order(), (*state, inc_hi, inc_lo)):
         rows[:, column] = half
     return rows
+
+
+# uint64 arithmetic wraps mod 2**64, without a warning on arrays; a 128-bit
+# number is its (high, low) pair of uint64 arrays
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128; the low words carry when their sum wraps."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _mul128(a_hi, a_lo):
+    """(a * _PCG64_MULT) mod 2**128.  The high word is the high half of
+    a_lo times the multiplier's low word, from 32-bit limbs whose products
+    fit in 64 bits, plus the two cross products mod 2**64."""
+    x0, x1 = a_lo & _M32, a_lo >> 32
+    y0, y1 = _MULT_LO & _M32, _MULT_LO >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    mulhi = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return mulhi + a_lo * _MULT_HI + a_hi * _MULT_LO, a_lo * _MULT_LO
 
 
 class StateLayoutUnknown(RuntimeError):

@@ -211,6 +211,11 @@ def check_grid(name, grid):
 
 def _check_pattern(pat, side):
     check_real(f"{side} main-lobe gain", pat.main_gain)
+    # a side-lobe gain of +inf (a file's gt_dB = 4000) lies above the finite
+    # main-lobe gain, and is named MainGainBelowSideGain below
+    if pat.side_gain != math.inf:
+        check_real(f"{side} side-lobe gain", pat.side_gain)
+    check_real(f"{side} beamwidth", pat.beamwidth)
     if not (pat.side_gain > 0.0):
         raise ConfigError("SideGainNotPositive",
                           f"{side} side-lobe gain must be > 0, got {pat.side_gain}")
@@ -228,9 +233,9 @@ def validate(config):
     Raises ConfigError with a named violation for the first failed invariant:
     the fields of _RANGES by check_field, in the table's order, then
     net_radius, the antenna patterns and the Nakagami orders.  A length,
-    probability, exponent, power or gain that is not a real number is
-    ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``, and a
-    Nakagami order that is a bool or not a positive integer
+    probability, exponent, power, gain or beamwidth that is not a real
+    number is ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``,
+    and a Nakagami order that is a bool or not a positive integer
     ``NakagamiOrderInvalid``.
     density = 0 is accepted and means an empty network (no interferers and
     no blockages), which is a well-defined degenerate case.
@@ -297,6 +302,8 @@ def config_from_keys(values):
 
     ``values`` maps the configuration-file keys (CONFIG_KEYS) to numbers in
     file units (dB gains, degree beamwidths).  Unknown keys are rejected.
+    A string value is parsed as a float; any other value must pass
+    check_real under its key's name.
     """
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
@@ -321,6 +328,9 @@ def config_from_keys(values):
             except ValueError:
                 raise ConfigError("InvalidNumber",
                                   f"value for '{key}' is not a number: {v!r}") from None
+        else:
+            # before float(), which raises a bare OverflowError past its range
+            check_real(key, v)
         return nakagami_order(key, v) if key in _INT_KEYS else float(v)
 
     config = NetworkConfig(

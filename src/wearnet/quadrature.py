@@ -8,15 +8,27 @@ difference between the one-panel value and the sum over its two halves.
 
 The rule is batch-native: ``integrate_batch`` integrates many integrands
 over a common interval and evaluates every pending panel of every
-integrand in one vectorized call per bisection level; the first call
-holds each integrand's whole interval and its two halves.  The node sum
-of a call is one axis-0 reduction of a C-ordered (20, panels) block,
-which numpy adds row by row only when there are at least two columns (a
-lone column it sums pairwise); every call has at least two.  So a panel's
-value, and its fate, depend only on the panel itself, never on the order
-panels are visited in or on the other integrands of the batch, and the
-accepted panels are summed with the exactly rounded ``math.fsum``, so a
-batch gives bit for bit the values each integrand would give alone.
+integrand together, one bisection level at a time; the first level holds
+each integrand's whole interval and its two halves.  All integrands bisect
+the same dyadic tree of [a, b], so the panels at one tree position have
+the same ends for every integrand pending there.  A level keeps one table
+of its distinct panels (their ends and midpoints, built from the rows that
+were split), and each pending panel keeps its integrand and its row in
+that table.  A panel's nodes are built once per row, and the integrand is
+handed the rows' nodes and each panel's row, so that work which depends on
+the nodes alone, such as a power of r, is done once per row as well.
+
+A level is evaluated in chunks of about _CHUNK panels, which bounds the
+(20, panels) blocks whatever the batch size.  The node sum of a chunk is
+one axis-0 reduction of a C-ordered (20, panels) block, which numpy adds
+row by row only when there are at least two columns (a lone column it sums
+pairwise); every chunk has at least two.  A panel's ends, nodes, products
+and node sum are computed as they would be for the panel alone, whoever
+shares its row or its chunk, so a panel's value, and its fate, depend only
+on the panel itself, never on the order panels are visited in, on the
+other integrands of the batch or on how the batch is grouped and chunked.
+The accepted panels are summed with the exactly rounded ``math.fsum``, so
+a batch gives bit for bit the values each integrand would give alone.
 """
 
 from __future__ import annotations
@@ -48,33 +60,55 @@ class QuadratureNotConverged(ArithmeticError):
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 4096
 
-# Integrands advanced together; bounds the working set of a large batch
-# (pending panels x nodes per level) to a few MB.
-_GROUP = 256
+# Integrands advanced together, and the panels evaluated in one integrand
+# call (at least 2); a level's (20, panels) blocks stay below about 1 MB.
+_GROUP = 1024
+_CHUNK = 4096
 
 
-def _panels(f, owner, lo, hi):
-    """One-panel rule values on [lo[k], hi[k]] for integrand owner[k].
+def _panels(f, index, col, lo, hi):
+    """One-panel rule values of the panels k, integrand index[k] on the
+    table row col[k], which is [lo[col[k]], hi[col[k]]].
 
-    The weighted node sum is one axis-0 reduction of the C-ordered
-    (20, P) products.  numpy adds the rows of such a block one after the
-    other, as a node-by-node loop would, but only for P >= 2: a single
-    column is one contiguous run that it sums pairwise, in another order.
-    The callers never pass fewer than two panels, so each panel's value
-    is the same whatever else is in the batch.
+    ``col`` does not decrease, so a chunk of panels covers a run of rows,
+    whose nodes are built once and handed to ``f`` with the chunk's rows
+    counted from the run's first.  The weighted node sum is one axis-0
+    reduction of the C-ordered (20, chunk) products.  numpy adds the rows
+    of such a block one after the other, as a node-by-node loop would, but
+    only for two columns or more: a single column is one contiguous run
+    that it sums pairwise, in another order.  The callers never pass fewer
+    than two panels, and a lone last panel joins the chunk before it, so
+    each panel's value is the same whatever else is in the batch.
     """
     half = 0.5 * (hi - lo)
-    values = f(owner, 0.5 * (lo + hi) + half * _NODES[:, None])
-    return half * np.add.reduce(np.multiply(values, _WEIGHTS[:, None], order="C"),
-                                axis=0)
+    center = 0.5 * (lo + hi)
+    value = np.empty(col.size)
+    cuts = list(range(0, col.size, _CHUNK))
+    if col.size - cuts[-1] < 2:
+        cuts.pop()
+    for start, stop in zip(cuts, cuts[1:] + [col.size]):
+        rows = col[start:stop]
+        first, last = int(rows[0]), int(rows[-1]) + 1
+        nodes = center[first:last] + half[first:last] * _NODES[:, None]
+        values = f(index[start:stop], nodes, rows - first)
+        value[start:stop] = half[rows] * np.add.reduce(
+            np.multiply(values, _WEIGHTS[:, None], order="C"), axis=0)
+    return value
 
 
 def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     """Integrate ``n`` integrands over the common interval [a, b].
 
-    ``f(index, x)`` receives an int array ``index`` of shape (P,) and a float
-    array ``x`` of shape (20, P); column k holds sample points of
-    integrand ``index[k]``, and ``f`` returns their values in that shape.
+    ``f(index, nodes, col)`` receives a float array ``nodes`` of shape
+    (20, R), the sample points of R distinct panels, one panel per column,
+    and int arrays ``index`` and ``col`` of shape (P,): column k of the
+    result holds integrand ``index[k]`` at ``nodes[:, col[k]]``, and ``f``
+    returns those values as a (20, P) array.  A panel's nodes are the same
+    for every integrand, so ``f`` may compute what depends on the nodes
+    alone once per column of ``nodes`` and gather it by ``col``; each of
+    the P columns must hold the values its integrand gives at those nodes
+    alone.  P is at least 2, and at most _CHUNK + 1 (4097) panels of one
+    bisection level.
 
     Each integrand is bisected on its own: a panel whose error estimate
     exceeds
@@ -85,7 +119,7 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     integrand that has spent more than _MAX_PANELS (4096) panel evaluations
     and still has a failing panel raises QuadratureNotConverged, carrying
     its best value, its error estimate and its index.  Returns a float array
-    of the ``n`` integrals.
+    of the ``n`` integrals, each bit for bit the value it has alone.
     """
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
@@ -102,11 +136,13 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
 def _integrate_group(f, index, a, b, abs_tol, rel_tol):
     k = index.size
     own = np.arange(k)
-    lo = np.full(k, float(a))
-    hi = np.full(k, float(b))
+    # the pending panels' table, one row per distinct panel, and each
+    # pending panel's row; rows never decrease along the pending panels
+    lo, hi = np.array([float(a)]), np.array([float(b)])
     mid = 0.5 * (lo + hi)
-    # the whole interval and its two halves in one call of 3k >= 3 panels
-    first = _panels(f, np.concatenate((index, index, index)),
+    row = np.zeros(k, dtype=np.intp)
+    # the whole interval and its two halves: 3 rows, 3k >= 3 panels
+    first = _panels(f, np.concatenate((index, index, index)), np.repeat(np.arange(3), k),
                     np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
     whole, halves = first[:k], first[k:]
     tol_density = np.maximum(abs_tol, rel_tol * np.abs(whole)) / (b - a)
@@ -117,8 +153,8 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol):
         refined = left + right
         err = np.abs(refined - whole)
         width = hi - lo
-        ok = ((err <= tol_density[own] * width)
-              | (width <= 16.0 * np.spacing(np.abs(mid))))
+        narrow = width <= 16.0 * np.spacing(np.abs(mid))
+        ok = (err <= tol_density[own] * width[row]) | narrow[row]
         done_owner.append(own[ok])
         done_value.append(refined[ok])
         split = ~ok
@@ -133,14 +169,26 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol):
                 f"integrand {int(index[j])}: no convergence after {int(used[j])} "
                 f"panels on [{a}, {b}]; worst panel error {worst:.3e}",
                 value, worst, int(index[j]))
-        own = np.concatenate((own[split], own[split]))
-        if not own.size:
+        parent = row[split]
+        if not parent.size:
             break
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        # the split rows, each once and in order, and each split panel's
+        # rank among them; their left halves are the next table's first
+        # rows, their right halves its last
+        new = np.empty(parent.size, dtype=bool)
+        new[0] = True
+        np.not_equal(parent[1:], parent[:-1], out=new[1:])
+        kept = parent[new]
+        rank = np.cumsum(new) - 1
+        row = np.concatenate((rank, rank + kept.size))
+        own = np.concatenate((own[split], own[split]))
+        lo, hi = np.concatenate((lo[kept], mid[kept])), np.concatenate((mid[kept], hi[kept]))
         whole = np.concatenate((left[split], right[split]))
         mid = 0.5 * (lo + hi)
-        # 2 * pending >= 2 panels
+        # each pending panel's two halves, 2 * pending >= 2 panels, on the
+        # table of the pending rows' left halves, then their right halves
         halves = _panels(f, index[np.concatenate((own, own))],
+                         np.concatenate((row, row + lo.size)),
                          np.concatenate((lo, mid)), np.concatenate((mid, hi)))
         used += 2 * np.bincount(own, minlength=k)
     # each integrand's converged panels side by side, then one exact sum each
@@ -159,4 +207,5 @@ def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
     of the same shape.  This is ``integrate_batch`` with one integrand; see
     there for the tolerance and the panel budget.
     """
-    return float(integrate_batch(lambda index, x: f(x), 1, a, b, abs_tol, rel_tol)[0])
+    return float(integrate_batch(lambda index, nodes, col: f(nodes)[:, col],
+                                 1, a, b, abs_tol, rel_tol)[0])

@@ -8,8 +8,10 @@ t_factor: the per-interferer Laplace factor whose radial average over the
 LOS ball `analytic.laplace_term` evaluates as one batched integral.
 
 laplace_term: that transform with one radial integral per gain pair,
-duplicate joint gains included; `analytic.laplace_term`, which integrates
-each distinct joint gain once, must give the same bits.
+duplicate joint gains included, and every power of r taken panel by panel
+on the panel's own nodes; `analytic.laplace_term`, which integrates each
+distinct joint gain once and takes r^-alpha_L once per distinct panel of a
+level, must give the same bits.
 
 gauss_legendre: the adaptive 20-point rule for one integrand, panel by
 panel, with the weighted node sum added node by node in Python floats;
@@ -101,7 +103,9 @@ def laplace_term(ell, bt, params):
              if q_i != 0.0]
     c = np.concatenate([scale * G_i for _, G_i in pairs])
 
-    def integrand(index, r):
+    def integrand(index, nodes, col):
+        # panel by panel: each panel's own nodes first, nothing shared
+        r = nodes[:, col]
         with np.errstate(over="ignore"):
             v = r ** (-cfg.alpha_los)
             v *= c[index]

@@ -265,6 +265,37 @@ def test_int_past_float_range_is_not_finite():
     model.check_real("x", 2**1000)  # a large int within the float range
 
 
+@pytest.mark.parametrize("key", ["lambda", "theta_t_deg", "Gt_dB", "p_t"])
+def test_config_dict_values_checked_before_float(key):
+    # float() of an int past the float range raised a bare OverflowError;
+    # a value that is not a string is refused under its key's name
+    for value, violation in ((10**400, "ValueNotFinite"), (None, "ValueNotReal"),
+                             (True, "ValueNotReal"), (math.nan, "ValueNotFinite")):
+        with pytest.raises(model.ConfigError) as err:
+            make_config(**{key: value})
+        assert err.value.violation == violation, value
+        assert key in str(err.value)
+
+
+def test_every_antenna_pattern_field_is_a_real_number():
+    # the side-lobe gain and the beamwidth pass check_real as the main-lobe
+    # gain does: a string or None is ValueNotReal, not a TypeError, and a
+    # NaN side gain ValueNotFinite, not SideGainNotPositive
+    cfg = make_config()
+    for pattern, violation in (
+            (model.SectorPattern(4.0, "1", 1.0), "ValueNotReal"),
+            (model.SectorPattern(4.0, 1.0, None), "ValueNotReal"),
+            (model.SectorPattern(4.0, 1.0, "1"), "ValueNotReal"),
+            (model.SectorPattern(4.0, math.nan, 1.0), "ValueNotFinite"),
+            (model.SectorPattern(4.0, 1.0, math.inf), "ValueNotFinite"),
+            # +inf lies above the main gain, as a file's gt_dB = 4000 gives
+            (model.SectorPattern(4.0, math.inf, 1.0), "MainGainBelowSideGain")):
+        for field in ("tx_pattern", "rx_pattern"):
+            with pytest.raises(model.ConfigError) as err:
+                model.validate(dataclasses.replace(cfg, **{field: pattern}))
+            assert err.value.violation == violation, (field, pattern)
+
+
 def test_nakagami_order_one_integer_rule():
     assert model.nakagami_order("m", 2.0) == 2 and type(model.nakagami_order("m", 2.0)) is int
     assert model.nakagami_order("m", np.int64(3)) == 3

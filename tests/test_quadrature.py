@@ -74,7 +74,8 @@ def test_panel_budget_exhaustion(monkeypatch):
 def test_peaked_kernel_batch_matches_scipy():
     c, alpha, m = np.array(PEAKED).T
 
-    def f(index, r):
+    def f(index, nodes, col):
+        r = nodes[:, col]
         return r / (1.0 + c[index] * r ** (-alpha[index])) ** m[index]
 
     got = integrate_batch(f, len(PEAKED), 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
@@ -85,33 +86,52 @@ def test_peaked_kernel_batch_matches_scipy():
         assert abs(got[k] - want) <= 1e-9 * abs(want) + 1e-12, PEAKED[k]
 
 
-def test_batch_equals_single_integrals_bit_for_bit():
+def _kernel(r, c):
+    # the radial kernel of laplace_term, (1 + c r^-alpha)^-m r, at
+    # alpha = 3.2 and m = 4, for one integrand
+    return (1.0 + r ** -3.2 * c) ** -4 * r
+
+
+def _shared_kernel(cs):
+    # _kernel for the integrands cs as laplace_term builds it: the power of
+    # r once per panel of the table, then gathered to each integrand's
+    # columns and finished in place
+    def f(index, nodes, col):
+        v = np.take(nodes ** -3.2, col, axis=1)
+        v *= cs[index]
+        v += 1.0
+        v **= -4
+        v *= np.take(nodes, col, axis=1)
+        return v
+    return f
+
+
+def test_batch_equals_single_integrals_bit_for_bit(monkeypatch):
     # more integrands than one group, with very different panel counts
+    monkeypatch.setattr(quadrature, "_GROUP", 256)
     cs = np.geomspace(1e-6, 1e4, 300)
-
-    def f(index, r):
-        return r / (1.0 + cs[index] * r ** -3.2) ** 4
-
+    f = _shared_kernel(cs)
     batch = integrate_batch(f, cs.size, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
-    alone = [adaptive_gauss_legendre(lambda r, c=c: r / (1.0 + c * r ** -3.2) ** 4,
+    alone = [adaptive_gauss_legendre(lambda r, c=c: _kernel(r, c),
                                      0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
              for c in cs]
     assert batch.tolist() == alone
     # the same integrands in reverse order give the same values
-    rev = integrate_batch(lambda index, r: f(cs.size - 1 - index, r), cs.size,
-                          0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
+    rev = integrate_batch(lambda index, nodes, col: f(cs.size - 1 - index, nodes, col),
+                          cs.size, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
     assert rev[::-1].tolist() == alone
 
 
 def test_panel_budget_is_per_integrand(monkeypatch):
     # 300 easy integrands need 3 panels each, far more than 8 in total
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
-    easy = integrate_batch(lambda index, x: np.exp(x), 300, 0.0, 1.0)
+    easy = integrate_batch(lambda index, nodes, col: np.exp(nodes[:, col]), 300, 0.0, 1.0)
     assert np.all(np.abs(easy - (math.e - 1.0)) < 1e-12)
     # one oscillating integrand among easy ones exhausts its own budget and
     # is named by its index
     with pytest.raises(QuadratureNotConverged) as err:
-        integrate_batch(lambda index, x: np.where(index == 1, np.sin(1.0 / x), np.exp(x)),
+        integrate_batch(lambda index, nodes, col: np.where(
+            index == 1, np.sin(1.0 / nodes[:, col]), np.exp(nodes[:, col])),
                         3, 1e-6, 1.0, abs_tol=1e-12)
     assert err.value.index == 1
     assert math.isfinite(err.value.value)
@@ -119,35 +139,59 @@ def test_panel_budget_is_per_integrand(monkeypatch):
 
 
 def test_empty_batch_and_zero_width():
-    assert integrate_batch(lambda index, x: x, 0, 0.0, 1.0).size == 0
-    assert integrate_batch(lambda index, x: x, 4, 2.0, 2.0).tolist() == [0.0] * 4
+    assert integrate_batch(lambda index, nodes, col: nodes[:, col], 0, 0.0, 1.0).size == 0
+    assert integrate_batch(lambda index, nodes, col: nodes[:, col], 4,
+                           2.0, 2.0).tolist() == [0.0] * 4
+
+
+def _recorded(f):
+    # f, and the number of panels of each of its calls: one node sum each
+    columns = []
+
+    def recorded(index, nodes, col):
+        assert index.shape == col.shape and nodes.shape[0] == 20
+        assert 0 <= col.min() and col.max() < nodes.shape[1]
+        columns.append(col.size)
+        return f(index, nodes, col)
+    return recorded, columns
 
 
 def test_panel_node_sum_matches_node_by_node_rule(monkeypatch):
     # numpy sums a single (20, 1) column pairwise, not node by node; the
-    # rule never hands _panels fewer than 2 panels, so every batch size,
-    # including a last group of one (257 = 256 + 1), gives the bits of a
-    # node-by-node panel sum
-    columns = []
-    original = quadrature._panels
-
-    def recorded(f, owner, lo, hi):
-        columns.append(owner.size)
-        return original(f, owner, lo, hi)
-
-    monkeypatch.setattr(quadrature, "_panels", recorded)
+    # rule never hands its integrand fewer than 2 panels, so every batch
+    # size, including a last group of one (257 = 256 + 1), gives the bits
+    # of a node-by-node panel sum
+    monkeypatch.setattr(quadrature, "_GROUP", 256)
     cs = np.geomspace(1e-6, 1e4, 257)
-
-    def f(index, r):
-        return r / (1.0 + cs[index] * r ** -3.2) ** 4
-
-    want = [oracles.gauss_legendre(lambda r, c=c: r / (1.0 + c * r ** -3.2) ** 4,
+    f, columns = _recorded(_shared_kernel(cs))
+    want = [oracles.gauss_legendre(lambda r, c=c: _kernel(r, c),
                                    0.0, 10.0, 1e-12, 1e-10) for c in cs]
     for n in (1, 2, 257):
         got = integrate_batch(f, n, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
         assert got.tolist() == want[:n], n
     for c, value in zip(cs[::32], want[::32]):
-        got = adaptive_gauss_legendre(lambda r: r / (1.0 + c * r ** -3.2) ** 4,
+        got = adaptive_gauss_legendre(lambda r: _kernel(r, c),
                                       0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
         assert got == value
     assert min(columns) >= 2
+
+
+@pytest.mark.parametrize("group", (2, 3, 1024))
+@pytest.mark.parametrize("chunk", (2, 3, 1024))
+def test_batch_bits_do_not_depend_on_grouping_or_chunking(monkeypatch, group, chunk):
+    # the panel table shares nodes and r^-alpha between integrands; the
+    # values must still be each integrand's panel-by-panel rule, whatever
+    # the group and chunk sizes and the order of the integrands
+    monkeypatch.setattr(quadrature, "_GROUP", group)
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    cs = np.concatenate((np.geomspace(1e-6, 1e4, 9), [5.0, 5.0]))
+    want = [oracles.gauss_legendre(lambda r, c=c: _kernel(r, c),
+                                   0.0, 10.0, 1e-12, 1e-10) for c in cs]
+    f, columns = _recorded(_shared_kernel(cs))
+    got = integrate_batch(f, cs.size, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
+    assert got.tolist() == want
+    rev = integrate_batch(lambda index, nodes, col: f(cs.size - 1 - index, nodes, col),
+                          cs.size, 0.0, 10.0, abs_tol=1e-12, rel_tol=1e-10)
+    assert rev[::-1].tolist() == want
+    assert min(columns) >= 2
+    assert max(columns) <= max(chunk + 1, 3)
