@@ -60,11 +60,15 @@ class ExperimentPlan:
     seed            master seed for all simulation in the plan
     trials          Monte Carlo trials per estimate
     tolerance       comparison gate: sup-norm bound for coverage_compare /
-                    se_compare, standard-error multiple for the others
+                    se_compare, standard-error multiple for the others;
+                    None is the kind's default
     density_family  densities for losball_sweep, one block of rows each;
                     empty means the config density
     workers         worker processes for trial-parallel simulation, 0 = one
                     per CPU
+
+    Each kind's grid rule, default gate tolerance and trial floor are its
+    row of _KINDS.
     """
 
     kind: str
@@ -78,49 +82,42 @@ class ExperimentPlan:
     workers: int = 1
 
 
-# the config field that each sweep kind's grid values stand for
-_SWEPT_FIELD = {"losball_sweep": "net_radius", "mean_count_sweep": "density",
-                "nakagami_sweep": "m_los"}
-
-
 def validate_plan(plan):
     """Return ``plan``, or raise its first ConfigError before any row runs:
-    a set tolerance is a finite real number >= 0 (ToleranceNegative), each
-    grid value is a real number that obeys the rule of the config field it
-    stands for (a Nakagami order is also integral: model.nakagami_order),
-    each density_family value a density.  The threshold and Nakagami grids
-    of coverage_compare, se_compare and nakagami_sweep never go down
-    (GridNotAscending), a se_compare threshold is >= 0 bits/s/Hz
-    (model.check_thresholds: ThresholdNegative), and
-    mean_count_sweep and nakagami_sweep, whose gates count standard errors,
-    run at least 2 trials (TooFewTrials): one trial has no standard error."""
-    if plan.kind not in KINDS:
+    an unknown kind (UnknownPlanKind), an empty grid (EmptySweepGrid), the
+    check_run refusals of trials, seed and workers, fewer trials than the
+    kind's floor (TooFewTrials: one trial has no standard error), a set
+    tolerance that is not a finite real number >= 0 (ToleranceNegative),
+    an invalid config, a grid value that is not a real number or breaks
+    the rule of the config field it stands for (a Nakagami order is also
+    integral: model.nakagami_order), a grid that breaks the kind's grid
+    rule (model.check_grid: GridNotAscending; model.check_thresholds:
+    ThresholdNegative), and a density_family value that is not a density.
+    The floor, the field and the grid rule are the kind's row of _KINDS."""
+    if plan.kind not in _KINDS:
         raise ConfigError("UnknownPlanKind",
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
+    _, _, swept, grid_rule, floor = _KINDS[plan.kind]
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     mcsim.check_run(plan.trials, plan.seed, plan.workers)
-    if plan.kind in ("mean_count_sweep", "nakagami_sweep") and plan.trials < 2:
+    if plan.trials < floor:
         raise ConfigError("TooFewTrials", f"{plan.kind} gates on standard "
-                          f"errors, which need at least 2 trials, got {plan.trials}")
+                          f"errors, which need at least {floor} trials, got {plan.trials}")
     if plan.tolerance is not None:
         check_real("plan.tolerance", plan.tolerance)
         if plan.tolerance < 0.0:
             raise ConfigError("ToleranceNegative",
                               f"tolerance must be >= 0, got {plan.tolerance}")
     validate(plan.config)
-    swept = _SWEPT_FIELD.get(plan.kind)
     for v in plan.grid:
+        check_real("plan.grid value", v)
         if swept == "m_los":
             v = nakagami_order("plan.grid value", v)
-        else:
-            check_real("plan.grid value", v)
         if swept is not None:
             with_overrides(plan.config, **{swept: v})
-    if plan.kind in ("coverage_compare", "se_compare", "nakagami_sweep"):
-        check_grid(plan.kind, plan.grid)
-    if plan.kind == "se_compare":
-        check_thresholds("se_compare grid", plan.grid)
+    if grid_rule is not None:
+        grid_rule(plan.kind, plan.grid)
     for v in plan.density_family:
         with_overrides(plan.config, density=v)
     return plan
@@ -152,12 +149,13 @@ def write_csv(path, columns, rows, config, seed):
     return _write(path, "\n".join(lines) + "\n")
 
 
-# Each runner only computes.  It returns (csv name, columns, rows, summary
-# fields, failure): the summary fields are printed to summary.txt in order
-# and returned by run_plan, and failure is the ToleranceExceeded that
-# run_plan raises once the artifacts exist, or None when the gate holds.
+# Each runner only computes, from the plan and its gate's tolerance.  It
+# returns (csv name, columns, rows, summary fields, failure): the summary
+# fields are printed to summary.txt in order and returned by run_plan, and
+# failure is the ToleranceExceeded that run_plan raises once the artifacts
+# exist, or None when the gate holds.
 
-def _run_losball_sweep(plan):
+def _run_losball_sweep(plan, tol):
     cfg = plan.config
     W = cfg.blockage_diameter
     densities = tuple(plan.density_family) or (cfg.density,)
@@ -173,9 +171,8 @@ def _run_losball_sweep(plan):
             rows, {"rows": len(rows)}, None)
 
 
-def _run_mean_count_sweep(plan):
+def _run_mean_count_sweep(plan, se_multiple):
     cfg = plan.config
-    se_multiple = plan.tolerance if plan.tolerance is not None else 3.0
     rows = []
     worst = 0.0
     for lam in plan.grid:
@@ -195,9 +192,8 @@ def _run_mean_count_sweep(plan):
             {"max_z": worst, "tolerance": se_multiple}, failure)
 
 
-def _run_coverage_compare(plan):
+def _run_coverage_compare(plan, tol):
     cfg = plan.config
-    tol = plan.tolerance if plan.tolerance is not None else 0.03
     beta_db = np.asarray(plan.grid, dtype=float)
     beta = db_to_linear(beta_db)
     params = analytic.coverage_params(cfg)
@@ -216,9 +212,8 @@ def _run_coverage_compare(plan):
             failure)
 
 
-def _run_se_compare(plan):
+def _run_se_compare(plan, tol):
     cfg = plan.config
-    tol = plan.tolerance if plan.tolerance is not None else 0.05
     t_grid = np.asarray(plan.grid, dtype=float)
     params = analytic.coverage_params(cfg)
     cdf_a = 1.0 - np.asarray(analytic.spectral_efficiency_ccdf(t_grid, params))
@@ -237,12 +232,11 @@ def _run_se_compare(plan):
             {"sup_norm": sup, "tolerance": tol}, failure)
 
 
-def _run_nakagami_sweep(plan):
+def _run_nakagami_sweep(plan, se_multiple):
     # The analytic value is a strict upper bound on the true mean for m > 1
     # (its gap grows with m), so the gate checks the trend on both curves
     # and the bound direction rather than analytic == MC.
     cfg = plan.config
-    se_multiple = plan.tolerance if plan.tolerance is not None else 2.0
     rows = []
     for m in plan.grid:
         cfg_m = with_overrides(cfg, m_los=int(m))
@@ -267,15 +261,20 @@ def _run_nakagami_sweep(plan):
              "upper_bound": upper_bound, "tolerance": se_multiple}, failure)
 
 
-_RUNNERS = {
-    "losball_sweep": _run_losball_sweep,
-    "mean_count_sweep": _run_mean_count_sweep,
-    "coverage_compare": _run_coverage_compare,
-    "se_compare": _run_se_compare,
-    "nakagami_sweep": _run_nakagami_sweep,
+# kind: (runner, its gate's default tolerance, the config field each grid
+# value stands for, the rule of its threshold or order grid, the fewest
+# trials its gate can judge: 2 where it counts standard errors); None
+# where a kind has no gate, no such field or no such rule.
+_KINDS = {
+    "losball_sweep": (_run_losball_sweep, None, "net_radius", None, 1),
+    "mean_count_sweep": (_run_mean_count_sweep, 3.0, "density", None, 2),
+    "coverage_compare": (_run_coverage_compare, 0.03, None, check_grid, 1),
+    "se_compare": (_run_se_compare, 0.05, None, lambda kind, grid: check_thresholds(
+        f"{kind} grid", check_grid(kind, grid)), 1),
+    "nakagami_sweep": (_run_nakagami_sweep, 2.0, "m_los", check_grid, 2),
 }
 
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
 def _summary_value(value):
@@ -289,11 +288,14 @@ def run_plan(plan):
 
     Every kind writes its CSV and a one-line summary.txt,
     'kind=<kind> key=value ... status=PASS|FAIL' (booleans as PASS/FAIL,
-    other values as repr).  Raises ToleranceExceeded when a comparison gate
-    fails, after both artifacts are written with status FAIL.  Otherwise
+    other values as repr).  A gate without a set tolerance runs at the
+    kind's default from _KINDS.  Raises ToleranceExceeded when a comparison
+    gate fails, after both artifacts are written with status FAIL.  Otherwise
     returns {"kind", "files", <the summary fields>, "status": "PASS"}.
     """
-    name, columns, rows, fields, failure = _RUNNERS[validate_plan(plan).kind](plan)
+    runner, default, *_ = _KINDS[validate_plan(plan).kind]
+    name, columns, rows, fields, failure = runner(
+        plan, default if plan.tolerance is None else plan.tolerance)
     csv_path = write_csv(os.path.join(plan.out_dir, name), columns, rows,
                          plan.config, plan.seed)
     words = [f"kind={plan.kind}"]

@@ -11,11 +11,12 @@ that segment.  The set of such centers is a stadium of area
 so with blockage centers forming a PPP of density lambda the link is
 line of sight with probability exp(-lambda |A'(r)|).
 
-sample_ppp_disk draws a deployment, a PPP on a disk around the receiver:
-its Poisson count, then its uniforms as one 2 x n block, whose values are
-those of two successive draws of n (numpy fills a block in C order).  The
-transform of those uniforms to polar coordinates, disk_polar, draws
-nothing, so a caller may draw many blocks and transform them in one call.
+draw_ppp is the one draw of a deployment, a PPP on a disk around the
+receiver: its Poisson count, of mean ppp_mean, then its uniforms as one
+2 x n block, whose values are those of two successive draws of n (numpy
+fills a block in C order).  The transform of those uniforms to polar
+coordinates, disk_polar, draws nothing, so a caller may draw many blocks
+and transform them in one call; sample_ppp_disk draws and transforms one.
 classify_los decides which of a deployment's links the bodies block.
 """
 
@@ -43,19 +44,30 @@ def disk_polar(radius, x):
     return np.sqrt(r, out=r), phi
 
 
+def ppp_mean(density, radius):
+    """Mean point count of a PPP of given density on a disk of given radius."""
+    return density * (math.pi * (radius * radius))
+
+
+def draw_ppp(mean, rng):
+    """A PPP's draws: its Poisson count n of the given mean, then its (2, n)
+    block of radius and angle uniforms, which disk_polar transforms."""
+    return rng.random((2, rng.poisson(mean)))
+
+
 def sample_ppp_disk(density, radius, rng):
     """Sample a homogeneous PPP on a disk of given radius centered at the origin.
 
     Returns (r, phi): polar coordinates of the points, each shape (n,) with
-    n ~ Poisson(density * pi * radius^2), from one block of 2 x n uniforms
-    (see disk_polar).  Zero density yields an empty sample and draws
-    nothing; a radius that is not > 0 raises ValueError, and a density
-    that breaks the config field's rule (model.check_field) ConfigError.
+    n ~ Poisson(density * pi * radius^2): disk_polar of draw_ppp's block.
+    Zero density yields an empty sample and draws nothing; a radius that is
+    not > 0 raises ValueError, and a density that breaks the config field's
+    rule (model.check_field) ConfigError.
     """
     if not radius > 0.0:
         raise ValueError(f"need radius > 0, got {radius}")
-    n = rng.poisson(check_field("density", density) * (math.pi * (radius * radius)))
-    return disk_polar(radius, rng.random((2, n)))
+    mean = ppp_mean(check_field("density", density), radius)
+    return disk_polar(radius, draw_ppp(mean, rng))
 
 
 def blocking_area(r, W):

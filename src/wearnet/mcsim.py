@@ -57,19 +57,19 @@ value is the one a trial-by-trial loop gives.
 A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
 sets each trial's substream, draws its two PPPs' counts and uniform blocks
-(on the disks of one _field_disks call) and its activity uniforms, and
-saves a copy of the generator's four state words; the chunk's blocks are
-then transformed to points, one disk_polar call per PPP, and its fields
-classified at once.  The second pass writes each saved state back into
-the same generator and draws the LOS fading, the NLOS fading and the
-reference fading, with each trial's LOS count read off one cumsum of the
-chunk's mask; the chunk's LOS and NLOS draws are then scattered onto its
-links by two boolean assignments, which fill them in trial order.  The
-first pass draws no uint32, so its buffered uint32 stays cleared, and a
-restored state continues the stream exactly where the first pass left it:
-the draws and their order are those of a trial-by-trial loop.  The loop
-writes a full state before each next trial, so the second pass leaves
-nothing behind in the generator.
+(the one deployment draw, geometry.draw_ppp, on each of _field_disks'
+disks) and its activity uniforms, and saves a copy of the generator's four
+state words; the chunk's blocks are then transformed to points, one
+disk_polar call per PPP, and its fields classified at once.  The second
+pass writes each saved state back into the same generator and draws the
+LOS fading, the NLOS fading and the reference fading, with each trial's
+LOS count read off one cumsum of the chunk's mask; the chunk's LOS and
+NLOS draws are then scattered onto its links by two boolean assignments,
+which fill them in trial order.  The first pass draws no uint32, so its
+buffered uint32 stays cleared, and a restored state continues the stream
+exactly where the first pass left it: the draws and their order are those
+of a trial-by-trial loop.  The loop writes a full state before each next
+trial, so the second pass leaves nothing behind in the generator.
 
 Every refusal comes before any worker starts: an unknown mode, an invalid
 config, a config whose run constants do not exist (DensityTooHigh) and
@@ -90,9 +90,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import coverage_params, signal_power
-# sample_ppp_disk is the PPP draw that _draw_field repeats; the LOSBALL
-# test oracle and the benchmark's tracer look it up under this module
-from .geometry import classify_los, disk_polar, sample_ppp_disk
+# the LOSBALL test oracle and the benchmark's tracer look sample_ppp_disk
+# up under this module
+from .geometry import classify_los, disk_polar, draw_ppp, ppp_mean, sample_ppp_disk
 from .model import ConfigError, check_grid, rate_to_sinr, validate
 
 FULL = "full"
@@ -125,44 +125,29 @@ def sample_nakagami_power(m, rng, size=None):
 
 
 def _field_disks(cfg):
-    """The two disks of a FULL-mode deployment, each as (radius, Poisson
-    mean by sample_ppp_disk's expression): interferers on the network disk,
-    then blockage centers on the disk of radius r_net + W/2, so no edge
-    interferer's blocking region is truncated.
+    """The radii of a FULL-mode deployment's two disks: interferers on the
+    network disk, then blockage centers on the disk of radius r_net + W/2,
+    so no edge interferer's blocking region is truncated.
 
     ConfigError DensityTooHigh unless one numpy array can hold the (2, n)
-    float64 coordinates at the larger mean, the blockage disk's; numpy's
-    Poisson sampler takes every mean below that bound.
+    float64 coordinates at the larger Poisson mean, the blockage disk's;
+    numpy's Poisson sampler takes every mean below that bound.
     """
-    disks = tuple((radius, cfg.density * (math.pi * (radius * radius)))
-                  for radius in (cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter))
-    mean = disks[1][1]
+    radii = (cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter)
+    mean = ppp_mean(cfg.density, radii[1])
     if 16.0 * mean > np.iinfo(np.intp).max:
         raise ConfigError("DensityTooHigh",
                           f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
                           f"blockage centers on the deployment disk, more "
                           f"coordinates than one numpy array can hold")
-    return disks
-
-
-def _draw_field(disks, rng):
-    """One FULL-mode deployment's draws, sample_ppp_disk's on each of
-    _field_disks in turn: the interferers' Poisson count and their (2, n)
-    block of radius and angle uniforms, then the blockage centers'.  The
-    transform, _field_points, draws nothing."""
-    return tuple(rng.random((2, rng.poisson(mean))) for _, mean in disks)
-
-
-def _field_points(disks, *blocks):
-    """(r, phi) and (d, psi) from the uniform blocks of one or more
-    deployments side by side (see disk_polar)."""
-    return tuple(disk_polar(radius, x) for (radius, _), x in zip(disks, blocks))
+    return radii
 
 
 def sample_full_field(cfg, rng):
-    """One FULL-mode deployment (see _draw_field): (r, phi, los mask)."""
-    disks = _field_disks(cfg)
-    (r, phi), (d, psi) = _field_points(disks, *_draw_field(disks, rng))
+    """One FULL-mode deployment: (r, phi, los mask), the interferers and
+    then the blockage centers drawn by draw_ppp on _field_disks' disks."""
+    (r, phi), (d, psi) = (disk_polar(radius, draw_ppp(ppp_mean(cfg.density, radius), rng))
+                          for radius in _field_disks(cfg))
     return r, phi, classify_los(r, phi, d, psi, cfg.blockage_diameter)
 
 
@@ -435,7 +420,8 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     # (r, phi, u, h, los) for _interference, then h0.
     rng = np.random.Generator(np.random.PCG64(0))
     if mode == FULL:
-        disks = _field_disks(cfg)
+        radii = _field_disks(cfg)
+        means = [ppp_mean(cfg.density, radius) for radius in radii]
         words, restore = _state_words(rng.bit_generator)
         m_los, m_nlos = cfg.m_los, cfg.m_nlos
         fields = []
@@ -443,15 +429,15 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
         def draw(rng, links, trials):
             # the two uniform blocks and the activity uniforms; the fading
             # waits for the chunk's classification, from the words saved here
-            x, xb = _draw_field(disks, rng)
+            x, xb = (draw_ppp(mean, rng) for mean in means)
             fields.append((x, xb, rng.random(x.shape[1]), words.copy()))
             return x.shape[1]
 
         def columns(sizes):
             x, xb, u, states = zip(*fields)
             fields.clear()
-            (r, phi), (d, psi) = _field_points(disks, np.concatenate(x, axis=1),
-                                               np.concatenate(xb, axis=1))
+            (r, phi), (d, psi) = (disk_polar(radius, np.concatenate(blocks, axis=1))
+                                  for radius, blocks in zip(radii, (x, xb)))
             los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
                                [block.shape[1] for block in xb])
             # each trial's LOS count from one cumsum of the chunk's mask
@@ -471,7 +457,7 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             h[~los] = np.concatenate(h_nlos)
             return r, phi, np.concatenate(u), h, los, np.array(h0)
     else:
-        mean_count = cfg.density * (math.pi * (r_los * r_los))
+        mean_count = ppp_mean(cfg.density, r_los)
         m_los = cfg.m_los
         # the chunk's draws, trial after trial: a trial of n links drawn
         # after `links` links of `trials` trials holds the 4n + 1 values
@@ -625,10 +611,13 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
 
 def empirical_ccdf(samples, thresholds):
     """Exceedance counts of ``samples`` on an ascending threshold grid; a
-    malformed, NaN or descending grid is refused (see model.check_grid)."""
+    malformed, NaN or descending grid is refused (see model.check_grid),
+    and no samples at all as a trial count of 0 (TrialCountInvalid)."""
     thresholds = check_grid("threshold", thresholds)
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
+    if not n:
+        raise ConfigError("TrialCountInvalid", "an empirical CCDF needs at least one sample")
     p = (n - np.searchsorted(samples, thresholds, side="right")) / n
     return EmpiricalDistribution(thresholds=thresholds, ccdf=p, n_trials=n,
                                  stderr=np.sqrt(p * (1.0 - p) / n))

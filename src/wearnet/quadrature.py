@@ -120,7 +120,13 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     and still has a failing panel raises QuadratureNotConverged, carrying
     its best value, its error estimate and its index.  Returns a float array
     of the ``n`` integrals, each bit for bit the value it has alone.
+
+    ValueError, before ``f`` is called, for a bound that is not finite (an
+    infinity or a NaN) and for b < a.
     """
+    for name, end in (("a", a), ("b", b)):
+        if not math.isfinite(end):
+            raise ValueError(f"integration bound {name} must be finite, got {end}")
     if not (b >= a):
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     out = np.zeros(n)

@@ -177,7 +177,7 @@ def test_08_ergodic_se_rises_with_nakagami_order(tmp_path):
     assert (result["analytic_nondecreasing"] and result["mc_trend"]
             and result["upper_bound"])
     rows = [ln.split(",") for ln in
-            open(tmp_path / "nakagami_sweep.csv").read().splitlines()[2:]]
+            (tmp_path / "nakagami_sweep.csv").read_text().splitlines()[2:]]
     gaps = [float(a) - float(mc) for _, a, mc, _ in rows]
     print(f"PASS ergodic SE vs Nakagami order: analytic nondecreasing, "
           f"MC trend within 2 se, bound gaps "

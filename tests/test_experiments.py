@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wearnet import analytic, experiments, losball, mcsim, model
 
 
 def _summary(tmp_path):
-    return open(os.path.join(str(tmp_path), "summary.txt")).read()
+    return (Path(tmp_path) / "summary.txt").read_text()
 
 
 def _plan(tmp_path, **kw):
@@ -107,10 +108,11 @@ def test_bad_tolerance_refused_before_rows(tmp_path, monkeypatch, tolerance,
                                            violation):
     # a NaN or negative tolerance used to run the whole plan, then fail its
     # gate (status=FAIL tolerance=nan)
-    def not_called(plan):
+    def not_called(*args):
         raise AssertionError("a row was computed before the plan was refused")
 
-    monkeypatch.setitem(experiments._RUNNERS, "coverage_compare", not_called)
+    monkeypatch.setitem(experiments._KINDS, "coverage_compare",
+                        (not_called, *experiments._KINDS["coverage_compare"][1:]))
     with pytest.raises(model.ConfigError) as err:
         experiments.run_plan(_plan(tmp_path, kind="coverage_compare",
                                    tolerance=tolerance))
@@ -132,10 +134,11 @@ def test_bad_grid_order_refused_before_rows(tmp_path, monkeypatch, kind, grid,
     # a grid that goes down used to run every row, then fail the nakagami
     # gate (analytic nondecreasing False), or stop a comparison on an
     # unnamed ValueError after its analytic route ran
-    def not_called(plan):
+    def not_called(*args):
         raise AssertionError("a row was computed before the plan was refused")
 
-    monkeypatch.setitem(experiments._RUNNERS, kind, not_called)
+    monkeypatch.setitem(experiments._KINDS, kind,
+                        (not_called, *experiments._KINDS[kind][1:]))
     with pytest.raises(model.ConfigError) as err:
         experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid))
     assert err.value.violation == violation
@@ -151,10 +154,11 @@ def test_single_trial_refused_where_gates_count_standard_errors(
         tmp_path, monkeypatch, kind, grid):
     # one trial has no standard error: its stderr was inf, which passed
     # both gates (max_z = 0.0) without testing anything
-    def not_called(plan):
+    def not_called(*args):
         raise AssertionError("a row was computed before the plan was refused")
 
-    monkeypatch.setitem(experiments._RUNNERS, kind, not_called)
+    monkeypatch.setitem(experiments._KINDS, kind,
+                        (not_called, *experiments._KINDS[kind][1:]))
     with pytest.raises(model.ConfigError) as err:
         experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid, trials=1))
     assert err.value.violation == "TooFewTrials"
@@ -194,7 +198,7 @@ def test_write_csv_format(tmp_path):
     cfg = make_config()
     path = experiments.write_csv(str(tmp_path / "t.csv"), ("a", "b"),
                                  [(1, 0.5), (2, 1.0 / 3.0)], cfg, seed=5)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == f"# config_hash={model.config_hash(cfg)} seed=5"
     assert lines[1] == "a,b"
     assert lines[2] == "1,0.5"
@@ -214,7 +218,7 @@ def test_losball_sweep(tmp_path):
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS"
     path = os.path.join(str(tmp_path), "losball.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[1] == "lambda,W,r_net,mean_los,r_los,r_los_limit"
     assert len(lines) == 2 + 4  # comment, header, 2 densities x 2 radii
     lam, W, r_net, mean_los, r_los, limit = (float(v) for v in lines[2].split(","))
@@ -231,7 +235,7 @@ def test_mean_count_sweep(tmp_path):
                  trials=500, tolerance=4.0)
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS" and result["max_z"] <= 4.0
-    lines = open(os.path.join(str(tmp_path), "mean_count.csv")).read().splitlines()
+    lines = (tmp_path / "mean_count.csv").read_text().splitlines()
     assert lines[1] == "lambda,mean_los_analytic,mean_los_mc,stderr"
     lam, a, mc, se = (float(v) for v in lines[2].split(","))
     assert a == losball.mean_los_interferers(2.0, 0.3, 10.0)
@@ -249,7 +253,7 @@ def test_coverage_compare(tmp_path):
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS"
     assert result["bound_direction"] is True
-    lines = open(os.path.join(str(tmp_path), "coverage_compare.csv")).read().splitlines()
+    lines = (tmp_path / "coverage_compare.csv").read_text().splitlines()
     assert lines[1] == "beta_dB,ccdf_analytic,ccdf_sim,stderr"
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
     assert np.all(np.diff(body[:, 1]) <= 1e-12)  # analytic CCDF nonincreasing
@@ -277,7 +281,7 @@ def test_se_compare(tmp_path):
                  trials=1500, tolerance=0.08)
     result = experiments.run_plan(plan)
     assert result["status"] == "PASS"
-    lines = open(os.path.join(str(tmp_path), "se_compare.csv")).read().splitlines()
+    lines = (tmp_path / "se_compare.csv").read_text().splitlines()
     assert lines[1] == ("eta_bps_hz,cdf_full,stderr_full,cdf_losball,"
                         "stderr_losball,cdf_analytic")
     body = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
@@ -293,12 +297,27 @@ def test_nakagami_sweep(tmp_path):
     assert result["status"] == "PASS"
     assert (result["analytic_nondecreasing"] and result["mc_trend"]
             and result["upper_bound"])
-    lines = open(os.path.join(str(tmp_path), "nakagami_sweep.csv")).read().splitlines()
+    lines = (tmp_path / "nakagami_sweep.csv").read_text().splitlines()
     assert lines[1] == "m,se_analytic,se_mc,stderr"
     assert lines[2].startswith("1,")
     assert _summary(tmp_path) == (
         "kind=nakagami_sweep analytic_nondecreasing=PASS mc_trend=PASS "
         "upper_bound=PASS tolerance=2.0 status=PASS\n")
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_default_tolerance_per_kind(tmp_path, kind):
+    # tolerance=None gates at the kind's default; losball_sweep has no gate
+    default = {"losball_sweep": None, "mean_count_sweep": "3.0",
+               "coverage_compare": "0.03", "se_compare": "0.05",
+               "nakagami_sweep": "2.0"}[kind]
+    grid = (1, 2) if kind == "nakagami_sweep" else (5.0, 10.0)
+    try:
+        experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid, trials=2))
+    except experiments.ToleranceExceeded as err:
+        assert repr(err.tolerance) == default
+    fields = dict(word.split("=", 1) for word in _summary(tmp_path).split())
+    assert fields.get("tolerance") == default
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -314,7 +333,7 @@ def test_rerun_byte_identical(tmp_path):
 def test_figure_configs(tmp_path):
     for fid in experiments.FIGURE_IDS:
         path = experiments.emit_figure_config(fid, str(tmp_path / f"{fid}.cfg"))
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "alpha_L = REQUIRED" in text
         assert "noise_power = REQUIRED" in text
         # loading must refuse until the user fills the placeholders

@@ -132,6 +132,13 @@ def test_empirical_ccdf_rejects_bad_grid():
     assert np.array_equal(dist.ccdf, [0.5, 0.0, 0.0])
 
 
+def test_empirical_ccdf_refuses_no_samples():
+    # no samples gave a CCDF and stderr of NaN and a RuntimeWarning
+    with pytest.raises(ConfigError) as err:
+        mcsim.empirical_ccdf(np.array([]), [0.0, 1.0])
+    assert err.value.violation == "TrialCountInvalid"
+
+
 def test_bad_threshold_grid_refused_before_trials(monkeypatch):
     # an empty or 2-d grid, a NaN (which passes every order comparison) or
     # a value below the one before it is a named ConfigError raised before

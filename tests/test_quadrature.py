@@ -53,6 +53,22 @@ def test_reversed_bounds_rejected():
         adaptive_gauss_legendre(np.exp, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (math.nan, 1.0), (0.0, math.nan)],
+                         ids=["b-inf", "a-minus-inf", "a-nan", "b-nan"])
+def test_non_finite_bounds_refused_before_any_call(a, b):
+    # such a bound used to run the whole panel budget on NaN nodes, then
+    # raise QuadratureNotConverged with a NaN error (a NaN bound as "out of
+    # order")
+    def not_called(*args):
+        raise AssertionError("the integrand was called")
+
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_batch(not_called, 2, a, b)
+    with pytest.raises(ValueError, match="must be finite"):
+        adaptive_gauss_legendre(not_called, a, b)
+
+
 def test_panel_budget_exhaustion(monkeypatch):
     # rapidly oscillating integrand with a tiny budget must refuse, not
     # silently return garbage, and must carry its best estimate
