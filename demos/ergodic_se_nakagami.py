@@ -9,6 +9,7 @@ and the bound direction, not pointwise equality.
 Run:  python3 demos/ergodic_se_nakagami.py
 """
 
+import dataclasses
 import os
 
 from wearnet import analytic, mcsim, model
@@ -32,7 +33,7 @@ def main():
           f"{N_TRIALS} trials per point")
     print(f"{'m':>4} {'analytic':>10} {'sampled':>10} {'se':>8} {'gap':>8}")
     for m in ORDERS:
-        cfg_m = model.with_overrides(cfg, m_los=m)
+        cfg_m = dataclasses.replace(cfg, m_los=m)
         params = analytic.coverage_params(cfg_m)
         se_a = analytic.ergodic_spectral_efficiency(params)
         se_mc, err = mcsim.estimate_ergodic_se(mcsim.LOSBALL, cfg_m,

@@ -8,6 +8,7 @@ crowds block more: the count drops even though more users are present.
 Run:  python3 demos/mean_count_vs_density.py
 """
 
+import dataclasses
 import os
 
 from wearnet import losball, mcsim, model
@@ -37,7 +38,7 @@ def main():
     for lam in DENSITIES:
         analytic_mean = losball.mean_los_interferers(
             lam, cfg.blockage_diameter, cfg.net_radius)
-        cfg_l = model.with_overrides(cfg, density=lam)
+        cfg_l = dataclasses.replace(cfg, density=lam)
         mc, se = mcsim.estimate_mean_los_count(cfg_l, N_DEPLOYMENTS, SEED)
         z = abs(mc - analytic_mean) / se
         print(f"{lam:8.1f} {analytic_mean:10.3f} {mc:10.3f} {se:8.3f} {z:6.2f}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losball import los_ball_radius
-from .model import ConfigError, check_thresholds, gain_pairs, rate_to_sinr, validate
+from .model import ConfigError, check_thresholds, gain_pairs, rate_to_sinr
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # The alternating binomial sum below loses roughly one digit per doubling of
@@ -42,7 +42,7 @@ _LAPLACE_REL_TOL = 1e-10
 class CoverageParams:
     """Everything beta-independent in the coverage bound.
 
-    config        validated NetworkConfig
+    config        the NetworkConfig
     gain_table    joint interferer gain table (q, G)
     r_los         equivalent LOS ball radius (m)
     sigma2_total  noise power plus mean weak-interference power (linear)
@@ -72,14 +72,17 @@ def nlos_mean_power(config, r_los):
         rho * p_t * (q.G) * 2 pi lambda * (r_los^(2-aN) - r_net^(2-aN)) / (aN - 2),
 
     finite because alpha_N > 2.  Zero when the ball fills the network disk
-    or no interferer transmits.
-    ConfigError DensityTooHigh when the ball is so small that the power is
-    not finite (above about 1.03e4 bodies/m^2 at W = 0.3 m, alpha_N = 3.4).
+    or no interferer transmits.  alpha_N <= 2 would flip the sign; no
+    NetworkConfig holds it.
+    ConfigError LosRadiusOutOfRange unless 0 <= r_los <= r_net (a NaN
+    included), DensityTooHigh when the ball is so small that the radial
+    term is not finite (above about 1.03e4 bodies/m^2 at W = 0.3 m,
+    alpha_N = 3.4), and NlosPowerOverflow when its product with the
+    prefactor passes the float range (power_ratio = 1e308).
     """
-    # alpha_N <= 2 would flip the sign below; validate refuses it
-    config = validate(config)
-    if not (r_los <= config.net_radius):
-        raise ValueError(f"r_los {r_los} exceeds net_radius {config.net_radius}")
+    if not (0.0 <= r_los <= config.net_radius):
+        raise ConfigError("LosRadiusOutOfRange", f"r_los must lie in [0, net_radius] = "
+                          f"[0, {config.net_radius}], got {r_los}")
     if r_los == config.net_radius or config.density == 0.0 or config.tx_probability == 0.0:
         return 0.0
     table = gain_pairs(config.tx_pattern, config.rx_pattern)
@@ -87,19 +90,19 @@ def nlos_mean_power(config, r_los):
     try:
         radial = (r_los ** a - config.net_radius ** a) / (config.alpha_nlos - 2.0)
     except (ZeroDivisionError, OverflowError):  # r_los == 0 or r_los^a > 1e308
-        radial = math.inf
+        raise ConfigError("DensityTooHigh",
+                          f"density {config.density} leaves a LOS ball of radius "
+                          f"{r_los}; the mean NLOS interference power diverges") from None
     power = (config.power_ratio * config.tx_probability * table.mean_gain()
              * 2.0 * math.pi * config.density * radial)
     if not math.isfinite(power):
-        raise ConfigError("DensityTooHigh",
-                          f"density {config.density} leaves a LOS ball of radius "
-                          f"{r_los}; the mean NLOS interference power diverges")
+        raise ConfigError("NlosPowerOverflow", f"the mean NLOS interference power "
+                          f"at LOS ball radius {r_los} passes the float range")
     return power
 
 
 def coverage_params(config):
     """Precompute the beta-independent pieces of the coverage bound."""
-    config = validate(config)
     r_los = los_ball_radius(config.density, config.blockage_diameter,
                             config.net_radius)
     return CoverageParams(

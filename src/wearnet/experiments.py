@@ -15,14 +15,14 @@ comment line carrying the config hash and master seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analytic, losball, mcsim
 from .model import (CONFIG_KEYS, REQUIRED_PLACEHOLDER, ConfigError,
                     check_grid, check_real, check_thresholds, config_hash,
-                    db_to_linear, nakagami_order, validate, with_overrides)
+                    db_to_linear, nakagami_order)
 
 
 class IoError(Exception):
@@ -50,7 +50,7 @@ class ExperimentPlan:
     """One reproducible experiment.
 
     kind            one of KINDS
-    config          base NetworkConfig (validated on use)
+    config          base NetworkConfig, valid once it exists
     grid            kind-specific sweep values: net_radius grid
                     (losball_sweep), densities (mean_count_sweep), SINR
                     thresholds in dB (coverage_compare), spectral-efficiency
@@ -88,10 +88,11 @@ def validate_plan(plan):
     check_run refusals of trials, seed and workers, fewer trials than the
     kind's floor (TooFewTrials: one trial has no standard error), a set
     tolerance that is not a finite real number >= 0 (ToleranceNegative),
-    an invalid config, a grid value that is not a real number or breaks
-    the rule of the config field it stands for (a Nakagami order is also
-    integral: model.nakagami_order), a grid that breaks the kind's grid
-    rule (model.check_grid: GridNotAscending; model.check_thresholds:
+    a grid value that is not a real number or breaks the rule of the
+    config field it stands for (the NetworkConfig that dataclasses.replace
+    makes with it refuses it; a Nakagami order is also integral:
+    model.nakagami_order), a grid that breaks the kind's grid rule
+    (model.check_grid: GridNotAscending; model.check_thresholds:
     ThresholdNegative), and a density_family value that is not a density.
     The floor, the field and the grid rule are the kind's row of _KINDS."""
     if plan.kind not in _KINDS:
@@ -109,17 +110,16 @@ def validate_plan(plan):
         if plan.tolerance < 0.0:
             raise ConfigError("ToleranceNegative",
                               f"tolerance must be >= 0, got {plan.tolerance}")
-    validate(plan.config)
     for v in plan.grid:
         check_real("plan.grid value", v)
         if swept == "m_los":
             v = nakagami_order("plan.grid value", v)
         if swept is not None:
-            with_overrides(plan.config, **{swept: v})
+            replace(plan.config, **{swept: v})
     if grid_rule is not None:
         grid_rule(plan.kind, plan.grid)
     for v in plan.density_family:
-        with_overrides(plan.config, density=v)
+        replace(plan.config, density=v)
     return plan
 
 
@@ -176,7 +176,7 @@ def _run_mean_count_sweep(plan, se_multiple):
     rows = []
     worst = 0.0
     for lam in plan.grid:
-        cfg_l = with_overrides(cfg, density=float(lam))
+        cfg_l = replace(cfg, density=float(lam))
         analytic_mean = losball.mean_los_interferers(
             lam, cfg.blockage_diameter, cfg.net_radius)
         mc_mean, se = mcsim.estimate_mean_los_count(cfg_l, plan.trials,
@@ -239,7 +239,7 @@ def _run_nakagami_sweep(plan, se_multiple):
     cfg = plan.config
     rows = []
     for m in plan.grid:
-        cfg_m = with_overrides(cfg, m_los=int(m))
+        cfg_m = replace(cfg, m_los=int(m))
         params = analytic.coverage_params(cfg_m)
         se_a = analytic.ergodic_spectral_efficiency(params)
         se_mc, err = mcsim.estimate_ergodic_se(mcsim.LOSBALL, cfg_m,

@@ -71,11 +71,13 @@ exactly where the first pass left it: the draws and their order are those
 of a trial-by-trial loop.  The loop writes a full state before each next
 trial, so the second pass leaves nothing behind in the generator.
 
-Every refusal comes before any worker starts: an unknown mode, an invalid
-config, a config whose run constants do not exist (DensityTooHigh) and
-the run counts that check_run refuses are raised in the calling process,
-so a run split across workers fails exactly as a serial run does.  The
-trial ranges themselves raise nothing.
+Every refusal of an input comes before any worker starts: an unknown
+mode, a config whose run constants do not exist (DensityTooHigh) and the
+run counts that check_run refuses are raised in the calling process, so
+a run split across workers fails exactly as a serial run does; a config
+itself is valid once it exists (model.NetworkConfig).  The trial ranges
+themselves raise nothing; a NaN SINR among their samples is refused once,
+after the run (SampleNaN).
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from .analytic import coverage_params, signal_power
 # the LOSBALL test oracle and the benchmark's tracer look sample_ppp_disk
 # up under this module
 from .geometry import classify_los, disk_polar, draw_ppp, ppp_mean, sample_ppp_disk
-from .model import ConfigError, check_grid, rate_to_sinr, validate
+from .model import ConfigError, check_grid, rate_to_sinr
 
 FULL = "full"
 LOSBALL = "losball"
@@ -507,14 +509,15 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
     def flush(sizes, done):
         sizes = np.array(sizes)
         *links, h0 = columns(sizes)
-        interference = _interference(cfg, sizes, *links)
         rows = out[done:done + sizes.size]
         # SINR = +inf where the denominator is 0 (no noise and no
-        # interference) or the quotient passes the float range;
-        # estimate_ergodic_se refuses such samples by name
-        with np.errstate(divide="ignore", over="ignore"):
+        # interference) or the quotient passes the float range, which
+        # estimate_ergodic_se refuses by name; an interference sum past
+        # the float range is +inf, and the SINR NaN where the signal is
+        # +inf too, which simulate_sinr_samples refuses
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rows[:, 1] = interference = _interference(cfg, sizes, *links)
             rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
-        rows[:, 1] = interference
         return done + sizes.size
 
     # one flat loop: set a trial's substream, draw, and flush a chunk once
@@ -588,36 +591,48 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     """Per-trial (sinr, interference) array, shape (n_trials, 2).
 
     Trial k is fully determined by (mode, config, master_seed, k), so any
-    worker split returns the identical array.  Every refusal is raised here,
-    before any worker starts: ValueError for an unknown mode; ConfigError
-    for an invalid config, DensityTooHigh in FULL when one numpy array
-    cannot hold a deployment's coordinates at its mean count and in LOSBALL
-    when the mean power outside the LOS ball is not finite, and the
-    check_run refusals of n_trials, master_seed and workers.
+    worker split returns the identical array.  Every refusal of an input
+    is raised here, before any worker starts: ValueError for an unknown
+    mode; ConfigError DensityTooHigh in FULL when one numpy array cannot
+    hold a deployment's coordinates at its mean count, in LOSBALL
+    analytic.nlos_mean_power's refusals of the mean power outside the LOS
+    ball, and the check_run refusals of n_trials, master_seed and workers.
+    After the run, ConfigError SampleNaN when a trial's SINR is NaN: a
+    signal power and an interference sum both past the float range.
     """
     if mode not in (FULL, LOSBALL):
         raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
-    cfg = validate(config)
-    r_los, sigma2 = None, cfg.noise_power
+    r_los, sigma2 = None, config.noise_power
     if mode == FULL:
-        _field_disks(cfg)  # DensityTooHigh here, before any worker starts
+        _field_disks(config)  # DensityTooHigh here, before any worker starts
     else:
         # the closed form's LOS ball, everything outside it as its mean power
-        params = coverage_params(cfg)
+        params = coverage_params(config)
         r_los, sigma2 = params.r_los, params.sigma2_total
-    return _map_trials(_run_sinr_range, n_trials, master_seed, workers,
-                       mode, cfg, r_los, sigma2)
+    samples = _map_trials(_run_sinr_range, n_trials, master_seed, workers,
+                          mode, config, r_los, sigma2)
+    _refuse_nan(samples[:, 0], "trials have a NaN SINR: signal and interference "
+                "power both pass the float range")
+    return samples
+
+
+def _refuse_nan(values, what):
+    if nan := np.count_nonzero(np.isnan(values)):
+        raise ConfigError("SampleNaN", f"{nan} of {values.size} {what}")
 
 
 def empirical_ccdf(samples, thresholds):
     """Exceedance counts of ``samples`` on an ascending threshold grid; a
     malformed, NaN or descending grid is refused (see model.check_grid),
-    and no samples at all as a trial count of 0 (TrialCountInvalid)."""
+    no samples at all as a trial count of 0 (TrialCountInvalid), and a NaN
+    sample, which the count would take as above every threshold, as
+    SampleNaN."""
     thresholds = check_grid("threshold", thresholds)
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if not n:
         raise ConfigError("TrialCountInvalid", "an empirical CCDF needs at least one sample")
+    _refuse_nan(samples, "samples are NaN")
     p = (n - np.searchsorted(samples, thresholds, side="right")) / n
     return EmpiricalDistribution(thresholds=thresholds, ccdf=p, n_trials=n,
                                  stderr=np.sqrt(p * (1.0 - p) / n))
@@ -679,12 +694,11 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
 
     Pure geometry: interferers on the network disk, blockages on the
     enlarged disk, exact classification; no marks or fading involved.
-    An invalid config, a density whose deployment coordinates one numpy
-    array cannot hold (DensityTooHigh), and a bad count or seed are refused
-    before any worker starts.
+    A density whose deployment coordinates one numpy array cannot hold
+    (DensityTooHigh) and a bad count or seed are refused before any worker
+    starts.
     """
-    cfg = validate(config)
-    _field_disks(cfg)  # DensityTooHigh here, before any worker starts
+    _field_disks(config)  # DensityTooHigh here, before any worker starts
     counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
-                         workers, cfg)
+                         workers, config)
     return _mean_and_se(counts.astype(float))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,6 +89,18 @@ class NetworkConfig:
     ref_distance       distance of the reference transmitter (m)
     noise_power        thermal noise, same linear normalization as received powers
     power_ratio        interferer-to-reference transmit power ratio (1 = equal power)
+
+    Every model invariant is checked when a config is made, by direct
+    construction, config_from_keys or dataclasses.replace, so a
+    NetworkConfig that exists is valid.  The first failed invariant raises
+    ConfigError with a named violation: the fields of _RANGES by
+    check_field, in the table's order, then net_radius, the antenna
+    patterns and the Nakagami orders.  A length, probability, exponent,
+    power, gain or beamwidth that is not a real number is ``ValueNotReal``,
+    an infinite or NaN one ``ValueNotFinite``, and a Nakagami order that is
+    a bool or not a positive integer ``NakagamiOrderInvalid``.
+    density = 0 is accepted and means an empty network (no interferers and
+    no blockages), which is a well-defined degenerate case.
     """
 
     density: float
@@ -104,6 +116,26 @@ class NetworkConfig:
     ref_distance: float
     noise_power: float
     power_ratio: float = 1.0
+
+    def __post_init__(self):
+        for name in _RANGES:
+            check_field(name, getattr(self, name))
+        check_real("net_radius", self.net_radius)
+        if not (self.net_radius > self.blockage_diameter):
+            raise ConfigError("NetRadiusTooSmall",
+                              f"net_radius must exceed the blockage diameter, got "
+                              f"{self.net_radius} <= {self.blockage_diameter}")
+        _check_pattern(self.tx_pattern, "transmit")
+        _check_pattern(self.rx_pattern, "receive")
+        for name, value in (("m", self.m_los), ("m_nlos", self.m_nlos)):
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ConfigError("NakagamiOrderInvalid",
+                                  f"{name} must be a positive integer, got {value!r}")
+            if value > MAX_NAKAGAMI_M:
+                raise ConfigError("NakagamiOrderTooLarge",
+                                  f"{name} = {value} exceeds the numerically safe maximum "
+                                  f"{MAX_NAKAGAMI_M}")
 
 
 @dataclass(frozen=True)
@@ -227,40 +259,6 @@ def _check_pattern(pat, side):
                           f"{side} beamwidth must lie in (0, 2*pi], got {pat.beamwidth}")
 
 
-def validate(config):
-    """Check every model invariant; return ``config`` unchanged if all hold.
-
-    Raises ConfigError with a named violation for the first failed invariant:
-    the fields of _RANGES by check_field, in the table's order, then
-    net_radius, the antenna patterns and the Nakagami orders.  A length,
-    probability, exponent, power, gain or beamwidth that is not a real
-    number is ``ValueNotReal``, an infinite or NaN one ``ValueNotFinite``,
-    and a Nakagami order that is a bool or not a positive integer
-    ``NakagamiOrderInvalid``.
-    density = 0 is accepted and means an empty network (no interferers and
-    no blockages), which is a well-defined degenerate case.
-    """
-    for name in _RANGES:
-        check_field(name, getattr(config, name))
-    check_real("net_radius", config.net_radius)
-    if not (config.net_radius > config.blockage_diameter):
-        raise ConfigError("NetRadiusTooSmall",
-                          f"net_radius must exceed the blockage diameter, got "
-                          f"{config.net_radius} <= {config.blockage_diameter}")
-    _check_pattern(config.tx_pattern, "transmit")
-    _check_pattern(config.rx_pattern, "receive")
-    for name, value in (("m", config.m_los), ("m_nlos", config.m_nlos)):
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < 1):
-            raise ConfigError("NakagamiOrderInvalid",
-                              f"{name} must be a positive integer, got {value!r}")
-        if value > MAX_NAKAGAMI_M:
-            raise ConfigError("NakagamiOrderTooLarge",
-                              f"{name} = {value} exceeds the numerically safe maximum "
-                              f"{MAX_NAKAGAMI_M}")
-    return config
-
-
 def gain_pairs(tx, rx):
     """Joint gain-combination table for independent, uniformly oriented antennas.
 
@@ -298,7 +296,7 @@ REQUIRED_PLACEHOLDER = "REQUIRED"
 
 
 def config_from_keys(values):
-    """Build a validated NetworkConfig from a dict of external-unit values.
+    """Build a NetworkConfig from a dict of external-unit values.
 
     ``values`` maps the configuration-file keys (CONFIG_KEYS) to numbers in
     file units (dB gains, degree beamwidths).  Unknown keys are rejected.
@@ -333,7 +331,7 @@ def config_from_keys(values):
             check_real(key, v)
         return nakagami_order(key, v) if key in _INT_KEYS else float(v)
 
-    config = NetworkConfig(
+    return NetworkConfig(
         density=num("lambda"),
         blockage_diameter=num("W"),
         net_radius=num("r_net"),
@@ -352,7 +350,6 @@ def config_from_keys(values):
         noise_power=num("noise_power"),
         power_ratio=num("power_ratio"),
     )
-    return validate(config)
 
 
 def parse_key_values(text):
@@ -400,8 +397,3 @@ def config_hash(config):
             parts.append(f"{f.name}={value!r}")
     digest = hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
     return digest[:12]
-
-
-def with_overrides(config, **changes):
-    """Return a validated copy of ``config`` with internal-unit fields replaced."""
-    return validate(replace(config, **changes))

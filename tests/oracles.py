@@ -37,7 +37,6 @@ import numpy as np
 from wearnet import mcsim
 from wearnet.analytic import _LAPLACE_ABS_TOL, _LAPLACE_REL_TOL, nlos_mean_power
 from wearnet.losball import los_ball_radius
-from wearnet.model import validate
 from wearnet.quadrature import integrate_batch
 
 
@@ -186,9 +185,8 @@ def _interference(cfg, r, phi, los, rng):
     return cfg.power_ratio * float(np.sum(tx_gain * rx_gain * h * path))
 
 
-def sinr_samples(mode, config, start, stop, master_seed):
+def sinr_samples(mode, cfg, start, stop, master_seed):
     """(sinr, interference) of trials [start, stop), one trial at a time."""
-    cfg = validate(config)
     signal_coef = (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
                    * cfg.ref_distance ** (-cfg.alpha_los))
     r_los = los_ball_radius(cfg.density, cfg.blockage_diameter, cfg.net_radius)
@@ -226,12 +224,11 @@ def sample_ppp_annulus(density, r_in, r_out, rng):
     return r, phi
 
 
-def annulus_interference(config, r_los, n_deployments, master_seed):
+def annulus_interference(cfg, r_los, n_deployments, master_seed):
     """Per-deployment interference from the annulus [r_los, r_net], every
     link blocked (path-loss exponent alpha_nlos, fading m_nlos), with the
     activity and antenna marks sampled; deployment k draws the annulus PPP,
     the activity uniforms and the fading from substream(master_seed, k)."""
-    cfg = validate(config)
     totals = np.empty(n_deployments)
     for k in range(n_deployments):
         rng = substream(master_seed, k)

@@ -13,6 +13,7 @@ alpha_N = 3.4, R0 = 0.25 m, unit noise) and every tolerance below is met
 with them.
 """
 
+import dataclasses
 import math
 import time
 
@@ -96,7 +97,7 @@ def test_04_mean_los_count_decreases_with_density():
     cfg5 = figure_config("fig5")
     zs = []
     for i, lam in enumerate(lams):
-        cfg = model.with_overrides(cfg5, density=lam)
+        cfg = dataclasses.replace(cfg5, density=lam)
         mc, se = mcsim.estimate_mean_los_count(cfg, 3000, master_seed=102 + i)
         zs.append(abs(mc - means[i]) / se)
         assert abs(mc - means[i]) < 3.0 * se, (lam, mc, means[i], se)

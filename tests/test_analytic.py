@@ -41,8 +41,6 @@ def test_nlos_mean_power_trivial_cases():
     assert analytic.nlos_mean_power(make_config(p_t=0.0), 1.0) == 0.0
     assert analytic.nlos_mean_power(make_config(**{"lambda": 0.0}), 1.0) == 0.0
     assert analytic.nlos_mean_power(cfg, cfg.net_radius) == 0.0  # empty annulus
-    with pytest.raises(ValueError):
-        analytic.nlos_mean_power(cfg, cfg.net_radius + 0.1)
     # an empty (or vanishing) LOS ball: the integral of r^(1-aN) diverges
     # at 0 (or overflows), unless no interferer transmits
     for r_los in (0.0, 1e-250):
@@ -50,10 +48,25 @@ def test_nlos_mean_power_trivial_cases():
         with pytest.raises(model.ConfigError) as err:
             analytic.nlos_mean_power(cfg, r_los)
         assert err.value.violation == "DensityTooHigh"
-    # alpha_N <= 2 would flip the sign of the formula; validate refuses it
+    # alpha_N <= 2 would flip the sign of the formula; no config holds it
     with pytest.raises(model.ConfigError) as err:
         analytic.nlos_mean_power(dataclasses.replace(cfg, alpha_nlos=2.0), 1.0)
     assert err.value.violation == "AlphaNlosTooSmall"
+
+
+@pytest.mark.parametrize("r_los, overrides, violation", [
+    (10.1, {}, "LosRadiusOutOfRange"),
+    # (-1.0) ** -1.4 is a complex number in Python
+    (-1.0, {}, "LosRadiusOutOfRange"),
+    (math.nan, {}, "LosRadiusOutOfRange"),
+    # the default density's LOS ball: the radial term is finite, and its
+    # product with the prefactor passes the float range
+    (1.41, {"power_ratio": 1e308}, "NlosPowerOverflow"),
+], ids=["above-r_net", "negative", "nan", "product-overflow"])
+def test_nlos_mean_power_refusals_name_their_cause(r_los, overrides, violation):
+    with pytest.raises(model.ConfigError) as err:
+        analytic.nlos_mean_power(make_config(**overrides), r_los)
+    assert err.value.violation == violation
 
 
 def test_nlos_mean_power_matches_quadrature():
@@ -418,5 +431,5 @@ FIG8_ERGODIC_SE = (3.336852895599304, 3.5540301871061977, 3.728099417166248,
 def test_ergodic_se_fig8_frozen():
     cfg = figure_config("fig8")
     for m, want in zip((1, 2, 4, 8, 16), FIG8_ERGODIC_SE):
-        p = analytic.coverage_params(model.with_overrides(cfg, m_los=m))
+        p = analytic.coverage_params(dataclasses.replace(cfg, m_los=m))
         assert abs(analytic.ergodic_spectral_efficiency(p) - want) < 1e-9, m

@@ -1,5 +1,6 @@
 """Experiment plans, CSV artifacts, comparison gates, figure configs."""
 
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -240,7 +241,7 @@ def test_mean_count_sweep(tmp_path):
     lam, a, mc, se = (float(v) for v in lines[2].split(","))
     assert a == losball.mean_los_interferers(2.0, 0.3, 10.0)
     want_mc, want_se = mcsim.estimate_mean_los_count(
-        model.with_overrides(plan.config, density=2.0), 500, 7)
+        dataclasses.replace(plan.config, density=2.0), 500, 7)
     assert mc == want_mc and se == want_se
     assert _summary(tmp_path) == (f"kind=mean_count_sweep max_z={result['max_z']!r} "
                                   "tolerance=4.0 status=PASS\n")

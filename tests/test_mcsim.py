@@ -139,6 +139,25 @@ def test_empirical_ccdf_refuses_no_samples():
     assert err.value.violation == "TrialCountInvalid"
 
 
+def test_nan_sinr_refused_not_counted():
+    # a reference power and an interference sum both past the float range
+    # give every FULL trial the SINR inf / inf = NaN, which a CCDF would
+    # count as above every threshold and a mean rate would carry as NaN;
+    # the overflow and the NaN raise no RuntimeWarning on the way
+    cfg = make_config(R0=1e-100, power_ratio=1e308)
+    for call in (lambda: mcsim.simulate_sinr_samples(mcsim.FULL, cfg, 5, 0),
+                 lambda: mcsim.simulate_ccdf(mcsim.FULL, cfg, 5, [0.0, 1.0], 0),
+                 lambda: mcsim.estimate_ergodic_se(mcsim.FULL, cfg, 5, 0),
+                 lambda: mcsim.empirical_ccdf([1.0, math.nan], [0.0, 1.0])):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert err.value.violation == "SampleNaN"
+    # LOSBALL refuses the overflowing mean power outside the ball first
+    with pytest.raises(ConfigError) as err:
+        mcsim.simulate_sinr_samples(mcsim.LOSBALL, cfg, 5, 0)
+    assert err.value.violation == "NlosPowerOverflow"
+
+
 def test_bad_threshold_grid_refused_before_trials(monkeypatch):
     # an empty or 2-d grid, a NaN (which passes every order comparison) or
     # a value below the one before it is a named ConfigError raised before

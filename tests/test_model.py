@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ def test_config_hash_covers_every_field():
         if isinstance(value, model.SectorPattern):
             changed = [dataclasses.replace(value, **{g.name: getattr(value, g.name) + 1})
                        for g in dataclasses.fields(value)]
+        elif f.name == "tx_probability":
+            changed = [value / 2]  # p_t + 1 lies outside [0, 1]
         else:
             changed = [value + 1]
         for new in changed:
@@ -93,20 +96,30 @@ def test_optional_keys_default():
     assert cfg.power_ratio == 1.0
 
 
-def test_with_overrides():
+def test_replace_checks_again():
     cfg = make_config()
-    bumped = model.with_overrides(cfg, density=5.0)
+    bumped = dataclasses.replace(cfg, density=5.0)
     assert bumped.density == 5.0
     assert cfg.density == 3.0  # original untouched
-    with pytest.raises(model.ConfigError) as err:
-        model.with_overrides(cfg, alpha_nlos=1.5)
-    assert err.value.violation == "AlphaNlosTooSmall"
+    _expect_refused(cfg, "AlphaNlosTooSmall", alpha_nlos=1.5)
+    # a config sent to a worker comes back equal, and is not checked again
+    assert pickle.loads(pickle.dumps(bumped)) == bumped
 
 
 def _expect_violation(name, **overrides):
     with pytest.raises(model.ConfigError) as err:
         make_config(**overrides)
     assert err.value.violation == name, (name, err.value.violation)
+
+
+def _expect_refused(cfg, name, **change):
+    # a NetworkConfig refuses a bad field when it is made: by
+    # dataclasses.replace and by direct construction alike
+    for make in (lambda: dataclasses.replace(cfg, **change),
+                 lambda: model.NetworkConfig(**{**vars(cfg), **change})):
+        with pytest.raises(model.ConfigError) as err:
+            make()
+        assert err.value.violation == name, (change, err.value.violation)
 
 
 def test_validation_violations():
@@ -128,16 +141,18 @@ def test_validation_violations():
     # past the file parser, a number field must hold a real number
     cfg = make_config()
     for field, values in (("density", ("3", None, True)),
-                          ("tx_probability", ("0.5", None, True))):
+                          ("tx_probability", ("0.5", None, True)),
+                          ("net_radius", ("10", None))):
         for value in values:
-            with pytest.raises(model.ConfigError) as err:
-                model.validate(dataclasses.replace(cfg, **{field: value}))
-            assert err.value.violation == "ValueNotReal", (field, value)
-    # a bool is not a Nakagami order, though Python counts True as 1
+            _expect_refused(cfg, "ValueNotReal", **{field: value})
+    _expect_refused(cfg, "NetRadiusTooSmall", net_radius=0.3)  # equal to W
+    # a bool is not a Nakagami order, though Python counts True as 1, and
+    # neither is an integral float
     for field in ("m_los", "m_nlos"):
-        with pytest.raises(model.ConfigError) as err:
-            model.validate(dataclasses.replace(cfg, **{field: True}))
-        assert err.value.violation == "NakagamiOrderInvalid"
+        for value in (True, 0, -1, 2.0):
+            _expect_refused(cfg, "NakagamiOrderInvalid", **{field: value})
+        _expect_refused(cfg, "NakagamiOrderTooLarge",
+                        **{field: model.MAX_NAKAGAMI_M + 1})
 
 
 # -inf dB is a finite linear gain (0), and 4000 dB overflows a float to inf
@@ -210,7 +225,7 @@ def test_one_input_one_name_at_every_entry_point(tmp_path, field, value, violati
     args = {"density": 3.0, "blockage_diameter": 0.3, field: value}
     lam, W = args["density"], args["blockage_diameter"]
     calls = {
-        "validate": lambda: model.with_overrides(cfg, **{field: value}),
+        "NetworkConfig": lambda: dataclasses.replace(cfg, **{field: value}),
         "mean_los_interferers": lambda: losball.mean_los_interferers(lam, W, 10.0),
         "los_ball_radius": lambda: losball.los_ball_radius(lam, W, 10.0),
         "los_ball_radius_limit": lambda: losball.los_ball_radius_limit(lam, W),
@@ -233,19 +248,18 @@ def test_one_input_one_name_at_every_entry_point(tmp_path, field, value, violati
 
 def test_range_table_rows_refuse_by_their_names():
     # each _RANGES row: its boundary case is refused by its name alone,
-    # through validate and through check_field, and a passing value
-    # comes back as a float
+    # by NetworkConfig and by check_field, and a passing value comes back
+    # as a float
     cfg = make_config()
     for field, bad in (("density", -1e-300), ("blockage_diameter", 0.0),
                        ("tx_probability", 1.0 + 1e-15), ("alpha_los", 0.0),
                        ("alpha_nlos", 2.0), ("ref_distance", 0.0),
                        ("noise_power", -1e-300), ("power_ratio", 0.0)):
         violation = model._RANGES[field][0]
-        for call in (lambda: model.with_overrides(cfg, **{field: bad}),
-                     lambda: model.check_field(field, bad)):
-            with pytest.raises(model.ConfigError) as err:
-                call()
-            assert err.value.violation == violation, field
+        _expect_refused(cfg, violation, **{field: bad})
+        with pytest.raises(model.ConfigError) as err:
+            model.check_field(field, bad)
+        assert err.value.violation == violation, field
     assert list(model._RANGES) == ["density", "blockage_diameter", "tx_probability",
                                    "alpha_los", "alpha_nlos", "ref_distance",
                                    "noise_power", "power_ratio"]
@@ -289,11 +303,13 @@ def test_every_antenna_pattern_field_is_a_real_number():
             (model.SectorPattern(4.0, math.nan, 1.0), "ValueNotFinite"),
             (model.SectorPattern(4.0, 1.0, math.inf), "ValueNotFinite"),
             # +inf lies above the main gain, as a file's gt_dB = 4000 gives
-            (model.SectorPattern(4.0, math.inf, 1.0), "MainGainBelowSideGain")):
+            (model.SectorPattern(4.0, math.inf, 1.0), "MainGainBelowSideGain"),
+            (model.SectorPattern(4.0, 0.0, 1.0), "SideGainNotPositive"),
+            (model.SectorPattern(1.0, 2.0, 1.0), "MainGainBelowSideGain"),
+            (model.SectorPattern(4.0, 1.0, 0.0), "BeamwidthOutOfRange"),
+            (model.SectorPattern(4.0, 1.0, 7.0), "BeamwidthOutOfRange")):
         for field in ("tx_pattern", "rx_pattern"):
-            with pytest.raises(model.ConfigError) as err:
-                model.validate(dataclasses.replace(cfg, **{field: pattern}))
-            assert err.value.violation == violation, (field, pattern)
+            _expect_refused(cfg, violation, **{field: pattern})
 
 
 def test_nakagami_order_one_integer_rule():
