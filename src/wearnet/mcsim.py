@@ -35,24 +35,41 @@ order, and its link fading and reference fading one draw of n + 1 standard
 gamma values, the reference last; numpy's samplers fill element by
 element, so the values are those of separate draws.
 
+A run may serve several LOS Nakagami orders at once (simulate_order_sweep).
+Nothing before the fading depends on the order, so a trial draws its
+deployment and activity uniforms once.  With one order it draws its
+fading right after them, as above; only with more orders does it save a
+copy of the generator's four state words there, and each order in turn
+writes that state back and draws its own fading from it (in FULL, the
+second pass below does this from the state it saves anyway).  Trial k of
+order m thus draws exactly what a one-order run with m_los = m draws, and
+every order sees the same deployments.
+
 One flat loop sets each trial's state and draws; only RNG calls run trial
 by trial: in LOSBALL the count, the uniforms and the fading, in FULL the
 calls the two passes below make, nothing else.  A LOSBALL trial draws its
 uniforms and fading straight into one buffer that the chunk owns, trial
 after trial, with rng.random(out=...) and rng.standard_gamma(m, out=...);
 a trial that overruns the buffer grows it.  The chunk's flush reads the
-radius, angle, activity and fading rows out of it through one gather index
-and h0 from each trial's last value, and scales the fading by 1/m once:
-numpy's gamma(m, 1/m), sample_nakagami_power's law, is 1/m times the
-standard gamma value, value by value, so the bits are those of
-sample_nakagami_power's draws.  The loop flushes a chunk once it holds
-_LINKS links or _STATES trials, whichever comes first, and the disk
-transform, the marks' gains, the path loss and the products run once
-over it.  A trial's interference is the np.add.reduce of its own
-links, the pairwise order np.sum uses: the chunk's trials of one link
-count are summed by one reduce along the rows of a block that holds one
-trial per row, which adds each row as its own 1-D reduce does, so every
-value is the one a trial-by-trial loop gives.
+radius, angle, activity and each order's fading rows out of it through
+one gather index and each order's h0 from its last value, and scales each
+order's fading by 1/m once: numpy's gamma(m, 1/m), sample_nakagami_power's
+law, is 1/m times the standard gamma value, value by value, so the bits
+are those of sample_nakagami_power's draws.  The disk transform, the
+marks' gains, the path loss and the grouping of trials by link count run
+once per chunk, the products ((tx rx) h) path and the sums once per order.
+
+A chunk's budget is in buffered values: with K orders it holds 3 + K
+values per link (radius, angle, activity and one fading value per order),
+and it closes once links times 3 + K reaches 4 _LINKS, what a one-order
+chunk holds at _LINKS links, or once it holds _STATES trials, whichever
+comes first.  So a one-order chunk closes at _LINKS links, and a
+five-order chunk at half that, with no more memory.  A trial's
+interference is the np.add.reduce of its own links, the pairwise order
+np.sum uses: the chunk's trials of one link count are summed by one reduce
+along the rows of a block that holds one trial per row, which adds each
+row as its own 1-D reduce does, so every value is the one a trial-by-trial
+loop gives.
 
 A FULL trial's fading draws need its LOS count, so its draws come in two
 passes around one classify_los call for the whole chunk.  The first pass
@@ -61,15 +78,16 @@ sets each trial's substream, draws its two PPPs' counts and uniform blocks
 disks) and its activity uniforms, and saves a copy of the generator's four
 state words; the chunk's blocks are then transformed to points, one
 disk_polar call per PPP, and its fields classified at once.  The second
-pass writes each saved state back into the same generator and draws the
-LOS fading, the NLOS fading and the reference fading, with each trial's
-LOS count read off one cumsum of the chunk's mask; the chunk's LOS and
-NLOS draws are then scattered onto its links by two boolean assignments,
-which fill them in trial order.  The first pass draws no uint32, so its
-buffered uint32 stays cleared, and a restored state continues the stream
-exactly where the first pass left it: the draws and their order are those
-of a trial-by-trial loop.  The loop writes a full state before each next
-trial, so the second pass leaves nothing behind in the generator.
+pass, for each order in turn, writes each saved state back into the same
+generator and draws the LOS fading, the NLOS fading and the reference
+fading, with each trial's LOS count read off one cumsum of the chunk's
+mask; the chunk's LOS and NLOS draws are then scattered onto its links by
+two boolean assignments, which fill them in trial order.  The first pass
+draws no uint32, so its buffered uint32 stays cleared, and a restored
+state continues the stream exactly where the first pass left it: the
+draws and their order are those of a trial-by-trial loop.  The loop writes
+a full state before each next trial, so the second pass leaves nothing
+behind in the generator.
 
 Every refusal of an input comes before any worker starts: an unknown
 mode, a config whose run constants do not exist (DensityTooHigh) and the
@@ -185,36 +203,45 @@ def _wrap(phi):
 
 
 def _interference(cfg, sizes, r, phi, u, h, los):
-    """Aggregate interference power of each trial of a chunk.
+    """Aggregate interference power of each trial of a chunk, for each row
+    of fading powers.
 
     The columns hold the chunk's links trial after trial, sizes[j] of them
-    for trial j: link radii and angles, activity uniforms, fading powers
-    and the LOS mask.  Path loss is r^-alpha_L on LOS links and r^-alpha_N
-    on the others; ``los`` None (LOSBALL) means every link is LOS.
+    for trial j: link radii and angles, activity uniforms and the LOS mask,
+    and in h the fading powers, one row per Nakagami order (a 1-d h is one
+    row), which the chunk owns: they are overwritten with the link powers.
+    Path loss is r^-alpha_L on LOS links and r^-alpha_N on the others;
+    ``los`` None (LOSBALL) means every link is LOS.  Returns one sum per
+    trial for each row of h, in h's shape but for its last axis.
     """
-    # tx * rx * h * path, rounded left to right, in place to hold fewer
-    # chunk-sized temporaries
-    power = np.multiply(*_gains(cfg, u, phi))
-    power *= h
-    # one power per link, with the exponent that applies to it; pow is
-    # elementwise, so each value is the one a scalar exponent gives
+    # tx * rx * h * path, rounded left to right, in place in h to hold no
+    # chunk-sized temporary per order: the gains and the path loss once for
+    # the chunk, the products once for each row of h.  One power per link,
+    # with the exponent that applies to it; pow is elementwise, so each
+    # value is the one a scalar exponent gives
     alpha = cfg.alpha_los if los is None else np.where(los, cfg.alpha_los, cfg.alpha_nlos)
+    gain, rx_gain = _gains(cfg, u, phi)
+    gain *= rx_gain
+    power = h
+    power *= gain
     power *= r ** -alpha
     # np.sum's pairwise order, trial by trial, with one reduce per link
-    # count: the trials of a count are gathered as the rows of one
-    # C-contiguous block, and a reduce along its rows sums each row as its
-    # own 1-D reduce would.  reduceat or bincount would add in another
+    # count and row of h: the trials of a count are gathered as the rows of
+    # one C-contiguous block, and a reduce along its rows sums each row as
+    # its own 1-D reduce would.  reduceat or bincount would add in another
     # order and move the last bits
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     order = np.argsort(sizes, kind="stable")
     counts = sizes[order]
     cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), sizes.size]
-    sums = np.zeros(sizes.size)
+    sums = np.zeros(h.shape[:-1] + sizes.shape)
+    rows = list(zip(np.atleast_2d(power), np.atleast_2d(sums)))
     for a, b in zip(cuts, cuts[1:]):
         trials = order[a:b]
-        block = power[starts[trials, None] + np.arange(counts[a])]
-        sums[trials] = np.add.reduce(block, axis=1)
+        index = starts[trials, None] + np.arange(counts[a])
+        for row, total in rows:
+            total[trials] = np.add.reduce(row[index], axis=1)
     return cfg.power_ratio * sums
 
 
@@ -223,7 +250,8 @@ def _interference(cfg, sizes, r, phi, u, h, los):
 # Trials per block of substream states, and the most a chunk buffers: a
 # run of zero-link trials (a sparse or empty field) closes a chunk here.
 _STATES = 4096
-# Buffered links that close a chunk.
+# Buffered links that close a one-order chunk; with K orders a chunk closes
+# at 4 _LINKS / (3 + K) links, the same number of buffered values.
 # A FULL chunk is classified in one classify_los call, whose fixed cost
 # (about 0.35 ms) is paid per call against about 0.25 ms per fig6 field of
 # about 950 links, so the budget holds about 17 such fields, and a fig7
@@ -413,19 +441,25 @@ def _grow(buf, used, need):
     return grown
 
 
-def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
+def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
     signal_coef = signal_power(cfg)
+    n_orders = len(orders)
+    # values a chunk holds per link: radius, angle, activity, one fading
+    # value per order; it closes at the links that make 4 _LINKS values
+    width = 3 + n_orders
+    link_budget = -(-4 * _LINKS // width)
 
     # A mode is its per-trial draw, draw(rng, links, trials), which returns
     # the trial's link count given the links and trials the chunk holds so
     # far, and the chunk's columns built from the drawn trials' link counts:
-    # (r, phi, u, h, los) for _interference, then h0.
+    # (r, phi, u, h, los) for _interference, h one row per order, then h0,
+    # one row per order.
     rng = np.random.Generator(np.random.PCG64(0))
+    words, restore = _state_words(rng.bit_generator)
     if mode == FULL:
         radii = _field_disks(cfg)
         means = [ppp_mean(cfg.density, radius) for radius in radii]
-        words, restore = _state_words(rng.bit_generator)
-        m_los, m_nlos = cfg.m_los, cfg.m_nlos
+        m_nlos = cfg.m_nlos
         fields = []
 
         def draw(rng, links, trials):
@@ -446,65 +480,81 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
             seen = np.concatenate(([0], np.cumsum(los)))
             ends = np.cumsum(sizes)
             counts = (seen[ends] - seen[ends - sizes]).tolist()
-            h_los, h_nlos, h0 = [], [], []
-            for state, size, k in zip(states, sizes, counts):
-                restore(state)
-                h_los.append(sample_nakagami_power(m_los, rng, k))
-                h_nlos.append(sample_nakagami_power(m_nlos, rng, size - k))
-                h0.append(sample_nakagami_power(m_los, rng))
-            # boolean assignment fills the chunk's LOS (NLOS) links in trial
-            # order, each trial's from its own draw
-            h = np.empty(r.size)
-            h[los] = np.concatenate(h_los)
-            h[~los] = np.concatenate(h_nlos)
-            return r, phi, np.concatenate(u), h, los, np.array(h0)
+            nlos = ~los
+            h, h0 = np.empty((n_orders, r.size)), []
+            for m, row in zip(orders, h):
+                h_los, h_nlos = [], []
+                for state, size, k in zip(states, sizes, counts):
+                    restore(state)
+                    h_los.append(sample_nakagami_power(m, rng, k))
+                    h_nlos.append(sample_nakagami_power(m_nlos, rng, size - k))
+                    h0.append(sample_nakagami_power(m, rng))
+                # boolean assignment fills the chunk's LOS (NLOS) links in
+                # trial order, each trial's from its own draw
+                row[los] = np.concatenate(h_los)
+                row[nlos] = np.concatenate(h_nlos)
+            return r, phi, np.concatenate(u), h, los, np.reshape(h0, (n_orders, -1))
     else:
         mean_count = ppp_mean(cfg.density, r_los)
-        m_los = cfg.m_los
         # the chunk's draws, trial after trial: a trial of n links drawn
-        # after `links` links of `trials` trials holds the 4n + 1 values
-        # from 4 links + trials on, its 3 x n uniforms in C order, then the
-        # n + 1 standard gamma values of its fading, h0 last.  Room for
-        # _LINKS links and _STATES trials; a trial that overruns it grows it
-        buf = np.empty(4 * _LINKS + _STATES)
+        # after `links` links of `trials` trials holds the width n + K values
+        # (K orders) from width links + K trials on, its 3 x n uniforms in
+        # C order, then for each order the n + 1 standard gamma values of
+        # its fading, h0 last.  Room for _LINKS one-order links and _STATES
+        # trials; a trial that overruns it grows it
+        buf = np.empty(4 * _LINKS + n_orders * _STATES)
+        first, *rest = orders
 
         def draw(rng, links, trials):
             nonlocal buf
             n = rng.poisson(mean_count)
-            lo = 4 * links + trials
-            mid, hi = lo + 3 * n, lo + 4 * n + 1
+            lo = width * links + n_orders * trials
+            mid, hi = lo + 3 * n, lo + width * n + n_orders
             if hi > buf.size:
                 buf = _grow(buf, lo, hi)
             rng.random(out=buf[lo:mid])
-            rng.standard_gamma(m_los, out=buf[mid:hi])
+            if not rest:
+                rng.standard_gamma(first, out=buf[mid:hi])
+                return n
+            # each order's fading from the state the uniforms left
+            state = words.copy()
+            for m in orders:
+                restore(state)
+                rng.standard_gamma(m, out=buf[mid:mid + n + 1])
+                mid += n + 1
             return n
 
         def columns(sizes):
             # one gather index, read once per row: link i, trial j's
             # (i - s_j)th with s_j links before trial j, has its radius
-            # uniform at 4 s_j + j + (i - s_j), and its angle uniform,
-            # activity uniform and fading n_j, 2 n_j and 3 n_j further on
+            # uniform at b_j + (i - s_j), b_j = width s_j + K j, and its
+            # angle uniform, activity uniform and first order's fading n_j,
+            # 2 n_j and 3 n_j further on; each further order's fading comes
+            # n_j + 1 after the one before
             ends = np.cumsum(sizes)
+            begin = width * (ends - sizes) + n_orders * np.arange(sizes.size)
             step = np.repeat(sizes, sizes)
-            index = np.repeat(3 * (ends - sizes) + np.arange(sizes.size), sizes)
+            index = np.repeat(begin - (ends - sizes), sizes)
             index += np.arange(step.size)
-            x = np.empty((4, step.size))
-            for row in x:
+            x = np.empty((width, step.size))
+            for i, row in enumerate(x):
+                if i > 3:
+                    index += 1  # past the previous order's h0
                 # every index is in range; numpy's default mode="raise"
                 # would write through a copy of row
                 np.take(buf, index, out=row, mode="clip")
                 index += step
             r, phi = disk_polar(r_los, x)
-            u, h = x[2:]
+            u, h = x[2], x[3:]
             # sample_nakagami_power's Gamma(m, 1/m) value is 1/m times the
             # standard gamma value, the product numpy's gamma sampler rounds
-            scale = 1.0 / m_los
+            scale = 1.0 / np.array(orders, dtype=float)[:, None]
             h *= scale
-            h0 = buf[4 * ends + np.arange(sizes.size)]
+            h0 = buf[begin + 4 * sizes + (sizes + 1) * np.arange(n_orders)[:, None]]
             h0 *= scale
             return r, phi, u, h, None, h0
 
-    out = np.empty((stop - start, 2))
+    out = np.empty((stop - start, n_orders, 2))
 
     def flush(sizes, done):
         sizes = np.array(sizes)
@@ -512,22 +562,23 @@ def _run_sinr_range(mode, cfg, r_los, sigma2, master_seed, start, stop):
         rows = out[done:done + sizes.size]
         # SINR = +inf where the denominator is 0 (no noise and no
         # interference) or the quotient passes the float range, which
-        # estimate_ergodic_se refuses by name; an interference sum past
-        # the float range is +inf, and the SINR NaN where the signal is
-        # +inf too, which simulate_sinr_samples refuses
+        # mean_spectral_efficiency refuses by name; an interference sum
+        # past the float range is +inf, and the SINR NaN where the signal
+        # is +inf too, which simulate_order_sweep refuses
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rows[:, 1] = interference = _interference(cfg, sizes, *links)
-            rows[:, 0] = signal_coef * h0 / (sigma2 + interference)
+            interference = _interference(cfg, sizes, *links)
+            rows[:, :, 1] = interference.T
+            rows[:, :, 0] = (signal_coef * h0 / (sigma2 + interference)).T
         return done + sizes.size
 
     # one flat loop: set a trial's substream, draw, and flush a chunk once
-    # it holds _LINKS links or _STATES trials
+    # it holds _STATES trials or link_budget links
     sizes, links, done = [], 0, 0
     for rng in _substreams(master_seed, start, stop, rng):
         n = draw(rng, links, len(sizes))
         sizes.append(n)
         links += n
-        if len(sizes) == _STATES or links >= _LINKS:
+        if len(sizes) == _STATES or links >= link_budget:
             done = flush(sizes, done)
             sizes, links = [], 0
     if sizes:
@@ -587,8 +638,46 @@ def _map_trials(run_range, n_trials, master_seed, workers, *args):
         return np.concatenate(list(pool.map(run, bounds[:-1], bounds[1:])))
 
 
+def simulate_order_sweep(mode, config, orders, n_trials, master_seed, workers=1):
+    """Per-trial (sinr, interference) arrays, one of shape (n_trials, 2) for
+    each LOS Nakagami order in ``orders``, in their order (views of one
+    array).  The array of order m is bit for bit the one
+    simulate_sinr_samples gives for dataclasses.replace(config, m_los=m):
+    each trial draws its deployment once, then every order's fading from
+    the same substream state (see the module docstring), so the orders
+    share their deployments, and one run, serial or on one pool of
+    workers, serves them all.
+
+    Refusals, all before any worker starts: those of simulate_sinr_samples,
+    and EmptySweepGrid for no order, and an order that a NetworkConfig
+    refuses as m_los (NakagamiOrderInvalid, NakagamiOrderTooLarge).  After
+    the run, SampleNaN for the first order with a NaN SINR.
+    """
+    if mode not in (FULL, LOSBALL):
+        raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
+    if len(orders) == 0:
+        raise ConfigError("EmptySweepGrid", "a sweep needs at least one Nakagami order")
+    orders = tuple(replace(config, m_los=m).m_los for m in orders)
+    r_los, sigma2 = None, config.noise_power
+    if mode == FULL:
+        _field_disks(config)  # DensityTooHigh here, before any worker starts
+    else:
+        # the closed form's LOS ball, everything outside it as its mean
+        # power; neither depends on the LOS fading order
+        params = coverage_params(config)
+        r_los, sigma2 = params.r_los, params.sigma2_total
+    samples = _map_trials(_run_sinr_range, n_trials, master_seed, workers,
+                          mode, config, orders, r_los, sigma2)
+    sweep = [samples[:, j] for j in range(len(orders))]
+    for order_samples in sweep:
+        _refuse_nan(order_samples[:, 0], "trials have a NaN SINR: signal and "
+                    "interference power both pass the float range")
+    return sweep
+
+
 def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
-    """Per-trial (sinr, interference) array, shape (n_trials, 2).
+    """Per-trial (sinr, interference) array, shape (n_trials, 2): the
+    one-order case of simulate_order_sweep, at config.m_los.
 
     Trial k is fully determined by (mode, config, master_seed, k), so any
     worker split returns the identical array.  Every refusal of an input
@@ -600,20 +689,8 @@ def simulate_sinr_samples(mode, config, n_trials, master_seed, workers=1):
     After the run, ConfigError SampleNaN when a trial's SINR is NaN: a
     signal power and an interference sum both past the float range.
     """
-    if mode not in (FULL, LOSBALL):
-        raise ValueError(f"mode must be '{FULL}' or '{LOSBALL}', got {mode!r}")
-    r_los, sigma2 = None, config.noise_power
-    if mode == FULL:
-        _field_disks(config)  # DensityTooHigh here, before any worker starts
-    else:
-        # the closed form's LOS ball, everything outside it as its mean power
-        params = coverage_params(config)
-        r_los, sigma2 = params.r_los, params.sigma2_total
-    samples = _map_trials(_run_sinr_range, n_trials, master_seed, workers,
-                          mode, config, r_los, sigma2)
-    _refuse_nan(samples[:, 0], "trials have a NaN SINR: signal and interference "
-                "power both pass the float range")
-    return samples
+    return simulate_order_sweep(mode, config, (config.m_los,), n_trials,
+                                master_seed, workers)[0]
 
 
 def _refuse_nan(values, what):
@@ -671,15 +748,15 @@ def _mean_and_se(values):
     return mean, math.sqrt(var / n)
 
 
-def estimate_ergodic_se(mode, config, n_trials, master_seed, workers=1):
-    """Monte Carlo mean spectral efficiency; returns (mean, standard error).
+def mean_spectral_efficiency(samples):
+    """Monte Carlo mean spectral efficiency of (sinr, interference) samples,
+    shape (n, 2); returns (mean, standard error).
 
     ConfigError SinrUnbounded when a trial's SINR is infinite: with no
     noise a trial without interference has a zero denominator, and the
     mean rate of such a run does not exist; a reference SNR past the float
     range makes every SINR infinite.
     """
-    samples = simulate_sinr_samples(mode, config, n_trials, master_seed, workers)
     unbounded = np.count_nonzero(np.isinf(samples[:, 0]))
     if unbounded:
         raise ConfigError("SinrUnbounded",
@@ -687,6 +764,14 @@ def estimate_ergodic_se(mode, config, n_trials, master_seed, workers=1):
                           f"(no noise and no interference, or an SNR past the float "
                           f"range), so the mean rate is not a finite number")
     return _mean_and_se(np.log2(1.0 + samples[:, 0]))
+
+
+def estimate_ergodic_se(mode, config, n_trials, master_seed, workers=1):
+    """Monte Carlo mean spectral efficiency; returns (mean, standard error):
+    mean_spectral_efficiency of simulate_sinr_samples' run, with its
+    refusals."""
+    return mean_spectral_efficiency(
+        simulate_sinr_samples(mode, config, n_trials, master_seed, workers))
 
 
 def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):

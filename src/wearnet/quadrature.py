@@ -61,9 +61,11 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 4096
 
 # Integrands advanced together, and the panels evaluated in one integrand
-# call (at least 2); a level's (20, panels) blocks stay below about 1 MB.
+# call (at least 2).  A level's (20, _CHUNK + 1) float64 blocks stay below
+# 128 KiB, glibc's default mmap threshold, so they come from the heap, not
+# from fresh mappings that each call faults in page by page.
 _GROUP = 1024
-_CHUNK = 4096
+_CHUNK = 800
 
 
 def _panels(f, index, col, lo, hi):
@@ -107,7 +109,7 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     for every integrand, so ``f`` may compute what depends on the nodes
     alone once per column of ``nodes`` and gather it by ``col``; each of
     the P columns must hold the values its integrand gives at those nodes
-    alone.  P is at least 2, and at most _CHUNK + 1 (4097) panels of one
+    alone.  P is at least 2, and at most _CHUNK + 1 (801) panels of one
     bisection level.
 
     Each integrand is bisected on its own: a panel whose error estimate

@@ -306,6 +306,24 @@ def test_nakagami_sweep(tmp_path):
         "upper_bound=PASS tolerance=2.0 status=PASS\n")
 
 
+def test_nakagami_sweep_draws_each_deployment_once(tmp_path, monkeypatch):
+    # one Monte Carlo run serves every order: the plan takes one substream
+    # per trial, not one per trial and order
+    taken = []
+    substreams = mcsim._substreams
+
+    def counting(*args):
+        for rng in substreams(*args):
+            taken.append(rng)
+            yield rng
+
+    monkeypatch.setattr(mcsim, "_substreams", counting)
+    plan = _plan(tmp_path, kind="nakagami_sweep", grid=(1, 2, 4, 8, 16), trials=50,
+                 tolerance=1e9)
+    assert experiments.run_plan(plan)["status"] == "PASS"
+    assert len(taken) == plan.trials
+
+
 @pytest.mark.parametrize("kind", experiments.KINDS)
 def test_default_tolerance_per_kind(tmp_path, kind):
     # tolerance=None gates at the kind's default; losball_sweep has no gate

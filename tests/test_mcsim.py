@@ -431,15 +431,23 @@ def test_per_count_sums_match_per_trial_reduces():
     sizes = rng.permutation(counts * 2 + [0] * 5 + [3] * 40)
     n = int(sizes.sum())
     r, phi, u, h = 0.25 + 10.0 * rng.random(n), 6.3 * rng.random(n), rng.random(n), rng.random(n)
+    # a 2-d h holds one row of fading per Nakagami order; each row's sums
+    # are those of that row alone
+    ends = np.cumsum(sizes)
+    orders = np.stack((h, rng.random(n), h[::-1]))
     for los in (None, rng.random(n) < 0.4):
-        power = np.multiply(*mcsim._gains(cfg, u, phi)) * h
-        power *= r ** -(cfg.alpha_los if los is None
-                        else np.where(los, cfg.alpha_los, cfg.alpha_nlos))
-        ends = np.cumsum(sizes)
-        want = cfg.power_ratio * np.array(
-            [np.add.reduce(power[b - k:b]) for b, k in zip(ends, sizes)])
-        got = mcsim._interference(cfg, sizes.tolist(), r, phi, u, h, los)
-        assert np.array_equal(got, want)
+        want = []
+        for row in orders:
+            power = np.multiply(*mcsim._gains(cfg, u, phi)) * row
+            power *= r ** -(cfg.alpha_los if los is None
+                            else np.where(los, cfg.alpha_los, cfg.alpha_nlos))
+            want.append(cfg.power_ratio * np.array(
+                [np.add.reduce(power[b - k:b]) for b, k in zip(ends, sizes)]))
+        # the fading columns are overwritten with the link powers
+        got = mcsim._interference(cfg, sizes.tolist(), r, phi, u, h.copy(), los)
+        assert np.array_equal(got, want[0])
+        got = mcsim._interference(cfg, sizes.tolist(), r, phi, u, orders.copy(), los)
+        assert got.shape == (3, sizes.size) and np.array_equal(got, want)
 
 
 def test_losball_engine_matches_trial_loop_at_high_order(monkeypatch):
@@ -513,6 +521,57 @@ def test_chunked_engine_matches_trial_loop(monkeypatch, mode, orders):
     assert np.array_equal(mcsim.simulate_sinr_samples(mode, cfg, n, 44), want)
     assert np.array_equal(
         mcsim.simulate_sinr_samples(mode, cfg, n, 44, workers=3), want)
+
+
+@pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
+def test_order_sweep_matches_one_order_runs(monkeypatch, mode):
+    # each order's samples are bit for bit those of a one-order run at that
+    # order, serial and on two workers.  A 4-link budget and 8-trial state
+    # blocks flush chunks often; a fig8 trial (about 29 LOSBALL links of 8
+    # values at five orders) overruns the whole 16 + 5 x 8 value buffer.
+    # The orders repeat one (a grid may hold equal neighbours) and reach
+    # 64, and m_nlos = 2 makes a FULL trial's NLOS draws follow its LOS ones
+    monkeypatch.setattr(mcsim, "_LINKS", 4)
+    monkeypatch.setattr(mcsim, "_STATES", 8)
+    grows = []
+    grow = mcsim._grow
+
+    def recording_grow(buf, used, need):
+        grows.append(need)
+        return grow(buf, used, need)
+
+    monkeypatch.setattr(mcsim, "_grow", recording_grow)
+    cfg = figure_config("fig8", m_nlos=2)
+    orders = (1, 2, 2, 16, 64)
+    n = 37
+    want = [mcsim.simulate_sinr_samples(mode, dataclasses.replace(cfg, m_los=m), n, 50)
+            for m in orders]
+    grows.clear()
+    for workers in (1, 2):
+        sweep = mcsim.simulate_order_sweep(mode, cfg, orders, n, 50, workers)
+        assert len(sweep) == len(orders)
+        for got, one in zip(sweep, want):
+            assert np.array_equal(got, one)
+    assert bool(grows) == (mode == mcsim.LOSBALL)
+
+
+@pytest.mark.parametrize("orders, violation", [
+    ((1, 65), "NakagamiOrderTooLarge"),
+    ((2, 0), "NakagamiOrderInvalid"),
+    ((1, 2.5), "NakagamiOrderInvalid"),
+    ((1, True), "NakagamiOrderInvalid"),
+    ((), "EmptySweepGrid"),
+], ids=["too-large", "zero", "fractional", "bool", "empty"])
+def test_order_sweep_refuses_bad_order_before_any_worker(monkeypatch, orders, violation):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            pytest.fail("a process pool started before the refusal")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    for mode in (mcsim.FULL, mcsim.LOSBALL):
+        with pytest.raises(ConfigError) as err:
+            mcsim.simulate_order_sweep(mode, make_config(), orders, 10, 0, workers=2)
+        assert err.value.violation == violation
 
 
 @pytest.mark.parametrize("density", [3.0, 0.0064])

@@ -193,7 +193,7 @@ def test_panel_node_sum_matches_node_by_node_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("group", (2, 3, 1024))
-@pytest.mark.parametrize("chunk", (2, 3, 1024))
+@pytest.mark.parametrize("chunk", (2, 3, 800, 1024))
 def test_batch_bits_do_not_depend_on_grouping_or_chunking(monkeypatch, group, chunk):
     # the panel table shares nodes and r^-alpha between integrands; the
     # values must still be each integrand's panel-by-panel rule, whatever
