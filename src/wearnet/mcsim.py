@@ -90,8 +90,9 @@ a full state before each next trial, so the second pass leaves nothing
 behind in the generator.
 
 Every refusal of an input comes before any worker starts: an unknown
-mode, a config whose run constants do not exist (DensityTooHigh) and the
-run counts that check_run refuses are raised in the calling process, so
+mode, a sweep's empty or bad order list, a config whose run constants do
+not exist (DensityTooHigh) and the run counts that check_run refuses are
+raised in the calling process, so
 a run split across workers fails exactly as a serial run does; a config
 itself is valid once it exists (model.NetworkConfig).  The trial ranges
 themselves raise nothing; a NaN SINR among their samples is refused once,
