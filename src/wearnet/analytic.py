@@ -31,9 +31,13 @@ from .losball import los_ball_radius
 from .model import ConfigError, check_thresholds, gain_pairs, rate_to_sinr
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
-# The alternating binomial sum below loses roughly one digit per doubling of
-# m; integrals are evaluated tighter than their 1e-10 contract so that the
-# CCDF stays monotone in beta to well below 1e-12.
+# Integrals are evaluated tighter than their 1e-10 contract, for the
+# alternating binomial sum below, which cancels more as m grows.  That does
+# not keep the CCDF monotone in beta at high m: on a -10..30 dB grid in
+# 0.25 dB steps, with the tests' fill of the figure setups, it rises between
+# neighbouring thresholds from m = 23 at fig8 with lambda = 0.1 (by 0.002 at
+# m = 24), m = 25 at lambda = 0.5 (by 0.908 at m = 32), m = 29 at fig7,
+# m = 31 at fig8 and m = 33 at fig5 and fig6.
 _LAPLACE_ABS_TOL = 1e-12
 _LAPLACE_REL_TOL = 1e-10
 

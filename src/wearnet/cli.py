@@ -32,7 +32,8 @@ from .model import (CONFIG_KEYS, ConfigError, config_from_keys, db_to_linear,
 def parse_grid(text):
     """'start:stop:step' (endpoints inclusive) or comma-separated values.
 
-    A grid with no value, or with a non-finite value or endpoint, is MalformedGrid.
+    A grid with no value, with a non-finite value or endpoint, or with more
+    points than one float64 array can hold, is MalformedGrid.
     """
     text = text.strip()
     is_range = ":" in text
@@ -49,7 +50,10 @@ def parse_grid(text):
         raise ConfigError("MalformedGrid",
                           f"grid must be start:stop:step, got {text!r}")
     start, stop, step = values
-    if step <= 0.0 or stop < start or not math.isfinite((stop - start) / step):
+    # the float64 points must fit numpy's bound on the bytes of one array,
+    # as in mcsim._field_disks; an infinite count does not
+    if (step <= 0.0 or stop < start
+            or not 8.0 * ((stop - start) / step + 1.0) <= np.iinfo(np.intp).max):
         raise ConfigError("MalformedGrid", f"bad grid range {text!r}")
     n = int(round((stop - start) / step))
     grid = start + step * np.arange(n + 1)
@@ -93,15 +97,18 @@ def _env(name, fallback):
 
 
 def _env_int(name, fallback):
-    text = _env(name, None)
-    if text is None:
-        return fallback
+    text = _env(name, str(fallback))
     try:
         return int(text)
     except ValueError:
         raise ConfigError("InvalidNumber",
                           f"WEARNET_{name} must be an integer, got {text!r}") from None
 
+
+# ExperimentPlan's defaults are the command line's: --trials, and the
+# --seed and --threads fallbacks when neither a flag nor the environment sets
+# one (a dataclass keeps each plain default as a class attribute).
+_PLAN = experiments.ExperimentPlan
 
 # compare --kind: (plan kind, the one grid argument that kind reads)
 _COMPARE_KINDS = {
@@ -124,71 +131,83 @@ def build_parser():
     # --seed/--threads fall back to the environment in main(), where a
     # malformed value is reported like any other bad argument
     parser.add_argument("--seed", type=int, default=None,
-                        help="master seed for all simulation (default: 0)")
+                        help=f"master seed for all simulation (default: {_PLAN.seed})")
     parser.add_argument("--threads", type=int, default=None,
-                        help="simulation worker processes, 0 = auto (default: 1)")
+                        help="simulation worker processes, 0 = auto "
+                             f"(default: {_PLAN.workers})")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # each flag that several subcommands take is one parent parser
+    mode, trials, beta, t_grid, out = (argparse.ArgumentParser(add_help=False)
+                                       for _ in range(5))
+    mode.add_argument("--mode", choices=(mcsim.FULL, mcsim.LOSBALL), required=True,
+                      help="simulation model: full geometry or the LOS ball")
+    trials.add_argument("--trials", type=int, default=_PLAN.trials,
+                        help="Monte Carlo trials (default: %(default)s)")
+    beta.add_argument("--beta-grid-dB", default="-10:30:1", dest="beta_grid_db",
+                      help="SINR thresholds (dB)")
+    t_grid.add_argument("--t-grid", default="0:12:0.25", dest="t_grid",
+                        help="spectral-efficiency thresholds (bits/s/Hz)")
+    out.add_argument("--out", default=None,
+                     help="output file path (default: in --out-dir)")
 
     p = sub.add_parser("losball", help="LOS-ball radius sweep CSV")
     p.add_argument("--rnet-grid", default="1:20:0.5", help="network radii (m)")
     p.add_argument("--lambda-family", default=None,
                    help="densities, one curve each (default: config value)")
-
-    p = sub.add_parser("coverage", help="analytic SINR CCDF CSV")
-    p.add_argument("--beta-grid-dB", default="-10:30:1", dest="beta_grid_db")
-    p.add_argument("--out", default=None, help="output CSV path")
-
-    p = sub.add_parser("simulate", help="Monte Carlo SINR CCDF CSV")
-    p.add_argument("--mode", choices=(mcsim.FULL, mcsim.LOSBALL), required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--beta-grid-dB", default="-10:30:1", dest="beta_grid_db")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("se-cdf", help="Monte Carlo spectral-efficiency CDF CSV")
-    p.add_argument("--mode", choices=(mcsim.FULL, mcsim.LOSBALL), required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--t-grid", default="0:12:0.25", dest="t_grid",
-                   help="spectral-efficiency thresholds (bits/s/Hz)")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("compare", help="analytic-vs-simulation comparison")
+    sub.add_parser("coverage", parents=[beta, out], help="analytic SINR CCDF CSV")
+    sub.add_parser("simulate", parents=[mode, trials, beta, out],
+                   help="Monte Carlo SINR CCDF CSV")
+    sub.add_parser("se-cdf", parents=[mode, trials, t_grid, out],
+                   help="Monte Carlo spectral-efficiency CDF CSV")
+    p = sub.add_parser("compare", parents=[trials, beta, t_grid],
+                       help="analytic-vs-simulation comparison")
     p.add_argument("--kind", choices=tuple(_COMPARE_KINDS), required=True)
-    p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tolerance", type=float, default=None,
                    help="gate: sup-norm (coverage/se) or stderr multiple")
-    p.add_argument("--beta-grid-dB", default="-10:30:1", dest="beta_grid_db")
-    p.add_argument("--t-grid", default="0:12:0.25", dest="t_grid")
     p.add_argument("--m-grid", default="1,2,4,8,16", dest="m_grid")
     p.add_argument("--lambda-grid", default="1,2,3,4,5", dest="lambda_grid")
-
-    p = sub.add_parser("figure-config", help="emit a canonical figure config")
+    p = sub.add_parser("figure-config", parents=[out],
+                       help="emit a canonical figure config")
     p.add_argument("--figure", choices=experiments.FIGURE_IDS, required=True)
-    p.add_argument("--out", default=None)
     return parser
 
 
 def _out_path(args, default_name):
-    out = getattr(args, "out", None)
-    return out if out else os.path.join(args.out_dir, default_name)
+    return args.out or os.path.join(args.out_dir, default_name)
+
+
+def _write_columns(args, default_name, header, cfg, *columns):
+    """One CSV of ``columns`` side by side, at --out or in --out-dir."""
+    return [experiments.write_csv(_out_path(args, default_name), header,
+                                  list(zip(*columns)), cfg, args.seed)]
+
+
+def _run_plan(args, kind, grid, family=None, **fields):
+    """Build and run one plan of ``kind`` over the grid text ``grid``.
+
+    The config is read before any grid is parsed, and the density
+    ``family`` text, if any, before ``grid``; ``fields`` are the plan's
+    other fields.
+    """
+    cfg = load_config_with_env(args.config)
+    family = tuple(parse_grid(family)) if family else ()
+    plan = experiments.ExperimentPlan(
+        kind=kind, config=cfg, grid=tuple(parse_grid(grid)), out_dir=args.out_dir,
+        seed=args.seed, workers=args.threads, density_family=family, **fields)
+    return experiments.run_plan(plan)["files"]
 
 
 def cmd_losball(args):
-    cfg = load_config_with_env(args.config)
-    family = tuple(parse_grid(args.lambda_family)) if args.lambda_family else ()
-    plan = experiments.ExperimentPlan(
-        kind="losball_sweep", config=cfg, grid=tuple(parse_grid(args.rnet_grid)),
-        out_dir=args.out_dir, seed=args.seed, density_family=family)
-    return experiments.run_plan(plan)["files"]
+    return _run_plan(args, "losball_sweep", args.rnet_grid, args.lambda_family)
 
 
 def cmd_coverage(args):
     cfg = load_config_with_env(args.config)
     beta_db = parse_grid(args.beta_grid_db)
-    params = analytic.coverage_params(cfg)
-    ccdf = np.asarray(analytic.coverage_ccdf(db_to_linear(beta_db), params))
-    return [experiments.write_csv(_out_path(args, "coverage.csv"),
-                                  ("beta_dB", "ccdf_analytic"),
-                                  list(zip(beta_db, ccdf)), cfg, args.seed)]
+    ccdf = analytic.coverage_ccdf(db_to_linear(beta_db), analytic.coverage_params(cfg))
+    return _write_columns(args, "coverage.csv", ("beta_dB", "ccdf_analytic"), cfg,
+                          beta_db, ccdf)
 
 
 def cmd_simulate(args):
@@ -196,10 +215,9 @@ def cmd_simulate(args):
     beta_db = parse_grid(args.beta_grid_db)
     dist = mcsim.simulate_ccdf(args.mode, cfg, args.trials,
                                db_to_linear(beta_db), args.seed, args.threads)
-    return [experiments.write_csv(_out_path(args, f"simulate_{args.mode}.csv"),
-                                  ("beta_dB", "ccdf", "stderr"),
-                                  list(zip(beta_db, dist.ccdf, dist.stderr)),
-                                  cfg, args.seed)]
+    return _write_columns(args, f"simulate_{args.mode}.csv",
+                          ("beta_dB", "ccdf", "stderr"), cfg, beta_db, dist.ccdf,
+                          dist.stderr)
 
 
 def cmd_se_cdf(args):
@@ -207,20 +225,15 @@ def cmd_se_cdf(args):
     t_grid = parse_grid(args.t_grid)
     dist = mcsim.simulate_se_ccdf(args.mode, cfg, args.trials, t_grid,
                                   args.seed, args.threads)
-    return [experiments.write_csv(_out_path(args, f"se_cdf_{args.mode}.csv"),
-                                  ("eta_bps_hz", "cdf", "stderr"),
-                                  list(zip(t_grid, dist.cdf, dist.stderr)),
-                                  cfg, args.seed)]
+    return _write_columns(args, f"se_cdf_{args.mode}.csv",
+                          ("eta_bps_hz", "cdf", "stderr"), cfg, t_grid, dist.cdf,
+                          dist.stderr)
 
 
 def cmd_compare(args):
-    cfg = load_config_with_env(args.config)
     kind, grid_arg = _COMPARE_KINDS[args.kind]
-    plan = experiments.ExperimentPlan(
-        kind=kind, config=cfg, grid=tuple(parse_grid(getattr(args, grid_arg))),
-        out_dir=args.out_dir, seed=args.seed, trials=args.trials,
-        tolerance=args.tolerance, workers=args.threads)
-    return experiments.run_plan(plan)["files"]
+    return _run_plan(args, kind, getattr(args, grid_arg), trials=args.trials,
+                     tolerance=args.tolerance)
 
 
 def cmd_figure_config(args):
@@ -242,9 +255,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.seed is None:
-            args.seed = _env_int("SEED", 0)
+            args.seed = _env_int("SEED", _PLAN.seed)
         if args.threads is None:
-            args.threads = _env_int("THREADS", 1)
+            args.threads = _env_int("THREADS", _PLAN.workers)
         # the run counts are refused by name before the config is read
         mcsim.check_run(getattr(args, "trials", 1), args.seed, args.threads)
         print("\n".join(_COMMANDS[args.command](args)))

@@ -258,7 +258,7 @@ _STATES = 4096
 # about 950 links, so the budget holds about 17 such fields, and a fig7
 # LOSBALL chunk about 880 trials of about 18.5 links.  It also bounds a
 # chunk's memory: on a 2-CPU x86-64 host bench/run.py's runs peak at about
-# 42.3 MB RSS (coverage_fig7), 41.4 MB (nakagami_fig8) and 43.7 MB (se_fig6,
+# 41.6 MB RSS (coverage_fig7), 41.4 MB (nakagami_fig8) and 43.1 MB (se_fig6,
 # its FULL chunks).
 _LINKS = 16384
 
@@ -599,7 +599,8 @@ def check_run(n_trials, master_seed, workers):
     """The trial count, master seed and worker count of a run, as ints.
 
     ConfigError TrialCountInvalid, SeedInvalid or WorkersInvalid unless
-    each is an integer, n_trials in [1, MAX_TRIALS) and the others >= 0.
+    each is an integer and not a bool, n_trials in [1, MAX_TRIALS) and the
+    others >= 0.
     """
     checked = []
     for violation, name, value, low, high in (
@@ -607,12 +608,14 @@ def check_run(n_trials, master_seed, workers):
             ("SeedInvalid", "seed", master_seed, 0, math.inf),
             ("WorkersInvalid", "workers", workers, 0, math.inf)):
         try:
-            checked.append(operator.index(value))
+            count = operator.index(value)
         except TypeError:
-            checked.append(None)
-        if checked[-1] is None or not low <= checked[-1] < high:
+            count = None
+        if (count is None or isinstance(value, (bool, np.bool_))
+                or not low <= count < high):
             raise ConfigError(violation, f"{name} must be an integer in "
                               f"[{low}, {high}), got {value!r}")
+        checked.append(count)
     return tuple(checked)
 
 

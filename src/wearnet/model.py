@@ -154,10 +154,10 @@ class GainPairTable:
         return float(np.dot(self.q, self.G))
 
 
-# Practical ceiling for the Nakagami shape: the alternating binomial sum in the
-# coverage expression loses ~1 bit of precision per unit of m at small
-# thresholds (terms grow like C(m, m/2)), so results beyond m = 64 would be
-# numerically meaningless.
+# Ceiling for the Nakagami shape.  It is not where the analytic coverage
+# bound stays valid: the alternating binomial sum in its expression (terms
+# grow like C(m, m/2)) cancels so badly that the CCDF rises with the
+# threshold from m = 23 at some figure setups (see analytic._LAPLACE_ABS_TOL).
 MAX_NAKAGAMI_M = 64
 
 

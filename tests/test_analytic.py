@@ -433,3 +433,16 @@ def test_ergodic_se_fig8_frozen():
     for m, want in zip((1, 2, 4, 8, 16), FIG8_ERGODIC_SE):
         p = analytic.coverage_params(dataclasses.replace(cfg, m_los=m))
         assert abs(analytic.ergodic_spectral_efficiency(p) - want) < 1e-9, m
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the Alzer sum cancels at high m; the exact route is the fix")
+def test_coverage_monotone_at_high_order_in_a_sparse_crowd():
+    # fig8 at lambda = 0.5, m = 32, no warning raised: the CCDF rises by
+    # about 0.908 between neighbouring points of a 0.25 dB grid (m = 32 is
+    # accepted, MAX_NAKAGAMI_M is 64)
+    p = analytic.coverage_params(figure_config("fig8", m=32, **{"lambda": 0.5}))
+    beta = model.db_to_linear(np.linspace(-10.0, 30.0, 161))
+    ccdf = analytic.coverage_ccdf(beta, p)
+    assert np.all(np.isfinite(ccdf))
+    assert np.max(np.diff(ccdf)) <= 1e-12

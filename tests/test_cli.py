@@ -35,10 +35,48 @@ def test_parse_grid_ranges():
     assert got[0] == -10.0 and got[-1] == 30.0 and got.size == 41
     assert np.array_equal(cli.parse_grid("1,2,4"), [1.0, 2.0, 4.0])
     for bad in ("1:2", "1:5:0", "5:1:1", "a,b", "nan", "1,inf", "0:inf:1",
-                "-1e308:1e308:1", "", ",", " , "):
+                "-1e308:1e308:1", "", ",", " , ", "1:2:1e-300", "0:1e300:1"):
         with pytest.raises(model.ConfigError) as err:
             cli.parse_grid(bad)
         assert err.value.violation == "MalformedGrid"
+
+
+_GLOBAL_DEFAULTS = {"config": None, "out_dir": ".", "seed": None, "threads": None}
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["losball"], {"rnet_grid": "1:20:0.5", "lambda_family": None}),
+    (["coverage"], {"beta_grid_db": "-10:30:1", "out": None}),
+    (["simulate", "--mode", "full"],
+     {"mode": "full", "trials": 10000, "beta_grid_db": "-10:30:1", "out": None}),
+    (["se-cdf", "--mode", "losball"],
+     {"mode": "losball", "trials": 10000, "t_grid": "0:12:0.25", "out": None}),
+    (["compare", "--kind", "se"],
+     {"kind": "se", "trials": 10000, "tolerance": None, "beta_grid_db": "-10:30:1",
+      "t_grid": "0:12:0.25", "m_grid": "1,2,4,8,16", "lambda_grid": "1,2,3,4,5"}),
+    (["figure-config", "--figure", "fig7"], {"figure": "fig7", "out": None}),
+], ids=["losball", "coverage", "simulate", "se-cdf", "compare", "figure-config"])
+def test_parsed_defaults(monkeypatch, argv, defaults):
+    # every subcommand's flags, dests and defaults; main() then resolves
+    # the seed to 0 and the threads to 1 when neither flag nor environment
+    # sets them
+    for name in ("CONFIG", "OUT_DIR", "SEED", "THREADS"):
+        monkeypatch.delenv("WEARNET_" + name, raising=False)
+    want = {"command": argv[0], **_GLOBAL_DEFAULTS, **defaults}
+    assert vars(cli.build_parser().parse_args(argv)) == want
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        lambda args: seen.append(vars(args)) or [])
+    assert cli.main(argv) == 0
+    assert seen == [{**want, "seed": 0, "threads": 1}]
+
+
+@pytest.mark.parametrize("command", ["simulate", "se-cdf"])
+def test_mode_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --mode" in capsys.readouterr().err
 
 
 def test_figure_config_command(tmp_path):

@@ -33,14 +33,16 @@ def test_plan_validation(tmp_path):
     with pytest.raises(model.ConfigError) as err:
         experiments.validate_plan(_plan(tmp_path, kind="nakagami_sweep", grid=(1, 2.5)))
     assert err.value.violation == "NakagamiOrderInvalid"
-    for trials in (0, 2**32):
+    # a bool is refused like any other non-count: trials=True ran one trial
+    for trials in (0, 2**32, True, np.True_):
         with pytest.raises(model.ConfigError) as err:
             experiments.validate_plan(_plan(tmp_path, trials=trials))
         assert err.value.violation == "TrialCountInvalid"
-    with pytest.raises(model.ConfigError) as err:
-        experiments.validate_plan(_plan(tmp_path, seed=-1))
-    assert err.value.violation == "SeedInvalid"
-    for workers in (-1, 1.5, "2"):
+    for seed in (-1, False, np.False_):
+        with pytest.raises(model.ConfigError) as err:
+            experiments.validate_plan(_plan(tmp_path, seed=seed))
+        assert err.value.violation == "SeedInvalid"
+    for workers in (-1, 1.5, "2", True, np.True_):
         with pytest.raises(model.ConfigError) as err:
             experiments.validate_plan(_plan(tmp_path, workers=workers))
         assert err.value.violation == "WorkersInvalid"

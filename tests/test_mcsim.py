@@ -233,6 +233,18 @@ def test_estimate_ergodic_se_noise_only():
     assert abs(mean - want) < 3.5 * se
 
 
+def test_one_sample_has_no_standard_error():
+    # one value gives a mean and an infinite standard error, not a NaN from
+    # a variance over n - 1 = 0
+    mean, se = mcsim.estimate_mean_los_count(make_config(), 1, master_seed=44)
+    assert math.isfinite(mean) and se == math.inf
+    samples = mcsim.simulate_sinr_samples(mcsim.LOSBALL, make_config(), 1,
+                                          master_seed=44)
+    assert samples.shape == (1, 2)
+    mean, se = mcsim.mean_spectral_efficiency(samples)
+    assert mean == math.log2(1.0 + samples[0, 0]) and se == math.inf
+
+
 def test_mode_names_validated():
     cfg = make_config()
     with pytest.raises(ValueError):
@@ -264,9 +276,14 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         for n, seed in ((5, -1), (2 ** 32, 0), (2 ** 40, 0), (0, 0)):
             with pytest.raises(ValueError):
                 run(n, seed)
-        # a non-integral count or seed is refused by name, like a bad range
+        # a non-integral count or seed is refused by name, like a bad range,
+        # and so is a bool, which Python would take as 0 or 1
         for n, seed, violation in ((5, 1.5, "SeedInvalid"),
-                                   (2.5, 0, "TrialCountInvalid")):
+                                   (2.5, 0, "TrialCountInvalid"),
+                                   (True, 0, "TrialCountInvalid"),
+                                   (np.True_, 0, "TrialCountInvalid"),
+                                   (5, False, "SeedInvalid"),
+                                   (5, np.False_, "SeedInvalid")):
             with pytest.raises(ConfigError) as err:
                 run(n, seed)
             assert err.value.violation == violation
@@ -274,7 +291,7 @@ def test_seed_and_trial_count_refused_before_work(monkeypatch):
         for workers in (-1, -3):
             with pytest.raises(ValueError):
                 run(5, 0, workers=workers)
-        for workers in (1.5, 2.0, "2"):
+        for workers in (1.5, 2.0, "2", True, np.True_):
             with pytest.raises(ConfigError) as err:
                 run(5, 0, workers=workers)
             assert err.value.violation == "WorkersInvalid"
