@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losball import los_ball_radius
-from .model import ConfigError, check_thresholds, gain_pairs, rate_to_sinr
+from .model import ConfigError, check_thresholds, float_power, gain_pairs, rate_to_sinr
 from .quadrature import adaptive_gauss_legendre, integrate_batch
 
 # Integrals are evaluated tighter than their 1e-10 contract, for the
@@ -120,27 +120,20 @@ def coverage_params(config):
 
 def signal_power(cfg):
     """Gt Gr R0^-alpha_L, the reference link's received power before
-    fading; +inf past the float range, where Python's float power raises."""
-    try:
-        return (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain
-                * cfg.ref_distance ** (-cfg.alpha_los))
-    except OverflowError:
-        return math.inf
+    fading; +inf where R0^-alpha_L passes the float range."""
+    return float_power(cfg.ref_distance, -cfg.alpha_los,
+                       cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain)
 
 
 def beta_tilde(beta, params):
     """Normalized threshold beta * R0^alpha_L / (Gt * Gr).
 
-    R0^alpha_L past the float range is +inf, where Python's float power
-    raises.  A product inf * 0 is the threshold +inf, which nothing
-    exceeds: an infinite SINR does not exceed the threshold +inf, and a
-    zero one does not exceed 0.
+    R0^alpha_L past the float range is +inf.  A product inf * 0 is the
+    threshold +inf, which nothing exceeds: an infinite SINR does not
+    exceed the threshold +inf, and a zero one does not exceed 0.
     """
     cfg = params.config
-    try:
-        scale = cfg.ref_distance ** cfg.alpha_los
-    except OverflowError:
-        scale = math.inf
+    scale = float_power(cfg.ref_distance, cfg.alpha_los)
     beta = np.asarray(beta, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         bt = beta * scale / (cfg.tx_pattern.main_gain * cfg.rx_pattern.main_gain)

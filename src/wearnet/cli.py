@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analytic, experiments, mcsim
 from .model import (CONFIG_KEYS, ConfigError, config_from_keys, db_to_linear,
-                    parse_key_values)
+                    exceeds_one_array, parse_key_values)
 
 
 def parse_grid(text):
@@ -50,10 +50,9 @@ def parse_grid(text):
         raise ConfigError("MalformedGrid",
                           f"grid must be start:stop:step, got {text!r}")
     start, stop, step = values
-    # the float64 points must fit numpy's bound on the bytes of one array,
-    # as in mcsim._field_disks; an infinite count does not
+    # the float64 points must fit in one array; an infinite count does not
     if (step <= 0.0 or stop < start
-            or not 8.0 * ((stop - start) / step + 1.0) <= np.iinfo(np.intp).max):
+            or exceeds_one_array(8.0 * ((stop - start) / step + 1.0))):
         raise ConfigError("MalformedGrid", f"bad grid range {text!r}")
     n = int(round((stop - start) / step))
     grid = start + step * np.arange(n + 1)

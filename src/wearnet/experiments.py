@@ -88,6 +88,8 @@ def validate_plan(plan):
     check_run refusals of trials, seed and workers, fewer trials than the
     kind's floor (TooFewTrials: one trial has no standard error), a set
     tolerance that is not a finite real number >= 0 (ToleranceNegative),
+    a field the kind does not read (UnusedPlanField: a set tolerance where
+    the kind has no gate, a density_family outside losball_sweep),
     a grid value that is not a real number or breaks the rule of the
     config field it stands for (the NetworkConfig that dataclasses.replace
     makes with it refuses it; a Nakagami order is also integral:
@@ -98,7 +100,7 @@ def validate_plan(plan):
     if plan.kind not in _KINDS:
         raise ConfigError("UnknownPlanKind",
                           f"kind must be one of {KINDS}, got {plan.kind!r}")
-    _, _, swept, grid_rule, floor = _KINDS[plan.kind]
+    _, default, swept, grid_rule, floor = _KINDS[plan.kind]
     if len(plan.grid) == 0:
         raise ConfigError("EmptySweepGrid", "plan.grid must be nonempty")
     mcsim.check_run(plan.trials, plan.seed, plan.workers)
@@ -110,6 +112,10 @@ def validate_plan(plan):
         if plan.tolerance < 0.0:
             raise ConfigError("ToleranceNegative",
                               f"tolerance must be >= 0, got {plan.tolerance}")
+        if default is None:
+            raise ConfigError("UnusedPlanField", f"{plan.kind} has no gate to read a tolerance")
+    if len(plan.density_family) and plan.kind != "losball_sweep":
+        raise ConfigError("UnusedPlanField", f"{plan.kind} reads no density_family")
     for v in plan.grid:
         check_real("plan.grid value", v)
         if swept == "m_los":
@@ -176,7 +182,7 @@ def _run_mean_count_sweep(plan, se_multiple):
     rows = []
     worst = 0.0
     for lam in plan.grid:
-        cfg_l = replace(cfg, density=float(lam))
+        cfg_l = replace(cfg, density=lam)
         analytic_mean = losball.mean_los_interferers(
             lam, cfg.blockage_diameter, cfg.net_radius)
         mc_mean, se = mcsim.estimate_mean_los_count(cfg_l, plan.trials,

@@ -165,9 +165,6 @@ def classify_los(r, phi, d, psi, W, link_counts=None, body_counts=None):
     bucket = np.minimum(phi * _PER_RAD, _BUCKETS - 1).astype(np.intp)
     _shadow(los, r, bucket, link_field, d, psi, body_field, n_fields, W)
     rest = np.flatnonzero(los)
-    if not rest.size:
-        return los
-
     links, bodies = _search_rows(rest, r, phi, bucket, link_field, d, psi,
                                  body_field, half_w, n_fields)
     _sweep(los, links, bodies, half_w)

@@ -114,7 +114,7 @@ from .analytic import coverage_params, signal_power
 # the LOSBALL test oracle and the benchmark's tracer look sample_ppp_disk
 # up under this module
 from .geometry import classify_los, disk_polar, draw_ppp, ppp_mean, sample_ppp_disk
-from .model import ConfigError, check_grid, rate_to_sinr
+from .model import ConfigError, check_grid, exceeds_one_array, rate_to_sinr
 
 FULL = "full"
 LOSBALL = "losball"
@@ -156,7 +156,7 @@ def _field_disks(cfg):
     """
     radii = (cfg.net_radius, cfg.net_radius + 0.5 * cfg.blockage_diameter)
     mean = ppp_mean(cfg.density, radii[1])
-    if 16.0 * mean > np.iinfo(np.intp).max:
+    if exceeds_one_array(16.0 * mean):
         raise ConfigError("DensityTooHigh",
                           f"density {cfg.density} puts a Poisson mean of {mean:.3g} "
                           f"blockage centers on the deployment disk, more "

@@ -437,11 +437,13 @@ def test_ergodic_se_fig8_frozen():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the Alzer sum cancels at high m; the exact route is the fix")
-def test_coverage_monotone_at_high_order_in_a_sparse_crowd():
-    # fig8 at lambda = 0.5, m = 32, no warning raised: the CCDF rises by
-    # about 0.908 between neighbouring points of a 0.25 dB grid (m = 32 is
-    # accepted, MAX_NAKAGAMI_M is 64)
-    p = analytic.coverage_params(figure_config("fig8", m=32, **{"lambda": 0.5}))
+@pytest.mark.parametrize("lam, m", [(0.5, 32), (2, 31)])
+def test_coverage_monotone_at_high_order_in_a_sparse_crowd(lam, m):
+    # fig8, no warning raised, both orders accepted (MAX_NAKAGAMI_M is 64):
+    # between neighbouring points of a 0.25 dB grid the CCDF rises by about
+    # 0.908 at lambda = 0.5, m = 32, and by 0.962 at fig8's own lambda = 2,
+    # m = 31, where m = 30 and m = 32 are monotone (largest rise about -1e-9)
+    p = analytic.coverage_params(figure_config("fig8", m=m, **{"lambda": lam}))
     beta = model.db_to_linear(np.linspace(-10.0, 30.0, 161))
     ccdf = analytic.coverage_ccdf(beta, p)
     assert np.all(np.isfinite(ccdf))

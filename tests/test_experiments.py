@@ -123,7 +123,7 @@ def test_bad_tolerance_refused_before_rows(tmp_path, monkeypatch, tolerance,
     assert not os.listdir(tmp_path)
     # zero and positive tolerances, numpy scalars included, are accepted
     for ok in (0.0, 0, np.float64(0.5), 3):
-        experiments.validate_plan(_plan(tmp_path, tolerance=ok))
+        experiments.validate_plan(_plan(tmp_path, kind="coverage_compare", tolerance=ok))
 
 
 @pytest.mark.parametrize("kind, grid, violation", [
@@ -339,6 +339,26 @@ def test_default_tolerance_per_kind(tmp_path, kind):
         assert repr(err.tolerance) == default
     fields = dict(word.split("=", 1) for word in _summary(tmp_path).split())
     assert fields.get("tolerance") == default
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, "density_family") for kind in experiments.KINDS if kind != "losball_sweep"
+] + [("losball_sweep", "tolerance")])
+def test_field_the_kind_never_reads_refused_before_rows(tmp_path, monkeypatch,
+                                                        kind, field):
+    # such a plan used to write its CSV and status=PASS, ignoring the field
+    def not_called(*args):
+        raise AssertionError("a row was computed before the plan was refused")
+
+    monkeypatch.setitem(experiments._KINDS, kind,
+                        (not_called, *experiments._KINDS[kind][1:]))
+    grid = (1, 2) if kind == "nakagami_sweep" else (5.0, 10.0)
+    value = (0.5,) if field == "density_family" else 1e-9
+    with pytest.raises(model.ConfigError) as err:
+        experiments.run_plan(_plan(tmp_path, kind=kind, grid=grid, **{field: value}))
+    assert err.value.violation == "UnusedPlanField"
+    assert field in str(err.value)
+    assert not os.listdir(tmp_path)
 
 
 def test_rerun_byte_identical(tmp_path):

@@ -486,6 +486,31 @@ def test_classify_los_shadow_settles_most_blocked_links(monkeypatch, per_call):
     assert unsettled < 0.1 * blocked
 
 
+def test_classify_los_when_the_shadow_settles_every_link(monkeypatch):
+    # every link runs far past a center on its own bearing, so the shadow
+    # pre-pass settles all of them and the window search gets no link, in
+    # a two-field call and in each field's own call
+    W = 0.3
+    fields = [((np.array([100.0, 120.0, 150.0]), np.array([1.0, 2.0, 4.0])),
+               (np.array([1.0, 1.5, 2.0]), np.array([1.0, 2.0, 4.0]))),
+              ((np.array([110.0, 130.0]), np.array([0.5, 0.52])),
+               (np.array([1.2]), np.array([0.51])))]
+    left_los = []
+    shadow = geometry._shadow
+
+    def recording(los, *args):
+        shadow(los, *args)
+        left_los.append(np.count_nonzero(los))
+
+    monkeypatch.setattr(geometry, "_shadow", recording)
+    masks = _classify_fields(fields, W)
+    for mask, ((r, phi), (d, psi)) in zip(masks, fields):
+        want = [not is_blocked(r[i], phi[i], d, psi, W) for i in range(r.size)]
+        assert list(mask) == want == [False] * r.size
+        assert np.array_equal(geometry.classify_los(r, phi, d, psi, W), mask)
+    assert left_los == [0, 0, 0]
+
+
 def test_sample_deployment_regions(monkeypatch):
     # the FULL-mode draw: interferers on the network disk, then blockage
     # centers on the disk of radius r_net + W/2, both transformed through

@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import BASE_KEYS, make_config
-from wearnet import experiments, geometry, losball, model
+from conftest import BASE_KEYS, figure_config, make_config
+from wearnet import analytic, experiments, geometry, losball, model
 
 
 def test_db_anchors():
@@ -85,6 +86,45 @@ def test_config_hash_covers_every_field():
     # tx and rx patterns are equal here, so distinct hashes also show that
     # the two patterns are told apart
     assert len(hashes) == 11 + 2 * 3
+
+
+@pytest.mark.parametrize("base, change", [
+    ({}, {"net_radius": 10}),
+    ({}, {"density": np.float64(2.0)}),
+    ({}, {"m_los": np.int64(1)}),
+    ({}, {"tx_pattern": model.SectorPattern(np.float64(model.db_to_linear(6.0)),
+                                            np.float64(model.db_to_linear(-0.88)),
+                                            np.float64(math.radians(50.0)))}),
+    ({"noise_power": 0.0}, {"noise_power": -0.0}),
+    ({"density": 0.0}, {"density": -0.0}),
+], ids=["int-net-radius", "numpy-density", "numpy-order", "numpy-pattern",
+        "negative-zero-noise", "negative-zero-density"])
+def test_number_type_changes_neither_equality_nor_hash(base, change):
+    # a config keeps Python floats and ints, and 0.0 for -0.0, whatever it
+    # is given: these pairs used to compare equal and hash apart
+    cfg = dataclasses.replace(figure_config("fig8"), **base)
+    other = dataclasses.replace(cfg, **change)
+    assert other == cfg and model.config_hash(other) == model.config_hash(cfg)
+    for value in (other, other.tx_pattern, other.rx_pattern):
+        for f in dataclasses.fields(value):
+            got = getattr(value, f.name)
+            if not isinstance(got, model.SectorPattern):
+                assert type(got) is (int if f.name in ("m_los", "m_nlos") else float), f.name
+    assert math.copysign(1.0, other.density) == math.copysign(1.0, other.noise_power) == 1.0
+
+
+def test_numpy_scalar_power_past_float_range_is_inf_without_warning():
+    # numpy's scalar power warns on overflow where Python's raises; both
+    # used to reach the caller: a RuntimeWarning (an error under -W error)
+    cfg = dataclasses.replace(make_config(), ref_distance=np.float64(1e-10),
+                              alpha_los=np.float64(40.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytic.signal_power(cfg) == math.inf
+        for x in (np.float64(4000.0), np.array(4000.0), 4000.0):
+            got = model.db_to_linear(x)
+            assert got == math.inf and type(got) is float
+        assert model.db_to_linear(np.float64(-4000.0)) == 0.0
 
 
 def test_optional_keys_default():
