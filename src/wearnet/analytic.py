@@ -236,6 +236,8 @@ def spectral_efficiency_ccdf(t, params):
 
 
 _SE_TAIL_CUT = 1e-6
+# the powers of two 1 .. 2^14 of the t_max search, five per CCDF call
+_T_MAX_BLOCKS = np.exp2(np.arange(15.0)).reshape(3, 5)
 
 
 def ergodic_spectral_efficiency(params):
@@ -245,7 +247,10 @@ def ergodic_spectral_efficiency(params):
     at the first power of two where it falls below 1e-6 and evaluated by
     adaptive quadrature; the truncated tail is below t_max * 1e-6.  The
     search ends by t_max = 1024: 2^1024 overflows to the threshold +inf,
-    whose CCDF is 0.
+    whose CCDF is 0.  It evaluates the powers of two five at a time, 1 .. 16,
+    32 .. 512 and 1024 .. 16384, one spectral_efficiency_ccdf call each;
+    each point's value is the one it has alone, so t_max is the one a
+    point-by-point search finds.
     ConfigError SinrUnbounded unless signal_power / sigma2_total is a
     finite float.  With sigma2_total == 0 (no noise, and no NLOS
     interference: zero density, p_t = 0, or a LOS ball that fills the
@@ -259,8 +264,10 @@ def ergodic_spectral_efficiency(params):
                           "the reference SNR is infinite or past the float range "
                           "(no noise and no NLOS interference, or an overflow), "
                           "so the mean rate is not a finite number")
-    t_max = 1.0
-    while spectral_efficiency_ccdf(t_max, params) >= _SE_TAIL_CUT:
-        t_max *= 2.0
+    for block in _T_MAX_BLOCKS:
+        below = spectral_efficiency_ccdf(block, params) < _SE_TAIL_CUT
+        if below.any():
+            t_max = float(block[below.argmax()])
+            break
     return adaptive_gauss_legendre(lambda t: spectral_efficiency_ccdf(t, params),
                                    0.0, t_max, abs_tol=1e-6, rel_tol=1e-6)

@@ -45,8 +45,10 @@ def disk_polar(radius, x):
 
 
 def ppp_mean(density, radius):
-    """Mean point count of a PPP of given density on a disk of given radius."""
-    return density * (math.pi * (radius * radius))
+    """Mean point count of a PPP of given density on a disk of given radius.
+    Zero density is the empty PPP, of mean 0 on any disk, also one whose
+    area passes the float range."""
+    return density * (math.pi * (radius * radius)) if density else 0.0
 
 
 def draw_ppp(mean, rng):

@@ -27,8 +27,11 @@ and node sum are computed as they would be for the panel alone, whoever
 shares its row or its chunk, so a panel's value, and its fate, depend only
 on the panel itself, never on the order panels are visited in, on the
 other integrands of the batch or on how the batch is grouped and chunked.
-The accepted panels are summed with the exactly rounded ``math.fsum``, so
-a batch gives bit for bit the values each integrand would give alone.
+Each integrand's accepted panels are summed exactly rounded, as
+``math.fsum`` sums them, so a batch gives bit for bit the values each
+integrand would give alone.  A group's sums are formed together in long
+double, and each one is kept where its error bound shows it is the
+correctly rounded one; the few others go through ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ _MAX_PANELS = 4096
 # from fresh mappings that each call faults in page by page.
 _GROUP = 1024
 _CHUNK = 800
+
+# The closing sums (_fsum_segments) are certified in long double where it
+# is IEEE extended (x86) or quad precision, in blocks of at most _SUM_BLOCK
+# values: 64 KiB as long double.
+_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
+_SUM_BLOCK = 4096
 
 
 def _panels(f, index, col, lo, hi):
@@ -121,7 +131,8 @@ def integrate_batch(f, n, a, b, abs_tol=1e-10, rel_tol=1e-8):
     integrand that has spent more than _MAX_PANELS (4096) panel evaluations
     and still has a failing panel raises QuadratureNotConverged, carrying
     its best value, its error estimate and its index.  Returns a float array
-    of the ``n`` integrals, each bit for bit the value it has alone.
+    of the ``n`` integrals, each the correctly rounded sum of its accepted
+    panels (``math.fsum``'s), so bit for bit the value it has alone.
 
     ValueError, before ``f`` is called, for a bound that is not finite (an
     infinity or a NaN) and for b < a.
@@ -201,11 +212,52 @@ def _integrate_group(f, index, a, b, abs_tol, rel_tol):
         used += 2 * np.bincount(own, minlength=k)
     # each integrand's converged panels side by side, then one exact sum each
     owner = np.concatenate(done_owner)
-    order = np.argsort(owner, kind="stable")
-    values = np.concatenate(done_value)[order].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
-    return np.array([math.fsum(values[start:stop])
-                     for start, stop in zip([0] + ends[:-1], ends)])
+    values = np.concatenate(done_value)[np.argsort(owner, kind="stable")]
+    return _fsum_segments(values, np.bincount(owner, minlength=k))
+
+
+def _fsum_segments(values, counts):
+    """math.fsum of each segment of ``values``, the runs of counts[i] >= 1
+    consecutive values, as a float array.
+
+    In whatever order a segment's count values are added in long double,
+    their sum S is within (count - 1) u |v|_1 of the exact sum, u = eps / 2
+    the long double unit roundoff.  B = count eps |v|_1 also covers the
+    float |v|_1's own error and the rounding of S - B and S + B, so when
+    those two round to one double, every point between them does, the
+    exact sum included: that double is the correctly rounded sum, the one
+    math.fsum returns.  It is taken only where it is nonzero and
+    |v|_1 < 2^1020, which keeps it finite and leaves fsum no intermediate
+    overflow.  Every other segment (a rounding boundary near S, a zero sum,
+    which fsum signs its own way, an inf or NaN, a huge |v|_1), and every
+    segment where long double is neither IEEE extended nor quad precision,
+    goes through math.fsum itself, exceptions included.  Summed in blocks
+    of whole segments of at most _SUM_BLOCK values (a longer segment
+    alone), so that a block's long double copy stays under 128 KiB.
+    """
+    out = np.empty(counts.size)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first = 0
+    while first < counts.size:
+        last = max(first + 1, int(np.searchsorted(ends, starts[first] + _SUM_BLOCK, "right")))
+        block = values[starts[first]:ends[last - 1]]
+        cuts = starts[first:last] - starts[first]
+        redo = range(last - first)
+        if _LONG_DOUBLE:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.add.reduceat(block.astype(np.longdouble), cuts)
+                norm = np.add.reduceat(np.abs(block), cuts)
+                bound = norm.astype(np.longdouble) * (_LONG_EPS * counts[first:last])
+                below = (total - bound).astype(float)
+                ok = ((below == (total + bound).astype(float)) & (below != 0.0)
+                      & (norm < 2.0 ** 1020))
+            out[first:last] = below
+            redo = np.flatnonzero(~ok).tolist()
+        for j in redo:
+            out[first + j] = math.fsum(block[cuts[j]:cuts[j] + counts[first + j]].tolist())
+        first = last
+    return out
 
 
 def adaptive_gauss_legendre(f, a, b, abs_tol=1e-10, rel_tol=1e-8):

@@ -13,6 +13,10 @@ on the panel's own nodes; `analytic.laplace_term`, which integrates each
 distinct joint gain once and takes r^-alpha_L once per distinct panel of a
 level, must give the same bits.
 
+t_max: the ergodic rate's truncation point, searched one power of two at
+a time; `analytic.ergodic_spectral_efficiency`, which evaluates five powers
+of two per CCDF call, must find the same point.
+
 gauss_legendre: the adaptive 20-point rule for one integrand, panel by
 panel, with the weighted node sum added node by node in Python floats;
 `quadrature.integrate_batch`, which sums the nodes of a whole batch of
@@ -35,7 +39,8 @@ import math
 import numpy as np
 
 from wearnet import mcsim
-from wearnet.analytic import _LAPLACE_ABS_TOL, _LAPLACE_REL_TOL, nlos_mean_power
+from wearnet.analytic import (_LAPLACE_ABS_TOL, _LAPLACE_REL_TOL, _SE_TAIL_CUT,
+                              nlos_mean_power, spectral_efficiency_ccdf)
 from wearnet.losball import los_ball_radius
 from wearnet.quadrature import integrate_batch
 
@@ -121,6 +126,15 @@ def laplace_term(ell, bt, params):
     out[live] = np.exp(-cfg.density * math.pi * cfg.tx_probability
                        * (R * R - 2.0 * total))
     return out
+
+
+def t_max(params):
+    """The first t = 1, 2, 4, ... whose spectral-efficiency CCDF is below
+    the ergodic rate's tail cut, one CCDF call per t."""
+    t = 1.0
+    while spectral_efficiency_ccdf(t, params) >= _SE_TAIL_CUT:
+        t *= 2.0
+    return t
 
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)

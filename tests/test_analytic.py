@@ -11,7 +11,8 @@ from scipy import integrate, special
 from conftest import figure_config, make_config
 import oracles
 from oracles import t_factor
-from wearnet import analytic, mcsim, model
+from wearnet import analytic, mcsim, model, quadrature
+from wearnet.quadrature import QuadratureNotConverged
 
 
 def _params(**overrides):
@@ -419,6 +420,59 @@ def test_ergodic_se_near_the_t_max_bound():
     assert abs(got - 1006.132) < 1e-3
     mean, se = mcsim.estimate_ergodic_se(mcsim.LOSBALL, cfg, 200, 1)
     assert abs(got - mean) < 3.0 * se
+
+
+@pytest.mark.parametrize("overrides, t_max", [
+    ({"noise_power": 1e8}, 1.0),
+    ({"noise_power": 1e3}, 8.0),
+    ({}, 16.0),
+    ({"p_t": 0.0, "noise_power": 1e-3}, 32.0),
+    ({"lambda": 0.0, "noise_power": 1e-30}, 128.0),
+    ({"lambda": 0.0, "noise_power": 1e-300}, 1024.0),
+], ids=["1", "8", "16", "32", "128", "1024"])
+def test_ergodic_se_tail_search_in_blocks(overrides, t_max):
+    # the powers of two are evaluated five per CCDF call; the truncation
+    # point and every bit of the rate are the point-by-point search's, in
+    # each of the three blocks and at both ends of the first two
+    p = analytic.coverage_params(figure_config("fig8", **overrides))
+    assert oracles.t_max(p) == t_max
+    want = quadrature.adaptive_gauss_legendre(
+        lambda t: analytic.spectral_efficiency_ccdf(t, p), 0.0, t_max,
+        abs_tol=1e-6, rel_tol=1e-6)
+    assert analytic.ergodic_spectral_efficiency(p) == want
+
+
+def test_ergodic_se_at_high_order_still_refused(monkeypatch):
+    # fig8 at m = 32: the CCDF's alternating sum cancels, and the rate's
+    # quadrature on [0, 16] runs out of panels, here at a budget of 256
+    # (about 3 s; the default budget takes about 30 s to the same refusal),
+    # while m = 16 converges within it
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 256)
+    cfg = figure_config("fig8")
+    assert math.isfinite(analytic.ergodic_spectral_efficiency(
+        analytic.coverage_params(dataclasses.replace(cfg, m_los=16))))
+    with pytest.raises(QuadratureNotConverged, match=r"on \[0\.0, 16\.0\]"):
+        analytic.ergodic_spectral_efficiency(
+            analytic.coverage_params(dataclasses.replace(cfg, m_los=32)))
+
+
+def test_fig8_sweep_laplace_term_calls(monkeypatch):
+    # the five-order analytic sweep of fig8: one CCDF call for each order's
+    # t_max search (five powers of two) and one per bisection level of its
+    # rate; the point-by-point search made 53 calls
+    calls = []
+    laplace_term = analytic.laplace_term
+
+    def counted(*args):
+        calls.append(1)
+        return laplace_term(*args)
+
+    monkeypatch.setattr(analytic, "laplace_term", counted)
+    cfg = figure_config("fig8")
+    for m in (1, 2, 4, 8, 16):
+        analytic.ergodic_spectral_efficiency(
+            analytic.coverage_params(dataclasses.replace(cfg, m_los=m)))
+    assert len(calls) <= 33
 
 
 # ergodic SE at the fig8 setup, m = 1, 2, 4, 8, 16, frozen from the

@@ -134,6 +134,17 @@ def test_simulate_command(tmp_path):
     assert np.all(np.diff(body[:, 1]) <= 0.0)  # empirical CCDF nonincreasing
 
 
+def test_simulate_full_at_zero_density_on_an_overflowing_disk(tmp_path):
+    # the disk's area pi r_net^2 passes the float range; the empty PPP
+    # still has mean 0
+    cfg = _write_config(tmp_path, **{"lambda": 0.0, "r_net": 1e200})
+    rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "simulate",
+                   "--mode", "full", "--trials", "50", "--beta-grid-dB=-5:15:5"])
+    assert rc == 0
+    rows = (tmp_path / "simulate_full.csv").read_text().splitlines()[2:]
+    assert len(rows) == 5
+
+
 def test_se_cdf_command(tmp_path):
     cfg = _write_config(tmp_path)
     rc = cli.main(["--config", cfg, "--out-dir", str(tmp_path), "se-cdf",

@@ -179,6 +179,20 @@ def test_bad_threshold_grid_refused_before_trials(monkeypatch):
             assert err.value.violation == violation
 
 
+def test_zero_density_on_a_disk_whose_area_overflows():
+    # pi r_net^2 is +inf at r_net = 1e200; zero density is still the empty
+    # PPP, of mean 0 (0 * inf, a NaN mean, used to reach numpy's Poisson
+    # sampler), and its trials are those of any other disk
+    cfg = make_config(**{"lambda": 0.0, "r_net": 1e200})
+    assert geometry.ppp_mean(0.0, 1e200) == 0.0
+    for mode in (mcsim.FULL, mcsim.LOSBALL):
+        samples = mcsim.simulate_sinr_samples(mode, cfg, 50, master_seed=32)
+        assert np.all(samples[:, 1] == 0.0) and np.all(np.isfinite(samples[:, 0]))
+        assert np.array_equal(samples, mcsim.simulate_sinr_samples(
+            mode, make_config(**{"lambda": 0.0}), 50, master_seed=32))
+    assert mcsim.estimate_mean_los_count(cfg, 50, 32) == (0.0, 0.0)
+
+
 def test_simulate_ccdf_zero_threshold():
     cfg = make_config()
     dist = mcsim.simulate_ccdf(mcsim.LOSBALL, cfg, 500, np.array([0.0]), master_seed=36)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import oracles
@@ -211,3 +212,95 @@ def test_batch_bits_do_not_depend_on_grouping_or_chunking(monkeypatch, group, ch
     assert rev[::-1].tolist() == want
     assert min(columns) >= 2
     assert max(columns) <= max(chunk + 1, 3)
+
+
+_HUGE = 1.7976931348623157e308
+# values that stress the closing sum: signed zeros, subnormals, the float
+# range's edges, a half ulp of 1, infinities and NaN
+_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+          2.0 ** -53, -(2.0 ** -53), 1e307, -1e307, _HUGE, -_HUGE,
+          math.inf, -math.inf, math.nan)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _segment(draw):
+    # a segment of up to 12 values: of the edges alone (inf and -inf
+    # together, sums past the float range), mixed with any floats, or tiny;
+    # or an exact cancellation (a sum of +-0) or a half-ulp tie (x plus half
+    # its ulp), each shuffled in with up to three cancelling pairs
+    kind = draw(st.sampled_from(("edges", "any", "small", "cancel", "tie")))
+    if kind == "edges":
+        return draw(st.lists(st.sampled_from(_EDGES), min_size=1, max_size=6))
+    if kind == "any":
+        return draw(st.lists(st.one_of(st.sampled_from(_EDGES), _FINITE),
+                             min_size=1, max_size=12))
+    if kind == "small":
+        return draw(st.lists(st.floats(-1e-300, 1e-300), min_size=1, max_size=12))
+    x = draw(st.floats(-1e300, 1e300).filter(lambda v: v != 0.0))
+    pair = [x, math.ulp(x) / 2.0] if kind == "tie" else [x, -x]
+    extra = draw(st.lists(st.floats(-1e6, 1e6), max_size=3))
+    return draw(st.permutations(pair + extra + [-v for v in extra]))
+
+
+def _fsum_or_error(values):
+    # math.fsum's float as hex in a list, or the type and message of its
+    # exception
+    try:
+        return [math.fsum(values).hex()]
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _segment_sums(*segments):
+    # the same of _fsum_segments on the segments side by side
+    try:
+        out = quadrature._fsum_segments(np.array([v for seg in segments for v in seg]),
+                                        np.array([len(seg) for seg in segments]))
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+    return [v.hex() for v in out.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_segment(), min_size=1, max_size=8))
+@example([[math.inf, 1.0, -math.inf], [1.0, 2.0 ** -53]])
+@example([[1e308, 1e308, -1e308], [5e-324, 5e-324, -0.0]])
+@example([[1.0, -1.0], [-0.0, -0.0], [math.nan, 2.0]])
+# an exact sum past the float range whose float |v|_1, rounded down twice, is finite
+@example([[1.5 * 2.0 ** 969, _HUGE, 1.5 * 2.0 ** 969]])
+def test_closing_sum_is_fsum_segment_by_segment(segments):
+    # every segment's certified long double sum is math.fsum's, bit for bit,
+    # and a segment it cannot certify is fsum's own, exceptions included:
+    # side by side, the first failing segment's; in blocks of at most 5
+    # values (a longer segment alone), and again with the platform guard
+    # off, where every segment takes math.fsum
+    want = [_fsum_or_error(seg) for seg in segments]
+    errors = [w for w in want if isinstance(w, tuple)]
+    for long_double in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_SUM_BLOCK", 5)
+            mp.setattr(quadrature, "_LONG_DOUBLE", long_double)
+            for seg, w in zip(segments, want):
+                assert _segment_sums(seg) == w
+            assert _segment_sums(*segments) == (errors[0] if errors else
+                                                [w for w, in want])
+
+
+def test_closing_sum_certifies_most_segments(monkeypatch):
+    # values of many magnitudes, whose sums seldom fall near a rounding
+    # boundary of the float grid: under 5% of segments of 1 to 20 values go
+    # to math.fsum on the certified path, every one of them with the
+    # platform guard off
+    rng = np.random.default_rng(5)
+    counts = rng.integers(1, 21, 2000)
+    values = rng.lognormal(0.0, 3.0, counts.sum())
+    want = [math.fsum(seg) for seg in np.split(values.tolist(), np.cumsum(counts)[:-1])]
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    for long_double, most in ((True, 100), (False, counts.size)):
+        monkeypatch.setattr(quadrature, "_LONG_DOUBLE", long_double)
+        calls.clear()
+        assert quadrature._fsum_segments(values, counts).tolist() == want
+        assert len(calls) <= most
+    assert len(calls) == counts.size
