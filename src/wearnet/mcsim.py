@@ -76,13 +76,15 @@ passes around one classify_los call for the whole chunk.  The first pass
 sets each trial's substream, draws its two PPPs' counts and uniform blocks
 (the one deployment draw, geometry.draw_ppp, on each of _field_disks'
 disks) and its activity uniforms, and saves a copy of the generator's four
-state words; the chunk's blocks are then transformed to points, one
-disk_polar call per PPP, and its fields classified at once.  The second
-pass, for each order in turn, writes each saved state back into the same
-generator and draws the LOS fading, the NLOS fading and the reference
-fading, with each trial's LOS count read off one cumsum of the chunk's
-mask; the chunk's LOS and NLOS draws are then scattered onto its links by
-two boolean assignments, which fill them in trial order.  The first pass
+state words.  _fields, the one FULL field step, then transforms the
+chunk's blocks to points, one disk_polar call per PPP, classifies its
+fields at once and reads each trial's LOS count off one cumsum of the
+chunk's mask; estimate_mean_los_count's deployments take the same step,
+one per call.  The second pass, for each order in turn, writes each saved
+state back into the same generator and draws the LOS fading, the NLOS
+fading and the reference fading, each trial's with its LOS count; the
+chunk's LOS and NLOS draws are then scattered onto its links by two
+boolean assignments, which fill them in trial order.  The first pass
 draws no uint32, so its buffered uint32 stays cleared, and a restored
 state continues the stream exactly where the first pass left it: the
 draws and their order are those of a trial-by-trial loop.  The loop writes
@@ -92,9 +94,11 @@ behind in the generator.
 Every refusal of an input comes before any worker starts: an unknown
 mode, a sweep's empty or bad order list, a config whose run constants do
 not exist (DensityTooHigh) and the run counts that check_run refuses are
-raised in the calling process, so
-a run split across workers fails exactly as a serial run does; a config
-itself is valid once it exists (model.NetworkConfig).  The trial ranges
+raised in the calling process, so a run split across workers fails exactly
+as a serial run does; a config itself is valid once it exists
+(model.NetworkConfig).  The run constants (a FULL run's two disks, a
+LOSBALL run's LOS ball and the noise with the mean power outside it) are
+computed there too, once per run, and passed to the trial ranges, which
 themselves raise nothing; a NaN SINR among their samples is refused once,
 after the run (SampleNaN).
 """
@@ -111,8 +115,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import coverage_params, signal_power
-# the LOSBALL test oracle and the benchmark's tracer look sample_ppp_disk
-# up under this module
+# sample_ppp_disk is not called here: the test oracle's LOSBALL draw and
+# the benchmark's tracer look it up under this module
 from .geometry import classify_los, disk_polar, draw_ppp, ppp_mean, sample_ppp_disk
 from .model import ConfigError, check_grid, exceeds_one_array, rate_to_sinr
 
@@ -164,12 +168,24 @@ def _field_disks(cfg):
     return radii
 
 
-def sample_full_field(cfg, rng):
-    """One FULL-mode deployment: (r, phi, los mask), the interferers and
-    then the blockage centers drawn by draw_ppp on _field_disks' disks."""
-    (r, phi), (d, psi) = (disk_polar(radius, draw_ppp(ppp_mean(cfg.density, radius), rng))
-                          for radius in _field_disks(cfg))
-    return r, phi, classify_los(r, phi, d, psi, cfg.blockage_diameter)
+def _fields(cfg, disks, x, xb):
+    """FULL-mode fields of one or more deployments: (r, phi, los, counts).
+
+    x[j] and xb[j] are deployment j's interferer and blockage uniform
+    blocks, as draw_ppp drew them on _field_disks' disks; they are
+    transformed by one disk_polar call per PPP and classified by one
+    classify_los call, each deployment's centers blocking its own links.
+    r, phi and the LOS mask hold the links deployment after deployment, and
+    counts[j] is deployment j's LOS count, read off one cumsum of the mask.
+    """
+    sizes = np.array([block.shape[1] for block in x])
+    (r, phi), (d, psi) = (disk_polar(radius, np.concatenate(blocks, axis=1))
+                          for radius, blocks in zip(disks, (x, xb)))
+    los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
+                       [block.shape[1] for block in xb])
+    seen = np.concatenate(([0], np.cumsum(los)))
+    ends = np.cumsum(sizes)
+    return r, phi, los, seen[ends] - seen[ends - sizes]
 
 
 def _gains(cfg, u, phi):
@@ -442,7 +458,7 @@ def _grow(buf, used, need):
     return grown
 
 
-def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
+def _run_sinr_range(mode, cfg, orders, disks, sigma2, master_seed, start, stop):
     signal_coef = signal_power(cfg)
     n_orders = len(orders)
     # values a chunk holds per link: radius, angle, activity, one fading
@@ -457,9 +473,8 @@ def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
     # one row per order.
     rng = np.random.Generator(np.random.PCG64(0))
     words, restore = _state_words(rng.bit_generator)
+    means = [ppp_mean(cfg.density, radius) for radius in disks]
     if mode == FULL:
-        radii = _field_disks(cfg)
-        means = [ppp_mean(cfg.density, radius) for radius in radii]
         m_nlos = cfg.m_nlos
         fields = []
 
@@ -473,19 +488,12 @@ def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
         def columns(sizes):
             x, xb, u, states = zip(*fields)
             fields.clear()
-            (r, phi), (d, psi) = (disk_polar(radius, np.concatenate(blocks, axis=1))
-                                  for radius, blocks in zip(radii, (x, xb)))
-            los = classify_los(r, phi, d, psi, cfg.blockage_diameter, sizes,
-                               [block.shape[1] for block in xb])
-            # each trial's LOS count from one cumsum of the chunk's mask
-            seen = np.concatenate(([0], np.cumsum(los)))
-            ends = np.cumsum(sizes)
-            counts = (seen[ends] - seen[ends - sizes]).tolist()
+            r, phi, los, counts = _fields(cfg, disks, x, xb)
             nlos = ~los
             h, h0 = np.empty((n_orders, r.size)), []
             for m, row in zip(orders, h):
                 h_los, h_nlos = [], []
-                for state, size, k in zip(states, sizes, counts):
+                for state, size, k in zip(states, sizes, counts.tolist()):
                     restore(state)
                     h_los.append(sample_nakagami_power(m, rng, k))
                     h_nlos.append(sample_nakagami_power(m_nlos, rng, size - k))
@@ -496,7 +504,7 @@ def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
                 row[nlos] = np.concatenate(h_nlos)
             return r, phi, np.concatenate(u), h, los, np.reshape(h0, (n_orders, -1))
     else:
-        mean_count = ppp_mean(cfg.density, r_los)
+        (r_los,), (mean_count,) = disks, means
         # the chunk's draws, trial after trial: a trial of n links drawn
         # after `links` links of `trials` trials holds the width n + K values
         # (K orders) from width links + K trials on, its 3 x n uniforms in
@@ -587,11 +595,12 @@ def _run_sinr_range(mode, cfg, orders, r_los, sigma2, master_seed, start, stop):
     return out
 
 
-def _run_los_count_range(cfg, master_seed, start, stop):
+def _run_los_count_range(cfg, disks, master_seed, start, stop):
+    means = [ppp_mean(cfg.density, radius) for radius in disks]
     out = np.empty(stop - start, dtype=np.int64)
     for j, rng in enumerate(_substreams(master_seed, start, stop)):
-        _, _, los = sample_full_field(cfg, rng)
-        out[j] = int(np.count_nonzero(los))
+        x, xb = ([draw_ppp(mean, rng)] for mean in means)
+        out[j] = _fields(cfg, disks, x, xb)[3][0]
     return out
 
 
@@ -662,16 +671,15 @@ def simulate_order_sweep(mode, config, orders, n_trials, master_seed, workers=1)
     if len(orders) == 0:
         raise ConfigError("EmptySweepGrid", "a sweep needs at least one Nakagami order")
     orders = tuple(replace(config, m_los=m).m_los for m in orders)
-    r_los, sigma2 = None, config.noise_power
     if mode == FULL:
-        _field_disks(config)  # DensityTooHigh here, before any worker starts
+        disks, sigma2 = _field_disks(config), config.noise_power
     else:
         # the closed form's LOS ball, everything outside it as its mean
         # power; neither depends on the LOS fading order
         params = coverage_params(config)
-        r_los, sigma2 = params.r_los, params.sigma2_total
+        disks, sigma2 = (params.r_los,), params.sigma2_total
     samples = _map_trials(_run_sinr_range, n_trials, master_seed, workers,
-                          mode, config, orders, r_los, sigma2)
+                          mode, config, orders, disks, sigma2)
     sweep = [samples[:, j] for j in range(len(orders))]
     for order_samples in sweep:
         _refuse_nan(order_samples[:, 0], "trials have a NaN SINR: signal and "
@@ -787,7 +795,6 @@ def estimate_mean_los_count(config, n_deployments, master_seed, workers=1):
     (DensityTooHigh) and a bad count or seed are refused before any worker
     starts.
     """
-    _field_disks(config)  # DensityTooHigh here, before any worker starts
     counts = _map_trials(_run_los_count_range, n_deployments, master_seed,
-                         workers, config)
+                         workers, config, _field_disks(config))
     return _mean_and_se(counts.astype(float))

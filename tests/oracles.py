@@ -23,10 +23,11 @@ panel, with the weighted node sum added node by node in Python floats;
 panels in one numpy reduction, must give the same bits.
 
 substream / sinr_samples: trial k's generator built by numpy's own
-constructors, and a plain trial-by-trial Monte Carlo loop on it, with
-separate link and reference fading draws; the engine in `mcsim`, which sets
-the substream states in bulk and sums a chunk of trials at once, must give
-the same bytes.
+constructors, and a plain trial-by-trial Monte Carlo loop on it, with its
+own FULL field draw (`geometry.sample_ppp_disk` on the two disks, then
+`geometry.classify_los`) and separate link and reference fading draws; the
+engine in `mcsim`, which sets the substream states in bulk and draws,
+classifies and sums a chunk of trials at once, must give the same bytes.
 
 sample_ppp_annulus / annulus_interference: a PPP on an annulus, and the
 sampled side of the weak-interference gate built on it, the per-deployment
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from wearnet import mcsim
+from wearnet import geometry, mcsim
 from wearnet.analytic import (_LAPLACE_ABS_TOL, _LAPLACE_REL_TOL, _SE_TAIL_CUT,
                               nlos_mean_power, spectral_efficiency_ccdf)
 from wearnet.losball import los_ball_radius
@@ -211,7 +212,12 @@ def sinr_samples(mode, cfg, start, stop, master_seed):
     for k in range(start, stop):
         rng = substream(master_seed, k)
         if mode == mcsim.FULL:
-            r, phi, los = mcsim.sample_full_field(cfg, rng)
+            # the engine's FULL draw, taken independently: interferers on
+            # the network disk, then blockage centers on the disk W/2 wider
+            r, phi = geometry.sample_ppp_disk(cfg.density, cfg.net_radius, rng)
+            d, psi = geometry.sample_ppp_disk(
+                cfg.density, cfg.net_radius + cfg.blockage_diameter / 2.0, rng)
+            los = geometry.classify_los(r, phi, d, psi, cfg.blockage_diameter)
         else:
             r, phi = mcsim.sample_ppp_disk(cfg.density, r_los, rng)
             los = None

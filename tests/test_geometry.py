@@ -62,14 +62,33 @@ def test_disk_radial_and_angular_law():
     assert np.max(np.abs(emp_a - agrid / (2.0 * math.pi))) < 0.01
 
 
-def test_density_zero_gives_empty_sample():
+def _recorded_fields(monkeypatch):
+    """A list that gets each result of mcsim._fields while the test runs."""
+    fields, step = [], mcsim._fields
+
+    def recording(*args):
+        fields.append(step(*args))
+        return fields[-1]
+
+    monkeypatch.setattr(mcsim, "_fields", recording)
+    return fields
+
+
+def test_density_zero_gives_empty_sample(monkeypatch):
     # a Poisson(0) count and a (2, 0) block draw nothing
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     r, phi = geometry.sample_ppp_disk(0.0, 5.0, rng)
     assert r.size == 0 and phi.size == 0
-    r, phi, los = mcsim.sample_full_field(make_config(**{"lambda": 0.0}), rng)
+    # the FULL field step's trial range at zero density: its one trial,
+    # drawn from rng, has two empty PPPs and no links
+    monkeypatch.setattr(mcsim, "_substreams", lambda seed, start, stop: iter([rng]))
+    fields = _recorded_fields(monkeypatch)
+    cfg = make_config(**{"lambda": 0.0})
+    counts = mcsim._run_los_count_range(cfg, mcsim._field_disks(cfg), 0, 0, 1)
+    (r, phi, los, count), = fields
     assert r.size == 0 and phi.size == 0 and los.size == 0
+    assert count.tolist() == counts.tolist() == [0]
     assert rng.bit_generator.state == state
 
 
@@ -512,9 +531,10 @@ def test_classify_los_when_the_shadow_settles_every_link(monkeypatch):
 
 
 def test_sample_deployment_regions(monkeypatch):
-    # the FULL-mode draw: interferers on the network disk, then blockage
-    # centers on the disk of radius r_net + W/2, both transformed through
-    # mcsim's name, and the draws sample_ppp_disk makes on those disks
+    # the FULL-mode draw of the LOS-count trial range: interferers on the
+    # network disk, then blockage centers on the disk of radius r_net + W/2,
+    # both transformed through mcsim's name in _fields, and the draws
+    # sample_ppp_disk makes on those disks
     calls = []
 
     def recording_polar(radius, x):
@@ -523,14 +543,18 @@ def test_sample_deployment_regions(monkeypatch):
         return r, phi
 
     monkeypatch.setattr(mcsim, "disk_polar", recording_polar)
+    fields = _recorded_fields(monkeypatch)
     rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+    # every trial of the range draws from rng in turn
+    monkeypatch.setattr(mcsim, "_substreams",
+                        lambda seed, start, stop: (rng for _ in range(start, stop)))
     W, r_net = 0.3, 10.0
     cfg = make_config(W=W, r_net=r_net)
+    counts = mcsim._run_los_count_range(cfg, mcsim._field_disks(cfg), 0, 0, 50)
+    assert len(calls) == 2 * len(fields) == 100
     max_b = 0.0
-    for _ in range(50):
-        calls.clear()
-        r, phi, los = mcsim.sample_full_field(cfg, rng)
-        (r_i, drawn_i, _), (r_b, drawn_b, drawn_bphi) = calls
+    for k, (r, phi, los, count) in enumerate(fields):
+        (r_i, drawn_i, _), (r_b, drawn_b, drawn_bphi) = calls[2 * k:2 * k + 2]
         assert (r_i, r_b) == (r_net, r_net + W / 2.0)
         assert drawn_i is r
         for got, want in zip((r, phi, drawn_b, drawn_bphi),
@@ -538,6 +562,7 @@ def test_sample_deployment_regions(monkeypatch):
                               *geometry.sample_ppp_disk(cfg.density, r_net + W / 2.0, twin))):
             assert np.array_equal(got, want)
         assert np.array_equal(los, geometry.classify_los(r, phi, drawn_b, drawn_bphi, W))
+        assert count.tolist() == [np.count_nonzero(los)] == [counts[k]]
         if r.size:
             assert r.max() <= r_net
         if drawn_b.size:

@@ -554,6 +554,47 @@ def test_chunked_engine_matches_trial_loop(monkeypatch, mode, orders):
         mcsim.simulate_sinr_samples(mode, cfg, n, 44, workers=3), want)
 
 
+def test_field_disks_computed_once_per_run(monkeypatch):
+    # a run's disks are fixed in the calling process and passed to its
+    # trial ranges, not recomputed per range or per deployment
+    calls, field_disks = [], mcsim._field_disks
+
+    def counting(cfg):
+        calls.append(cfg)
+        return field_disks(cfg)
+
+    monkeypatch.setattr(mcsim, "_field_disks", counting)
+    cfg = make_config()
+    mcsim.estimate_mean_los_count(cfg, 50, 0)
+    assert len(calls) == 1
+    calls.clear()
+    mcsim.simulate_sinr_samples(mcsim.FULL, cfg, 20, 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6"])
+def test_los_count_path_draws_the_sinr_deployments(monkeypatch, figure):
+    # trial k of a FULL SINR run and deployment k of the LOS-count range
+    # draw the same field, so they read the same LOS count; a 4096-link
+    # budget puts about four fields in each of the SINR run's chunks
+    monkeypatch.setattr(mcsim, "_LINKS", 4096)
+    cfg, n = figure_config(figure), 30
+    disks = mcsim._field_disks(cfg)
+    step = mcsim._fields
+    for seed in (0, 1, 105):
+        counts = []
+
+        def recording(*args):
+            result = step(*args)
+            counts.extend(result[3].tolist())
+            return result
+
+        monkeypatch.setattr(mcsim, "_fields", recording)
+        mcsim.simulate_sinr_samples(mcsim.FULL, cfg, n, seed)
+        monkeypatch.setattr(mcsim, "_fields", step)
+        assert counts == mcsim._run_los_count_range(cfg, disks, seed, 0, n).tolist()
+
+
 @pytest.mark.parametrize("mode", [mcsim.FULL, mcsim.LOSBALL])
 def test_order_sweep_matches_one_order_runs(monkeypatch, mode):
     # each order's samples are bit for bit those of a one-order run at that
